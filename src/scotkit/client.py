@@ -97,8 +97,10 @@ def build_request(user_prompt: str) -> list[dict[str, str]]:
     if not user_prompt:
         raise EmptyPrompt("user prompt must be non-empty")
     system = load_system_prompt()
-    assert system.startswith(_PROMPT_OPENING)
-    assert system.rstrip().endswith(_PROMPT_CLOSING)
+    if not system.startswith(_PROMPT_OPENING):
+        raise ClientError("system prompt does not open with the planner role line")
+    if not system.rstrip().endswith(_PROMPT_CLOSING):
+        raise ClientError("system prompt does not close with the input-text marker")
     return [
         {"role": "system", "content": system},
         {"role": "user", "content": user_prompt},
@@ -178,5 +180,4 @@ def request_plan(config: ClientConfig, user_prompt: str) -> PlannerOutput:
                     ),
                 },
             ]
-    assert last_error is not None
     raise InvalidAfterRetries(last_error, config.max_retries + 1)

@@ -31,8 +31,13 @@ class UnknownEntityId(ConstraintError):
 
 
 def _check_nonneg(name: str, value: float) -> None:
-    if value < 0:
-        raise ConstraintError(f"{name} must be >= 0, got {value}")
+    if not (math.isfinite(value) and value >= 0):
+        raise ConstraintError(f"{name} must be a finite number >= 0, got {value}")
+
+
+def _check_group(ids: Sequence[str]) -> None:
+    if len(ids) < 2:
+        raise ConstraintError(f"alignment needs at least 2 ids, got {len(ids)}")
 
 
 @dataclass(frozen=True)
@@ -112,6 +117,7 @@ class AlignedRow:
 
     def __post_init__(self):
         _check_nonneg("tol", self.tol)
+        _check_group(self.ids)
 
 
 @dataclass(frozen=True)
@@ -121,12 +127,17 @@ class AlignedCol:
 
     def __post_init__(self):
         _check_nonneg("tol", self.tol)
+        _check_group(self.ids)
 
 
 @dataclass(frozen=True)
 class CountEquals:
     category: str
     count: int
+
+    def __post_init__(self):
+        if self.count < 0:
+            raise ConstraintError(f"count must be >= 0, got {self.count}")
 
 
 @dataclass(frozen=True)
@@ -139,6 +150,12 @@ class Grid:
     def __post_init__(self):
         if self.rows < 1 or self.cols < 1:
             raise ConstraintError("grid needs rows >= 1 and cols >= 1")
+        cells = [cell for _, cell in self.assignments] + list(self.empty_cells)
+        for row, col in cells:
+            if not (0 <= row < self.rows and 0 <= col < self.cols):
+                raise ConstraintError(
+                    f"grid cell ({row},{col}) is outside {self.rows} x {self.cols}"
+                )
 
     def cell_rect(self, row: int, col: int) -> tuple[float, float, float, float]:
         w = 1000 / self.cols
@@ -243,8 +260,6 @@ def _violation_of(c: Constraint, layout: Layout, entities: Categories) -> list[V
         _require(layout, *c.ids)
         axis = 1 if isinstance(c, AlignedRow) else 0
         coords = [center(layout[i])[axis] for i in c.ids]
-        if not coords:
-            return []
         mean = sum(coords) / len(coords)
         deviation = max(abs(v - mean) for v in coords)
         mag = deviation - c.tol

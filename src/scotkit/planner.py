@@ -179,7 +179,7 @@ def parse_planner_output(raw: str) -> PlannerOutput:
             raise InvalidBox(key, str(exc)) from exc
         entries.append((key, box))
 
-    placeholder_indices = [int(n) for n in re.findall(r"<\|bbox_(\d+)\|>", prompt)]
+    placeholder_indices = [int(n) for n in codec._PLACEHOLDER_RE.findall(prompt)]
     if sorted(placeholder_indices) != list(range(1, len(entries) + 1)):
         raise PlaceholderMismatch(
             f"prompt placeholders {sorted(placeholder_indices)} do not match "
@@ -410,11 +410,28 @@ def repair(
     proposes a translate/resize move scaled by the decaying step; a move
     is kept only if the total violation magnitude strictly decreases, so
     the objective never increases across accepted moves. Residual
-    violations are reported, never dropped."""
+    violations are reported, never dropped.
+
+    Each candidate move rescores only the constraints that watch a moved
+    entity (a Grid with empty cells watches every entity); the others
+    keep their cached violations. The total is re-summed over all
+    constraints in their original order, so it is the same float a full
+    `total_magnitude` would give and every accept/reject decision is
+    unchanged. Once a sweep at the floor step accepts nothing, every
+    later sweep would repeat it exactly, so repair stops there and
+    reports ``iterations == max_iters``, as running them out would."""
     current = dict(boxes)
     cats = spec.categories
     cs = spec.constraints
-    total = constraints.total_magnitude(current, cats, cs)
+    watchers: dict[str, list[int]] = {}
+    for i, con in enumerate(cs):
+        for eid in _constraint_ids(con):
+            watchers.setdefault(eid, []).append(i)
+    everywhere = {i for i, con in enumerate(cs) if isinstance(con, Grid) and con.empty_cells}
+    # found[i] == check(current, cats, [cs[i]]); an accepted move rebinds
+    # the lists it changed instead of mutating them
+    found = [constraints.check(current, cats, [con]) for con in cs]
+    total = _total(found)
     if _trace is not None:
         _trace.append(total)
     iterations = 0
@@ -422,26 +439,40 @@ def repair(
     while total > 0 and iterations < max_iters:
         iterations += 1
         sweep_start = total
-        for con in cs:
-            found = constraints.check(current, cats, [con])
-            for violation in found:
+        for i in range(len(cs)):
+            for violation in found[i]:
                 moves = _moves_for(violation, current, step)
                 if not moves:
                     continue
                 candidate = dict(current)
                 candidate.update(moves)
-                new_total = constraints.total_magnitude(candidate, cats, cs)
+                touched = set(everywhere)
+                for eid in moves:
+                    touched.update(watchers.get(eid, ()))
+                rescored = list(found)
+                for j in touched:
+                    rescored[j] = constraints.check(candidate, cats, [cs[j]])
+                new_total = _total(rescored)
                 if new_total < total:
-                    current = candidate
-                    total = new_total
+                    current, found, total = candidate, rescored, new_total
                     if _trace is not None:
                         _trace.append(total)
-        assert total <= sweep_start, "repair must never increase the objective"
+        if total > sweep_start:
+            raise RuntimeError("repair must never increase the objective")
         if total == 0:
             break
-        step = max(step_floor, step * step_decay)
-    residual = tuple(constraints.check(current, cats, cs))
+        next_step = max(step_floor, step * step_decay)
+        if total == sweep_start and next_step == step:
+            iterations = max_iters
+            break
+        step = next_step
+    residual = tuple(v for vs in found for v in vs)
     return LayoutPlan(boxes=current, iterations=iterations, residual=residual)
+
+
+def _total(found: Sequence[Sequence[Violation]]) -> float:
+    """The sum `constraints.total_magnitude` computes, in the same order."""
+    return sum(v.magnitude for vs in found for v in vs)
 
 
 def plan(

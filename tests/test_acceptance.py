@@ -313,16 +313,18 @@ class _Handler(BaseHTTPRequestHandler):
             if st.delay:
                 time.sleep(st.delay)
             self.rfile.read(int(self.headers["Content-Length"]))
-            payload = json.dumps(
-                {"choices": [{"message": {"content": reply}}]}
-            ).encode()
-            self.send_response(200)
-            self.send_header("Content-Length", str(len(payload)))
-            self.end_headers()
-            self.wfile.write(payload)
         finally:
+            # leave the count before replying: the client frees its gate
+            # slot on receipt and may send its next request at once
             with st.lock:
                 st.active -= 1
+        payload = json.dumps(
+            {"choices": [{"message": {"content": reply}}]}
+        ).encode()
+        self.send_response(200)
+        self.send_header("Content-Length", str(len(payload)))
+        self.end_headers()
+        self.wfile.write(payload)
 
     def log_message(self, *args):
         pass

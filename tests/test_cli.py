@@ -99,6 +99,16 @@ class TestPlanCheckRepair:
         boxes = repaired["boxes"]
         assert sum(boxes["a"][0::2]) / 2 <= sum(boxes["b"][0::2]) / 2
 
+    def test_plan_rejects_invalid_spec(self, tmp_path, capsys):
+        scene = dict(SCENE)
+        scene["constraints"] = [
+            {"kind": "grid", "rows": 2, "cols": 2, "assignments": {"a": [0, 2]}}
+        ]
+        spec_file = tmp_path / "scene.json"
+        spec_file.write_text(json.dumps(scene))
+        code, out, err = run(capsys, "plan", str(spec_file))
+        assert code == 1 and out == "" and "outside 2 x 2" in err
+
     def test_check_requires_boxes(self, tmp_path, capsys):
         scene_file = tmp_path / "scene.json"
         scene_file.write_text(json.dumps(SCENE))

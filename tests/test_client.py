@@ -9,9 +9,12 @@ from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 
 import pytest
 
+from scotkit import client
 from scotkit.client import (
+    _PROMPT_OPENING,
     SYSTEM_PROMPT_SHA256,
     ClientConfig,
+    ClientError,
     EmptyPrompt,
     InvalidAfterRetries,
     MissingApiKey,
@@ -55,25 +58,27 @@ class MockHandler(BaseHTTPRequestHandler):
             body = json.loads(self.rfile.read(length))
             with st.lock:
                 st.requests.append(body)
-            if self.path != "/v1/chat/completions":
-                self.send_error(404)
-                return
-            if st.status != 200:
-                self.send_response(st.status)
-                self.end_headers()
-                self.wfile.write(b"boom")
-                return
-            payload = json.dumps(
-                {"choices": [{"message": {"content": st.next_reply()}}]}
-            ).encode()
-            self.send_response(200)
-            self.send_header("Content-Type", "application/json")
-            self.send_header("Content-Length", str(len(payload)))
-            self.end_headers()
-            self.wfile.write(payload)
         finally:
+            # leave the count before replying: the client frees its gate
+            # slot on receipt and may send its next request at once
             with st.lock:
                 st.active -= 1
+        if self.path != "/v1/chat/completions":
+            self.send_error(404)
+            return
+        if st.status != 200:
+            self.send_response(st.status)
+            self.end_headers()
+            self.wfile.write(b"boom")
+            return
+        payload = json.dumps(
+            {"choices": [{"message": {"content": st.next_reply()}}]}
+        ).encode()
+        self.send_response(200)
+        self.send_header("Content-Type", "application/json")
+        self.send_header("Content-Length", str(len(payload)))
+        self.end_headers()
+        self.wfile.write(payload)
 
     def log_message(self, *args):
         pass
@@ -116,6 +121,14 @@ class TestBuildRequest:
     def test_user_content_ends_with_prompt(self):
         messages = build_request("two dogs playing")
         assert messages[1]["content"].endswith("two dogs playing")
+
+    def test_malformed_prompt_raises(self, monkeypatch):
+        monkeypatch.setattr(client, "load_system_prompt", lambda: "Not the planner prompt.")
+        with pytest.raises(ClientError, match="role line"):
+            build_request("a cat on a mat")
+        monkeypatch.setattr(client, "load_system_prompt", lambda: _PROMPT_OPENING + " truncated")
+        with pytest.raises(ClientError, match="input-text marker"):
+            build_request("a cat on a mat")
 
     def test_prompt_digest_pinned(self):
         text = load_system_prompt(verify=False)

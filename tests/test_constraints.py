@@ -238,6 +238,51 @@ class TestValidation:
         with pytest.raises(ConstraintError):
             Grid(0, 3, ())
 
+    @pytest.mark.parametrize("value", [float("nan"), float("inf"), float("-inf")])
+    @pytest.mark.parametrize(
+        "make",
+        [
+            lambda v: LeftOf("a", "b", v),
+            lambda v: Contains("a", "b", v),
+            lambda v: NonOverlap("a", "b", v),
+            lambda v: AdjacentTo("a", "b", v),
+            lambda v: AlignedRow(("a", "b"), v),
+            lambda v: AlignedCol(("a", "b"), v),
+        ],
+        ids=["margin", "contains_margin", "epsilon", "max_gap", "row_tol", "col_tol"],
+    )
+    def test_non_finite_tolerance_rejected(self, make, value):
+        with pytest.raises(ConstraintError, match="finite"):
+            make(value)
+
+    def test_grid_assignment_outside_rejected(self):
+        with pytest.raises(ConstraintError, match="outside 2 x 3"):
+            Grid(2, 3, (("a", (2, 0)),))
+        with pytest.raises(ConstraintError, match="outside 2 x 3"):
+            Grid(2, 3, (("a", (0, -1)),))
+
+    def test_grid_empty_cell_outside_rejected(self):
+        with pytest.raises(ConstraintError, match="outside 2 x 3"):
+            Grid(2, 3, (), ((0, 3),))
+
+    def test_negative_count_rejected(self):
+        with pytest.raises(ConstraintError, match="count"):
+            CountEquals("cat", -1)
+
+    @pytest.mark.parametrize("cls", [AlignedRow, AlignedCol])
+    @pytest.mark.parametrize("ids", [(), ("a",)])
+    def test_alignment_needs_two_ids(self, cls, ids):
+        with pytest.raises(ConstraintError, match="at least 2 ids"):
+            cls(ids)
+
+    def test_from_dict_rejects_before_planning(self):
+        with pytest.raises(ConstraintError, match="finite"):
+            constraint_from_dict({"kind": "left_of", "a": "a", "b": "b", "margin": "nan"})
+        with pytest.raises(ConstraintError, match="outside"):
+            constraint_from_dict(
+                {"kind": "grid", "rows": 2, "cols": 2, "assignments": {"a": [5, 0]}}
+            )
+
 
 class TestSerialization:
     def test_round_trip_all_kinds(self):
