@@ -19,7 +19,7 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass, field
 from enum import Enum
-from typing import Iterable, Mapping, Sequence
+from typing import Callable, Iterable, Mapping, Sequence
 
 from .geometry import BBox
 
@@ -266,25 +266,31 @@ def substitute_placeholders(
         if n not in seen:
             raise UnusedObject(n)
 
+    return _bind_blocks(prompt_text, matches, tokenize, lambda m: objects[int(m.group(1))],
+                        lambda m: MalformedPlaceholder(m.group(0)))
+
+
+def _bind_blocks(
+    text: str,
+    matches: Iterable[re.Match],
+    words: Callable[[str], list[str]],
+    box_for: Callable[[re.Match], BBox],
+    orphan: Callable[[re.Match], CodecError],
+) -> InterleavedInstruction:
+    """Bind the box of each match in text to the caption token just before
+    it, raising orphan(match) when there is none. `words` tokenizes the
+    text between matches and may reject it."""
     caption_tokens: list[str] = []
     entities: list[GroundedEntity] = []
     cursor = 0
     for m in matches:
-        caption_tokens.extend(tokenize(prompt_text[cursor : m.start()]))
+        caption_tokens.extend(words(text[cursor : m.start()]))
         cursor = m.end()
         if not caption_tokens:
-            raise MalformedPlaceholder(m.group(0))
+            raise orphan(m)
         pos = len(caption_tokens)
-        n = int(m.group(1))
-        entities.append(
-            GroundedEntity(
-                phrase=caption_tokens[-1],
-                attributes={},
-                box=objects[n],
-                span=(pos, pos),
-            )
-        )
-    caption_tokens.extend(tokenize(prompt_text[cursor:]))
+        entities.append(GroundedEntity(caption_tokens[-1], {}, box_for(m), (pos, pos)))
+    caption_tokens.extend(words(text[cursor:]))
     return _build_instruction(caption_tokens, entities)
 
 
@@ -306,34 +312,17 @@ def _parse_block_payload(payload: str) -> BBox:
     return BBox.from_list(coords)
 
 
+def _caption_words(segment: str) -> list[str]:
+    if BOX_OPEN in segment or BOX_CLOSE in segment:
+        raise UnbalancedBlock(f"stray block marker near: {segment!r}")
+    return tokenize(segment)
+
+
 def parse_instruction(text: str) -> InterleavedInstruction:
     """Decode serialized instruction text back into an instruction."""
-    caption_tokens: list[str] = []
-    entities: list[GroundedEntity] = []
-    cursor = 0
-    for m in _BLOCK_RE.finditer(text):
-        segment = text[cursor : m.start()]
-        if BOX_OPEN in segment or BOX_CLOSE in segment:
-            raise UnbalancedBlock(f"stray block marker near: {segment!r}")
-        caption_tokens.extend(tokenize(segment))
-        cursor = m.end()
-        if not caption_tokens:
-            raise UnbalancedBlock("coordinate block with no preceding token")
-        box = _parse_block_payload(m.group(1))
-        pos = len(caption_tokens)
-        entities.append(
-            GroundedEntity(
-                phrase=caption_tokens[-1],
-                attributes={},
-                box=box,
-                span=(pos, pos),
-            )
-        )
-    trailing = text[cursor:]
-    if BOX_OPEN in trailing or BOX_CLOSE in trailing:
-        raise UnbalancedBlock(f"stray block marker near: {trailing!r}")
-    caption_tokens.extend(tokenize(trailing))
-    return _build_instruction(caption_tokens, entities)
+    return _bind_blocks(text, _BLOCK_RE.finditer(text), _caption_words,
+                        lambda m: _parse_block_payload(m.group(1)),
+                        lambda m: UnbalancedBlock("coordinate block with no preceding token"))
 
 
 def parse(text: str) -> tuple[str, list[GroundedEntity]]:

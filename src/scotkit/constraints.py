@@ -1,20 +1,25 @@
 """Explicit spatial constraint set: predicates, violation magnitudes,
-and (de)serialization of constraint lists.
+repair moves, and (de)serialization of constraint lists.
 
 Directional relations compare box centers, which keeps magnitudes smooth
 for iterative repair; strict edge separation can be expressed by pairing
 NonOverlap with a directional relation. Grid cells are computed on the
 fixed 1000x1000 canvas: cell (r, c) of an R x C grid spans
 x in [c*1000/C, (c+1)*1000/C] and y in [r*1000/R, (r+1)*1000/R].
+
+Each constraint kind is one frozen dataclass deriving from `Constraint`
+that owns everything about the kind: its wire name `kind`, the entity
+ids its violations read, the violations, the repair moves and its wire
+record. To add a kind, write that class and add it to `KINDS`.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
-from typing import Mapping, Sequence, Union
+from dataclasses import MISSING, dataclass, field, fields
+from typing import ClassVar, Mapping, Sequence
 
-from .geometry import BBox, area, center, intersection_area
+from .geometry import BBox, area, center, intersection_area, place
 
 Layout = Mapping[str, BBox]
 Categories = Mapping[str, str]
@@ -30,122 +35,386 @@ class UnknownEntityId(ConstraintError):
         self.entity_id = entity_id
 
 
+@dataclass(frozen=True)
+class Violation:
+    constraint: Constraint
+    magnitude: float
+    message: str
+
+
+class Constraint:
+    """One constraint kind: a frozen dataclass whose fields, in order and
+    under their own names, make its wire record; each field is read by
+    the `_READERS` entry for its annotation, and a `float` field is a
+    tolerance (finite and >= 0). A subclass sets `kind` and implements
+    entity_ids() and violations(), plus moves() when repair can act."""
+
+    kind: ClassVar[str]  # the wire name, unique across KINDS
+    # True when the violations may read boxes outside entity_ids()
+    watches_all: ClassVar[bool] = False
+
+    def __post_init__(self):
+        for f in fields(self):
+            if f.type == "float":
+                _check_nonneg(f.name, getattr(self, f.name))
+
+    def entity_ids(self) -> tuple[str, ...]:
+        """Every id whose box the violations read, unless watches_all."""
+        raise NotImplementedError
+
+    def violations(self, layout: Layout, entities: Categories) -> list[Violation]:
+        """One Violation per failure, each with a strictly positive magnitude."""
+        raise NotImplementedError
+
+    def moves(self, magnitude: float, boxes: Layout, step: float) -> dict[str, BBox]:
+        """Updated boxes that shrink a violation of this magnitude."""
+        return {}
+
+    def to_dict(self) -> dict:
+        out = {"kind": self.kind}
+        for f in fields(self):
+            value = getattr(self, f.name)
+            out[f.name] = list(value) if f.type == "tuple[str, ...]" else value
+        return out
+
+    @classmethod
+    def from_dict(cls, d: Mapping) -> Constraint:
+        """Each field read under its name and checked by its annotation;
+        a missing field without a default raises KeyError."""
+        values = []
+        for f in fields(cls):
+            value = d[f.name] if f.default is MISSING else d.get(f.name, f.default)
+            values.append(_READERS[f.type](value, f.name))
+        return cls(*values)
+
+
+# --- wire fields: each is read by the reader for its annotation ---------
+
+
 def _check_nonneg(name: str, value: float) -> None:
     if not (math.isfinite(value) and value >= 0):
         raise ConstraintError(f"{name} must be a finite number >= 0, got {value}")
 
 
-def _check_group(ids: Sequence[str]) -> None:
-    if len(ids) < 2:
-        raise ConstraintError(f"alignment needs at least 2 ids, got {len(ids)}")
+def _expect(value, name: str, types, noun: str):
+    """The value itself when it is one of types (a bool never counts)."""
+    if isinstance(value, bool) or not isinstance(value, types):
+        raise ConstraintError(f"{name} must be {noun}, got {value!r}")
+    return value
+
+
+def _str(value, name: str) -> str:
+    return _expect(value, name, str, "a string")
+
+
+def _int(value, name: str) -> int:
+    return _expect(value, name, int, "an integer")
+
+
+def _list(value, name: str) -> Sequence:
+    return _expect(value, name, (list, tuple), "a list")
+
+
+def _cell(value) -> tuple[int, int]:
+    if len(_list(value, "grid cell")) != 2:
+        raise ConstraintError(f"grid cell must be [row, col], got {value!r}")
+    return (_int(value[0], "grid row"), _int(value[1], "grid col"))
+
+
+_READERS = {
+    "str": _str,
+    "int": _int,
+    "float": lambda value, name: float(_expect(value, name, (int, float), "a finite number >= 0")),
+    "tuple[str, ...]": lambda value, name: tuple(_str(v, name) for v in _list(value, name)),
+    "tuple[tuple[str, tuple[int, int]], ...]": lambda value, name: tuple(
+        (_str(eid, name), _cell(cell))
+        for eid, cell in _expect(value, name, Mapping, "an object").items()
+    ),
+    "tuple[tuple[int, int], ...]": lambda value, name: tuple(map(_cell, _list(value, name))),
+}
+
+
+def _require(layout: Layout, *ids: str) -> None:
+    for entity_id in ids:
+        if entity_id not in layout:
+            raise UnknownEntityId(entity_id)
+
+
+# --- repair move primitives ---------------------------------------------
+
+
+def _shift(box: BBox, dx: float, dy: float) -> BBox:
+    cx, cy = center(box)
+    return place(cx + dx, cy + dy, box.width, box.height)
+
+
+def _nudge(box: BBox, axis: int, d: float) -> BBox:
+    """Shift along one axis: 0 is x, 1 is y."""
+    return _shift(box, d, 0.0) if axis == 0 else _shift(box, 0.0, d)
+
+
+def _resize(box: BBox, dw: float, dh: float) -> BBox:
+    cx, cy = center(box)
+    return place(cx, cy, box.width + dw, box.height + dh)
+
+
+def _at_least_unit(x: float) -> float:
+    """Quantization floor: a nonzero move must span a full canvas unit."""
+    if x > 0:
+        return max(1.0, x)
+    if x < 0:
+        return min(-1.0, x)
+    return 0.0
+
+
+# --- the kinds ----------------------------------------------------------
 
 
 @dataclass(frozen=True)
-class LeftOf:
+class _Pair(Constraint):
+    """A relation between the boxes of a and b."""
+
     a: str
     b: str
-    margin: float = 0.0
 
-    def __post_init__(self):
-        _check_nonneg("margin", self.margin)
+    def entity_ids(self) -> tuple[str, ...]:
+        return (self.a, self.b)
 
-
-@dataclass(frozen=True)
-class RightOf:
-    a: str
-    b: str
-    margin: float = 0.0
-
-    def __post_init__(self):
-        _check_nonneg("margin", self.margin)
+    def _apart(self, boxes: Layout, axis: int, d: float) -> dict[str, BBox]:
+        """Move a by d and b by -d along one axis."""
+        return {self.a: _nudge(boxes[self.a], axis, d), self.b: _nudge(boxes[self.b], axis, -d)}
 
 
 @dataclass(frozen=True)
-class Above:
-    a: str
-    b: str
+class _Directional(_Pair):
+    """Center of a before center of b on one axis, by at least margin.
+    Subclasses set the axis (0 is x, 1 is y) and the sign (+1 when a
+    comes first along the axis, -1 when b does)."""
+
     margin: float = 0.0
 
-    def __post_init__(self):
-        _check_nonneg("margin", self.margin)
+    _axis: ClassVar[int]
+    _sign: ClassVar[float]
+
+    def violations(self, layout: Layout, entities: Categories) -> list[Violation]:
+        _require(layout, self.a, self.b)
+        ca, cb = center(layout[self.a]), center(layout[self.b])
+        first, second = (ca, cb) if self._sign > 0 else (cb, ca)
+        mag = max(0.0, first[self._axis] + self.margin - second[self._axis])
+        if mag > 0:
+            desc = f"{self.a} {self.kind.replace('_', ' ')} {self.b}"
+            return [Violation(self, mag, f"{desc}: centers off by {mag:g}")]
+        return []
+
+    def moves(self, magnitude: float, boxes: Layout, step: float) -> dict[str, BBox]:
+        shift = _at_least_unit(step * magnitude / 2)
+        return self._apart(boxes, self._axis, -self._sign * shift)
+
+
+class LeftOf(_Directional):
+    kind, _axis, _sign = "left_of", 0, 1.0
+
+
+class RightOf(_Directional):
+    kind, _axis, _sign = "right_of", 0, -1.0
+
+
+class Above(_Directional):
+    kind, _axis, _sign = "above", 1, 1.0
+
+
+class Below(_Directional):
+    kind, _axis, _sign = "below", 1, -1.0
 
 
 @dataclass(frozen=True)
-class Below:
-    a: str
-    b: str
-    margin: float = 0.0
-
-    def __post_init__(self):
-        _check_nonneg("margin", self.margin)
-
-
-@dataclass(frozen=True)
-class Contains:
+class Contains(Constraint):
     outer: str
     inner: str
     margin: float = 0.0
 
-    def __post_init__(self):
-        _check_nonneg("margin", self.margin)
+    kind = "contains"
+
+    def entity_ids(self) -> tuple[str, ...]:
+        return (self.outer, self.inner)
+
+    def violations(self, layout: Layout, entities: Categories) -> list[Violation]:
+        _require(layout, self.outer, self.inner)
+        outer, inner = layout[self.outer], layout[self.inner]
+        protrusion = max(
+            0.0,
+            (outer.xmin - self.margin) - inner.xmin,
+            inner.xmax - (outer.xmax + self.margin),
+            (outer.ymin - self.margin) - inner.ymin,
+            inner.ymax - (outer.ymax + self.margin),
+        )
+        if protrusion > 0:
+            message = f"{self.inner} protrudes {protrusion:g} outside {self.outer}"
+            return [Violation(self, protrusion, message)]
+        return []
+
+    def moves(self, magnitude: float, boxes: Layout, step: float) -> dict[str, BBox]:
+        outer, inner = boxes[self.outer], boxes[self.inner]
+        margin = self.margin
+        new_inner = inner
+        over_w = inner.width - (outer.width + 2 * margin)
+        over_h = inner.height - (outer.height + 2 * margin)
+        if over_w > 0 or over_h > 0:
+            new_inner = _resize(
+                new_inner,
+                -step * max(0.0, over_w) - (2 if over_w > 0 else 0),
+                -step * max(0.0, over_h) - (2 if over_h > 0 else 0),
+            )
+        dx = dy = 0.0
+        if new_inner.xmin < outer.xmin - margin:
+            dx = _at_least_unit(step * ((outer.xmin - margin) - new_inner.xmin))
+        elif new_inner.xmax > outer.xmax + margin:
+            dx = _at_least_unit(-step * (new_inner.xmax - (outer.xmax + margin)))
+        if new_inner.ymin < outer.ymin - margin:
+            dy = _at_least_unit(step * ((outer.ymin - margin) - new_inner.ymin))
+        elif new_inner.ymax > outer.ymax + margin:
+            dy = _at_least_unit(-step * (new_inner.ymax - (outer.ymax + margin)))
+        return {self.inner: _shift(new_inner, dx, dy)}
 
 
 @dataclass(frozen=True)
-class NonOverlap:
-    a: str
-    b: str
+class NonOverlap(_Pair):
     epsilon: float = 0.0  # tolerated intersection area
 
-    def __post_init__(self):
-        _check_nonneg("epsilon", self.epsilon)
+    kind = "non_overlap"
+
+    def violations(self, layout: Layout, entities: Categories) -> list[Violation]:
+        _require(layout, self.a, self.b)
+        inter = intersection_area(layout[self.a], layout[self.b])
+        excess = inter - self.epsilon
+        if excess > 0:
+            smaller = min(area(layout[self.a]), area(layout[self.b]))
+            message = f"{self.a} overlaps {self.b} by {inter:g} area units"
+            return [Violation(self, excess / smaller, message)]
+        return []
+
+    def moves(self, magnitude: float, boxes: Layout, step: float) -> dict[str, BBox]:
+        a, b = boxes[self.a], boxes[self.b]
+        ox = min(a.xmax, b.xmax) - max(a.xmin, b.xmin)
+        oy = min(a.ymax, b.ymax) - max(a.ymin, b.ymin)
+        if ox <= 0 or oy <= 0:
+            return {}
+        axis, overlap = (0, ox) if ox <= oy else (1, oy)
+        sign = -1.0 if center(a)[axis] <= center(b)[axis] else 1.0
+        return self._apart(boxes, axis, sign * _at_least_unit(step * (overlap / 2 + 1)))
 
 
 @dataclass(frozen=True)
-class AdjacentTo:
-    a: str
-    b: str
+class AdjacentTo(_Pair):
+    """Chebyshev-style box separation (the larger of the per-axis gaps,
+    clamped at zero) of at most max_gap."""
+
     max_gap: float = 0.0
 
-    def __post_init__(self):
-        _check_nonneg("max_gap", self.max_gap)
+    kind = "adjacent_to"
+
+    def violations(self, layout: Layout, entities: Categories) -> list[Violation]:
+        _require(layout, self.a, self.b)
+        a, b = layout[self.a], layout[self.b]
+        gap_x = max(a.xmin, b.xmin) - min(a.xmax, b.xmax)
+        gap_y = max(a.ymin, b.ymin) - min(a.ymax, b.ymax)
+        gap = max(0.0, float(max(gap_x, gap_y)))
+        mag = gap - self.max_gap
+        if mag > 0:
+            return [Violation(self, mag, f"{self.a} and {self.b} are {gap:g} apart")]
+        return []
+
+    def moves(self, magnitude: float, boxes: Layout, step: float) -> dict[str, BBox]:
+        a, b = boxes[self.a], boxes[self.b]
+        gx = max(a.xmin, b.xmin) - min(a.xmax, b.xmax)
+        gy = max(a.ymin, b.ymin) - min(a.ymax, b.ymax)
+        d = _at_least_unit(step * magnitude / 2)
+        axis = 0 if gx >= gy else 1
+        sign = 1.0 if center(a)[axis] <= center(b)[axis] else -1.0
+        return self._apart(boxes, axis, sign * d)
 
 
 @dataclass(frozen=True)
-class AlignedRow:
+class _Aligned(Constraint):
+    """Centers of all ids within tol of their mean on one axis, which
+    subclasses set (0 is x, 1 is y) along with the word for messages."""
+
     ids: tuple[str, ...]
     tol: float = 0.0
 
+    _axis: ClassVar[int]
+    _word: ClassVar[str]
+
     def __post_init__(self):
-        _check_nonneg("tol", self.tol)
-        _check_group(self.ids)
+        super().__post_init__()
+        if len(self.ids) < 2:
+            raise ConstraintError(f"alignment needs at least 2 ids, got {len(self.ids)}")
+
+    def entity_ids(self) -> tuple[str, ...]:
+        return self.ids
+
+    def violations(self, layout: Layout, entities: Categories) -> list[Violation]:
+        _require(layout, *self.ids)
+        coords = [center(layout[i])[self._axis] for i in self.ids]
+        mean = sum(coords) / len(coords)
+        deviation = max(abs(v - mean) for v in coords)
+        mag = deviation - self.tol
+        if mag > 0:
+            return [Violation(self, mag, f"{self._word} alignment off by {deviation:g}")]
+        return []
+
+    def moves(self, magnitude: float, boxes: Layout, step: float) -> dict[str, BBox]:
+        coords = [center(boxes[i])[self._axis] for i in self.ids]
+        mean = sum(coords) / len(coords)
+        out = {}
+        for eid, coord in zip(self.ids, coords):
+            delta = step * (mean - coord)
+            if delta:
+                out[eid] = _nudge(boxes[eid], self._axis, _at_least_unit(delta))
+        return out
+
+
+class AlignedRow(_Aligned):
+    kind, _axis, _word = "aligned_row", 1, "row"
+
+
+class AlignedCol(_Aligned):
+    kind, _axis, _word = "aligned_col", 0, "column"
 
 
 @dataclass(frozen=True)
-class AlignedCol:
-    ids: tuple[str, ...]
-    tol: float = 0.0
+class CountEquals(Constraint):
+    """Reads entity categories, never boxes, and has no geometric move."""
 
-    def __post_init__(self):
-        _check_nonneg("tol", self.tol)
-        _check_group(self.ids)
-
-
-@dataclass(frozen=True)
-class CountEquals:
     category: str
     count: int
+
+    kind = "count_equals"
 
     def __post_init__(self):
         if self.count < 0:
             raise ConstraintError(f"count must be >= 0, got {self.count}")
 
+    def entity_ids(self) -> tuple[str, ...]:
+        return ()
+
+    def violations(self, layout: Layout, entities: Categories) -> list[Violation]:
+        actual = sum(1 for cat in entities.values() if cat == self.category)
+        diff = abs(actual - self.count)
+        if diff > 0:
+            message = f"expected {self.count} x {self.category}, found {actual}"
+            return [Violation(self, float(diff), message)]
+        return []
+
 
 @dataclass(frozen=True)
-class Grid:
+class Grid(Constraint):
     rows: int
     cols: int
     assignments: tuple[tuple[str, tuple[int, int]], ...]  # id -> (row, col)
     empty_cells: tuple[tuple[int, int], ...] = field(default=())
+
+    kind = "grid"
 
     def __post_init__(self):
         if self.rows < 1 or self.cols < 1:
@@ -157,142 +426,31 @@ class Grid:
                     f"grid cell ({row},{col}) is outside {self.rows} x {self.cols}"
                 )
 
+    @property
+    def watches_all(self) -> bool:
+        """An empty cell is violated by any entity whose center enters it."""
+        return bool(self.empty_cells)
+
     def cell_rect(self, row: int, col: int) -> tuple[float, float, float, float]:
         w = 1000 / self.cols
         h = 1000 / self.rows
         return (col * w, row * h, (col + 1) * w, (row + 1) * h)
 
+    def entity_ids(self) -> tuple[str, ...]:
+        return tuple(eid for eid, _ in self.assignments)
 
-Constraint = Union[
-    LeftOf, RightOf, Above, Below, Contains, NonOverlap, AdjacentTo,
-    AlignedRow, AlignedCol, CountEquals, Grid,
-]
-
-
-@dataclass(frozen=True)
-class Violation:
-    constraint: Constraint
-    magnitude: float
-    message: str
-
-
-def _require(layout: Layout, *ids: str) -> None:
-    for entity_id in ids:
-        if entity_id not in layout:
-            raise UnknownEntityId(entity_id)
-
-
-def _point_to_rect_distance(p: tuple[float, float], rect: tuple[float, float, float, float]) -> float:
-    x, y = p
-    x1, y1, x2, y2 = rect
-    dx = max(x1 - x, 0.0, x - x2)
-    dy = max(y1 - y, 0.0, y - y2)
-    return math.hypot(dx, dy)
-
-
-def _axis_gap(a: BBox, b: BBox) -> float:
-    """Chebyshev-style box separation: the larger of the per-axis gaps,
-    clamped at zero (0 when the boxes touch or overlap)."""
-    gap_x = max(a.xmin, b.xmin) - min(a.xmax, b.xmax)
-    gap_y = max(a.ymin, b.ymin) - min(a.ymax, b.ymax)
-    return max(0.0, float(max(gap_x, gap_y)))
-
-
-def _violation_of(c: Constraint, layout: Layout, entities: Categories) -> list[Violation]:
-    if isinstance(c, (LeftOf, RightOf, Above, Below)):
-        _require(layout, c.a, c.b)
-        ca, cb = center(layout[c.a]), center(layout[c.b])
-        if isinstance(c, LeftOf):
-            mag = max(0.0, ca[0] + c.margin - cb[0])
-            desc = f"{c.a} left of {c.b}"
-        elif isinstance(c, RightOf):
-            mag = max(0.0, cb[0] + c.margin - ca[0])
-            desc = f"{c.a} right of {c.b}"
-        elif isinstance(c, Above):
-            mag = max(0.0, ca[1] + c.margin - cb[1])
-            desc = f"{c.a} above {c.b}"
-        else:
-            mag = max(0.0, cb[1] + c.margin - ca[1])
-            desc = f"{c.a} below {c.b}"
-        if mag > 0:
-            return [Violation(c, mag, f"{desc}: centers off by {mag:g}")]
-        return []
-
-    if isinstance(c, Contains):
-        _require(layout, c.outer, c.inner)
-        outer, inner = layout[c.outer], layout[c.inner]
-        protrusion = max(
-            0.0,
-            (outer.xmin - c.margin) - inner.xmin,
-            inner.xmax - (outer.xmax + c.margin),
-            (outer.ymin - c.margin) - inner.ymin,
-            inner.ymax - (outer.ymax + c.margin),
-        )
-        if protrusion > 0:
-            return [
-                Violation(
-                    c,
-                    protrusion,
-                    f"{c.inner} protrudes {protrusion:g} outside {c.outer}",
-                )
-            ]
-        return []
-
-    if isinstance(c, NonOverlap):
-        _require(layout, c.a, c.b)
-        inter = intersection_area(layout[c.a], layout[c.b])
-        excess = inter - c.epsilon
-        if excess > 0:
-            smaller = min(area(layout[c.a]), area(layout[c.b]))
-            mag = excess / smaller
-            return [Violation(c, mag, f"{c.a} overlaps {c.b} by {inter:g} area units")]
-        return []
-
-    if isinstance(c, AdjacentTo):
-        _require(layout, c.a, c.b)
-        gap = _axis_gap(layout[c.a], layout[c.b])
-        mag = gap - c.max_gap
-        if mag > 0:
-            return [Violation(c, mag, f"{c.a} and {c.b} are {gap:g} apart")]
-        return []
-
-    if isinstance(c, (AlignedRow, AlignedCol)):
-        _require(layout, *c.ids)
-        axis = 1 if isinstance(c, AlignedRow) else 0
-        coords = [center(layout[i])[axis] for i in c.ids]
-        mean = sum(coords) / len(coords)
-        deviation = max(abs(v - mean) for v in coords)
-        mag = deviation - c.tol
-        if mag > 0:
-            kind = "row" if axis == 1 else "column"
-            return [Violation(c, mag, f"{kind} alignment off by {deviation:g}")]
-        return []
-
-    if isinstance(c, CountEquals):
-        actual = sum(1 for cat in entities.values() if cat == c.category)
-        diff = abs(actual - c.count)
-        if diff > 0:
-            return [
-                Violation(
-                    c, float(diff), f"expected {c.count} x {c.category}, found {actual}"
-                )
-            ]
-        return []
-
-    if isinstance(c, Grid):
+    def violations(self, layout: Layout, entities: Categories) -> list[Violation]:
         out: list[Violation] = []
-        for entity_id, (row, col) in c.assignments:
+        for entity_id, (row, col) in self.assignments:
             _require(layout, entity_id)
-            rect = c.cell_rect(row, col)
-            dist = _point_to_rect_distance(center(layout[entity_id]), rect)
+            x1, y1, x2, y2 = self.cell_rect(row, col)
+            cx, cy = center(layout[entity_id])
+            dist = math.hypot(max(x1 - cx, 0.0, cx - x2), max(y1 - cy, 0.0, cy - y2))
             if dist > 0:
-                out.append(
-                    Violation(
-                        c, dist, f"{entity_id} center is {dist:g} from cell ({row},{col})"
-                    )
-                )
-        for row, col in c.empty_cells:
-            x1, y1, x2, y2 = c.cell_rect(row, col)
+                message = f"{entity_id} center is {dist:g} from cell ({row},{col})"
+                out.append(Violation(self, dist, message))
+        for row, col in self.empty_cells:
+            x1, y1, x2, y2 = self.cell_rect(row, col)
             offenders = []
             depth = 0.0
             for entity_id, box in layout.items():
@@ -303,16 +461,53 @@ def _violation_of(c: Constraint, layout: Layout, entities: Categories) -> list[V
                     offenders.append(entity_id)
                     depth = max(depth, min(cx - x1, x2 - cx, cy - y1, y2 - cy))
             if offenders:
-                out.append(
-                    Violation(
-                        c,
-                        depth,
-                        f"cell ({row},{col}) must stay empty but holds {offenders}",
-                    )
-                )
+                message = f"cell ({row},{col}) must stay empty but holds {offenders}"
+                out.append(Violation(self, depth, message))
         return out
 
-    raise ConstraintError(f"unknown constraint {c!r}")
+    def moves(self, magnitude: float, boxes: Layout, step: float) -> dict[str, BBox]:
+        out = {}
+        for eid, (row, col) in self.assignments:
+            x1, y1, x2, y2 = self.cell_rect(row, col)
+            cx, cy = center(boxes[eid])
+            px = min(max(cx, x1), x2)
+            py = min(max(cy, y1), y2)
+            if (px, py) != (cx, cy):
+                out[eid] = _shift(
+                    boxes[eid],
+                    _at_least_unit(step * (px - cx)),
+                    _at_least_unit(step * (py - cy)),
+                )
+        for row, col in self.empty_cells:
+            x1, y1, x2, y2 = self.cell_rect(row, col)
+            for eid, box in boxes.items():
+                cx, cy = center(box)
+                if x1 < cx < x2 and y1 < cy < y2:
+                    exits = [
+                        (cx - x1 + 1, (-(cx - x1) - 2, 0.0)),
+                        (x2 - cx + 1, (x2 - cx + 2, 0.0)),
+                        (cy - y1 + 1, (0.0, -(cy - y1) - 2)),
+                        (y2 - cy + 1, (0.0, y2 - cy + 2)),
+                    ]
+                    _, (dx, dy) = min(exits, key=lambda e: e[0])
+                    out[eid] = _shift(box, dx, dy)
+        return out
+
+    def to_dict(self) -> dict:
+        return {
+            **super().to_dict(),
+            "assignments": {eid: list(cell) for eid, cell in self.assignments},
+            "empty_cells": [list(cell) for cell in self.empty_cells],
+        }
+
+
+KINDS: dict[str, type[Constraint]] = {
+    cls.kind: cls
+    for cls in (
+        LeftOf, RightOf, Above, Below, Contains, NonOverlap, AdjacentTo,
+        AlignedRow, AlignedCol, CountEquals, Grid,
+    )
+}
 
 
 def check(layout: Layout, entities: Categories, cs: Sequence[Constraint]) -> list[Violation]:
@@ -320,7 +515,7 @@ def check(layout: Layout, entities: Categories, cs: Sequence[Constraint]) -> lis
     (Grid may emit several), each with a strictly positive magnitude."""
     out: list[Violation] = []
     for c in cs:
-        out.extend(_violation_of(c, layout, entities))
+        out.extend(c.violations(layout, entities))
     return out
 
 
@@ -329,73 +524,20 @@ def total_magnitude(layout: Layout, entities: Categories, cs: Sequence[Constrain
     return sum(v.magnitude for v in check(layout, entities, cs))
 
 
-_KIND_BY_CLASS = {
-    LeftOf: "left_of",
-    RightOf: "right_of",
-    Above: "above",
-    Below: "below",
-    Contains: "contains",
-    NonOverlap: "non_overlap",
-    AdjacentTo: "adjacent_to",
-    AlignedRow: "aligned_row",
-    AlignedCol: "aligned_col",
-    CountEquals: "count_equals",
-    Grid: "grid",
-}
-
-
 def constraint_to_dict(c: Constraint) -> dict:
-    kind = _KIND_BY_CLASS[type(c)]
-    if isinstance(c, (LeftOf, RightOf, Above, Below)):
-        return {"kind": kind, "a": c.a, "b": c.b, "margin": c.margin}
-    if isinstance(c, Contains):
-        return {"kind": kind, "outer": c.outer, "inner": c.inner, "margin": c.margin}
-    if isinstance(c, NonOverlap):
-        return {"kind": kind, "a": c.a, "b": c.b, "epsilon": c.epsilon}
-    if isinstance(c, AdjacentTo):
-        return {"kind": kind, "a": c.a, "b": c.b, "max_gap": c.max_gap}
-    if isinstance(c, (AlignedRow, AlignedCol)):
-        return {"kind": kind, "ids": list(c.ids), "tol": c.tol}
-    if isinstance(c, CountEquals):
-        return {"kind": kind, "category": c.category, "count": c.count}
-    return {
-        "kind": kind,
-        "rows": c.rows,
-        "cols": c.cols,
-        "assignments": {eid: list(cell) for eid, cell in c.assignments},
-        "empty_cells": [list(cell) for cell in c.empty_cells],
-    }
+    return c.to_dict()
 
 
 def constraint_from_dict(d: Mapping) -> Constraint:
+    """Load one wire record, rejecting fields of the wrong type."""
+    if not isinstance(d, Mapping):
+        raise ConstraintError(f"constraint record must be an object, got {d!r}")
     try:
         kind = d["kind"]
-        if kind in ("left_of", "right_of", "above", "below"):
-            cls = {"left_of": LeftOf, "right_of": RightOf, "above": Above, "below": Below}[kind]
-            return cls(d["a"], d["b"], float(d.get("margin", 0.0)))
-        if kind == "contains":
-            return Contains(d["outer"], d["inner"], float(d.get("margin", 0.0)))
-        if kind == "non_overlap":
-            return NonOverlap(d["a"], d["b"], float(d.get("epsilon", 0.0)))
-        if kind == "adjacent_to":
-            return AdjacentTo(d["a"], d["b"], float(d.get("max_gap", 0.0)))
-        if kind in ("aligned_row", "aligned_col"):
-            cls = AlignedRow if kind == "aligned_row" else AlignedCol
-            return cls(tuple(d["ids"]), float(d.get("tol", 0.0)))
-        if kind == "count_equals":
-            return CountEquals(d["category"], int(d["count"]))
-        if kind == "grid":
-            return Grid(
-                rows=int(d["rows"]),
-                cols=int(d["cols"]),
-                assignments=tuple(
-                    (eid, (int(cell[0]), int(cell[1])))
-                    for eid, cell in d["assignments"].items()
-                ),
-                empty_cells=tuple(
-                    (int(cell[0]), int(cell[1])) for cell in d.get("empty_cells", [])
-                ),
-            )
+        if isinstance(kind, str) and kind in KINDS:
+            return KINDS[kind].from_dict(d)
     except KeyError as exc:
         raise ConstraintError(f"constraint record missing field {exc}") from exc
-    raise ConstraintError(f"unknown constraint kind {d.get('kind')!r}")
+    except OverflowError as exc:  # an integer tolerance beyond float range
+        raise ConstraintError(f"constraint record tolerance out of range: {exc}") from exc
+    raise ConstraintError(f"unknown constraint kind {kind!r}")

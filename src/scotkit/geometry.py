@@ -128,3 +128,22 @@ def quantize(nx: float, ny: float, nx2: float, ny2: float) -> BBox:
         else:
             ymin, ymax = CANVAS - 1, CANVAS
     return BBox(xmin, ymin, xmax, ymax)
+
+
+def place(cx: float, cy: float, w: float, h: float) -> BBox:
+    """Integer box from a float center and size, clamped into the canvas."""
+    w = min(max(w, 1.0), CANVAS)
+    h = min(max(h, 1.0), CANVAS)
+    x1 = cx - w / 2
+    y1 = cy - h / 2
+    x1 = min(max(x1, 0.0), CANVAS - w)
+    y1 = min(max(y1, 0.0), CANVAS - h)
+    xmin = int(math.floor(x1 + 0.5))
+    ymin = int(math.floor(y1 + 0.5))
+    xmax = min(CANVAS, xmin + max(1, int(math.floor(w + 0.5))))
+    ymax = min(CANVAS, ymin + max(1, int(math.floor(h + 0.5))))
+    if xmin >= xmax:
+        xmin = xmax - 1
+    if ymin >= ymax:
+        ymin = ymax - 1
+    return BBox(xmin, ymin, xmax, ymax)

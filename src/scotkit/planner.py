@@ -17,21 +17,8 @@ from dataclasses import dataclass, field
 from typing import Mapping, Sequence
 
 from . import codec, constraints
-from .constraints import (
-    AdjacentTo,
-    Above,
-    AlignedCol,
-    AlignedRow,
-    Below,
-    Constraint,
-    Contains,
-    Grid,
-    LeftOf,
-    NonOverlap,
-    RightOf,
-    Violation,
-)
-from .geometry import CANVAS, BBox, BoxError, center
+from .constraints import Constraint, Grid, Violation
+from .geometry import CANVAS, BBox, BoxError, place
 
 SIZE_CLASSES = ("background", "large", "medium", "small")
 _DEFAULT_SIZE_SIDE = {"large": 400.0, "medium": 250.0, "small": 120.0}
@@ -240,7 +227,7 @@ def propose_initial(
             x1, y1, x2, y2 = grid.cell_rect(row, col)
             cx, cy = (x1 + x2) / 2, (y1 + y2) / 2
             w, h = 0.8 * (x2 - x1), 0.8 * (y2 - y1)
-            boxes[e.id] = _materialize(cx, cy, w, h)
+            boxes[e.id] = place(cx, cy, w, h)
         else:
             row, col = divmod(slot, ncols)
             slot += 1
@@ -250,151 +237,8 @@ def propose_initial(
             cy = (row + 0.5) * cell_h + rng.uniform(-0.05, 0.05) * CANVAS
             w = side * rng.uniform(0.95, 1.05)
             h = side * rng.uniform(0.95, 1.05)
-            boxes[e.id] = _materialize(cx, cy, w, h)
+            boxes[e.id] = place(cx, cy, w, h)
     return boxes
-
-
-def _materialize(cx: float, cy: float, w: float, h: float) -> BBox:
-    """Integer box from a float center/size, clamped into the canvas."""
-    w = min(max(w, 1.0), CANVAS)
-    h = min(max(h, 1.0), CANVAS)
-    x1 = cx - w / 2
-    y1 = cy - h / 2
-    x1 = min(max(x1, 0.0), CANVAS - w)
-    y1 = min(max(y1, 0.0), CANVAS - h)
-    xmin = int(math.floor(x1 + 0.5))
-    ymin = int(math.floor(y1 + 0.5))
-    xmax = min(CANVAS, xmin + max(1, int(math.floor(w + 0.5))))
-    ymax = min(CANVAS, ymin + max(1, int(math.floor(h + 0.5))))
-    if xmin >= xmax:
-        xmin = xmax - 1
-    if ymin >= ymax:
-        ymin = ymax - 1
-    return BBox(xmin, ymin, xmax, ymax)
-
-
-def _shift(box: BBox, dx: float, dy: float) -> BBox:
-    cx, cy = center(box)
-    return _materialize(cx + dx, cy + dy, box.width, box.height)
-
-
-def _resize(box: BBox, dw: float, dh: float) -> BBox:
-    cx, cy = center(box)
-    return _materialize(cx, cy, box.width + dw, box.height + dh)
-
-
-def _at_least_unit(x: float) -> float:
-    """Quantization floor: a nonzero move must span a full canvas unit."""
-    if x > 0:
-        return max(1.0, x)
-    if x < 0:
-        return min(-1.0, x)
-    return 0.0
-
-
-def _moves_for(v: Violation, boxes: Mapping[str, BBox], step: float) -> dict[str, BBox]:
-    """Propose updated boxes that shrink this violation's magnitude."""
-    c = v.constraint
-    if isinstance(c, (LeftOf, RightOf, Above, Below)):
-        shift = _at_least_unit(step * v.magnitude / 2)
-        if isinstance(c, LeftOf):
-            return {c.a: _shift(boxes[c.a], -shift, 0), c.b: _shift(boxes[c.b], shift, 0)}
-        if isinstance(c, RightOf):
-            return {c.a: _shift(boxes[c.a], shift, 0), c.b: _shift(boxes[c.b], -shift, 0)}
-        if isinstance(c, Above):
-            return {c.a: _shift(boxes[c.a], 0, -shift), c.b: _shift(boxes[c.b], 0, shift)}
-        return {c.a: _shift(boxes[c.a], 0, shift), c.b: _shift(boxes[c.b], 0, -shift)}
-
-    if isinstance(c, Contains):
-        outer, inner = boxes[c.outer], boxes[c.inner]
-        new_inner = inner
-        over_w = inner.width - (outer.width + 2 * c.margin)
-        over_h = inner.height - (outer.height + 2 * c.margin)
-        if over_w > 0 or over_h > 0:
-            new_inner = _resize(
-                new_inner,
-                -step * max(0.0, over_w) - (2 if over_w > 0 else 0),
-                -step * max(0.0, over_h) - (2 if over_h > 0 else 0),
-            )
-        dx = dy = 0.0
-        if new_inner.xmin < outer.xmin - c.margin:
-            dx = _at_least_unit(step * ((outer.xmin - c.margin) - new_inner.xmin))
-        elif new_inner.xmax > outer.xmax + c.margin:
-            dx = _at_least_unit(-step * (new_inner.xmax - (outer.xmax + c.margin)))
-        if new_inner.ymin < outer.ymin - c.margin:
-            dy = _at_least_unit(step * ((outer.ymin - c.margin) - new_inner.ymin))
-        elif new_inner.ymax > outer.ymax + c.margin:
-            dy = _at_least_unit(-step * (new_inner.ymax - (outer.ymax + c.margin)))
-        return {c.inner: _shift(new_inner, dx, dy)}
-
-    if isinstance(c, NonOverlap):
-        a, b = boxes[c.a], boxes[c.b]
-        ox = min(a.xmax, b.xmax) - max(a.xmin, b.xmin)
-        oy = min(a.ymax, b.ymax) - max(a.ymin, b.ymin)
-        if ox <= 0 or oy <= 0:
-            return {}
-        ca, cb = center(a), center(b)
-        if ox <= oy:
-            sign = -1.0 if ca[0] <= cb[0] else 1.0
-            d = _at_least_unit(step * (ox / 2 + 1))
-            return {c.a: _shift(a, sign * d, 0), c.b: _shift(b, -sign * d, 0)}
-        sign = -1.0 if ca[1] <= cb[1] else 1.0
-        d = _at_least_unit(step * (oy / 2 + 1))
-        return {c.a: _shift(a, 0, sign * d), c.b: _shift(b, 0, -sign * d)}
-
-    if isinstance(c, AdjacentTo):
-        a, b = boxes[c.a], boxes[c.b]
-        gx = max(a.xmin, b.xmin) - min(a.xmax, b.xmax)
-        gy = max(a.ymin, b.ymin) - min(a.ymax, b.ymax)
-        d = _at_least_unit(step * v.magnitude / 2)
-        ca, cb = center(a), center(b)
-        if gx >= gy:
-            sign = 1.0 if ca[0] <= cb[0] else -1.0
-            return {c.a: _shift(a, sign * d, 0), c.b: _shift(b, -sign * d, 0)}
-        sign = 1.0 if ca[1] <= cb[1] else -1.0
-        return {c.a: _shift(a, 0, sign * d), c.b: _shift(b, 0, -sign * d)}
-
-    if isinstance(c, (AlignedRow, AlignedCol)):
-        axis = 1 if isinstance(c, AlignedRow) else 0
-        coords = [center(boxes[i])[axis] for i in c.ids]
-        mean = sum(coords) / len(coords)
-        out = {}
-        for eid, coord in zip(c.ids, coords):
-            delta = step * (mean - coord)
-            if delta:
-                delta = _at_least_unit(delta)
-                out[eid] = _shift(boxes[eid], 0 if axis else delta, delta if axis else 0)
-        return out
-
-    if isinstance(c, Grid):
-        out = {}
-        for eid, (row, col) in c.assignments:
-            x1, y1, x2, y2 = c.cell_rect(row, col)
-            cx, cy = center(boxes[eid])
-            px = min(max(cx, x1), x2)
-            py = min(max(cy, y1), y2)
-            if (px, py) != (cx, cy):
-                out[eid] = _shift(
-                    boxes[eid],
-                    _at_least_unit(step * (px - cx)),
-                    _at_least_unit(step * (py - cy)),
-                )
-        for row, col in c.empty_cells:
-            x1, y1, x2, y2 = c.cell_rect(row, col)
-            for eid, box in boxes.items():
-                cx, cy = center(box)
-                if x1 < cx < x2 and y1 < cy < y2:
-                    exits = [
-                        (cx - x1 + 1, (-(cx - x1) - 2, 0.0)),
-                        (x2 - cx + 1, (x2 - cx + 2, 0.0)),
-                        (cy - y1 + 1, (0.0, -(cy - y1) - 2)),
-                        (y2 - cy + 1, (0.0, y2 - cy + 2)),
-                    ]
-                    _, (dx, dy) = min(exits, key=lambda e: e[0])
-                    out[eid] = _shift(box, dx, dy)
-        return out
-
-    return {}  # counting constraints have no geometric move
 
 
 def repair(
@@ -412,8 +256,8 @@ def repair(
     the objective never increases across accepted moves. Residual
     violations are reported, never dropped.
 
-    Each candidate move rescores only the constraints that watch a moved
-    entity (a Grid with empty cells watches every entity); the others
+    Each candidate move rescores only the constraints whose entity_ids()
+    hold a moved entity, plus those with watches_all set; the others
     keep their cached violations. The total is re-summed over all
     constraints in their original order, so it is the same float a full
     `total_magnitude` would give and every accept/reject decision is
@@ -425,12 +269,12 @@ def repair(
     cs = spec.constraints
     watchers: dict[str, list[int]] = {}
     for i, con in enumerate(cs):
-        for eid in _constraint_ids(con):
+        for eid in con.entity_ids():
             watchers.setdefault(eid, []).append(i)
-    everywhere = {i for i, con in enumerate(cs) if isinstance(con, Grid) and con.empty_cells}
-    # found[i] == check(current, cats, [cs[i]]); an accepted move rebinds
-    # the lists it changed instead of mutating them
-    found = [constraints.check(current, cats, [con]) for con in cs]
+    everywhere = {i for i, con in enumerate(cs) if con.watches_all}
+    # found[i] == cs[i].violations(current, cats); an accepted move
+    # rebinds the lists it changed instead of mutating them
+    found = [con.violations(current, cats) for con in cs]
     total = _total(found)
     if _trace is not None:
         _trace.append(total)
@@ -439,9 +283,9 @@ def repair(
     while total > 0 and iterations < max_iters:
         iterations += 1
         sweep_start = total
-        for i in range(len(cs)):
+        for i, con in enumerate(cs):
             for violation in found[i]:
-                moves = _moves_for(violation, current, step)
+                moves = con.moves(violation.magnitude, current, step)
                 if not moves:
                     continue
                 candidate = dict(current)
@@ -451,7 +295,7 @@ def repair(
                     touched.update(watchers.get(eid, ()))
                 rescored = list(found)
                 for j in touched:
-                    rescored[j] = constraints.check(candidate, cats, [cs[j]])
+                    rescored[j] = cs[j].violations(candidate, cats)
                 new_total = _total(rescored)
                 if new_total < total:
                     current, found, total = candidate, rescored, new_total
@@ -544,19 +388,8 @@ def spec_from_dict(d: Mapping) -> SceneSpec:
     spec = SceneSpec(entities=entities, constraints=cons, tail=d.get("tail"))
     known = {e.id for e in entities}
     for c in cons:
-        for eid in _constraint_ids(c):
+        for eid in c.entity_ids():
             if eid not in known:
                 raise constraints.UnknownEntityId(eid)
     return spec
 
-
-def _constraint_ids(c: Constraint) -> Sequence[str]:
-    if isinstance(c, (LeftOf, RightOf, Above, Below, NonOverlap, AdjacentTo)):
-        return (c.a, c.b)
-    if isinstance(c, Contains):
-        return (c.outer, c.inner)
-    if isinstance(c, (AlignedRow, AlignedCol)):
-        return c.ids
-    if isinstance(c, Grid):
-        return [eid for eid, _ in c.assignments]
-    return ()

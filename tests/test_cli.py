@@ -1,9 +1,14 @@
 """End-to-end CLI tests (in-process main() invocations)."""
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import scotkit
 from scotkit.cli import main
 from scotkit.dataset import load_records, save_records, synth_generate
 
@@ -108,6 +113,26 @@ class TestPlanCheckRepair:
         spec_file.write_text(json.dumps(scene))
         code, out, err = run(capsys, "plan", str(spec_file))
         assert code == 1 and out == "" and "outside 2 x 2" in err
+
+    def test_plan_reports_malformed_record_without_traceback(self, tmp_path):
+        scene = dict(SCENE)
+        scene["constraints"] = [
+            {"kind": "grid", "rows": 2, "cols": 2, "assignments": [["a", [0, 0]]]}
+        ]
+        spec_file = tmp_path / "scene.json"
+        spec_file.write_text(json.dumps(scene))
+        src = str(Path(scotkit.__file__).resolve().parents[1])
+        path = os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])
+        env = {**os.environ, "PYTHONPATH": path}
+        proc = subprocess.run(
+            [sys.executable, "-m", "scotkit.cli", "plan", str(spec_file)],
+            capture_output=True, text=True, env=env, timeout=60,
+        )
+        assert proc.returncode == 1 and proc.stdout == ""
+        assert "Traceback" not in proc.stderr
+        assert proc.stderr.splitlines() == [
+            "error: assignments must be an object, got [['a', [0, 0]]]"
+        ]
 
     def test_check_requires_boxes(self, tmp_path, capsys):
         scene_file = tmp_path / "scene.json"

@@ -284,6 +284,44 @@ class TestValidation:
             )
 
 
+    @pytest.mark.parametrize(
+        "record, match",
+        [
+            ({"kind": "grid", "rows": 2, "cols": 2, "assignments": [["a", [0, 0]]]},
+             "assignments must be an object"),
+            ({"kind": "left_of", "a": "a", "b": ["b"]}, "b must be a string"),
+            ({"kind": "non_overlap", "a": 1, "b": "b"}, "a must be a string"),
+            ({"kind": "aligned_row", "ids": "ab"}, "ids must be a list"),
+            ({"kind": "aligned_col", "ids": ["a", 2]}, "ids must be a string"),
+            ({"kind": "count_equals", "category": "cat", "count": 2.7}, "count must be an int"),
+            ({"kind": "count_equals", "category": "cat", "count": True}, "count must be an int"),
+            ({"kind": "count_equals", "category": 3, "count": 1}, "category must be a string"),
+            ({"kind": "grid", "rows": 2.9, "cols": 2, "assignments": {}},
+             "rows must be an integer"),
+            ({"kind": "grid", "rows": 2, "cols": 2, "assignments": {"a": [0]}}, r"\[row, col\]"),
+            ({"kind": "grid", "rows": 2, "cols": 2, "assignments": {"a": [0, 1.0]}},
+             "grid col must be an integer"),
+            ({"kind": "grid", "rows": 2, "cols": 2, "assignments": {},
+              "empty_cells": [[0, "1"]]}, "grid col must be an integer"),
+            ({"kind": "grid", "rows": 2, "cols": 2, "assignments": {}, "empty_cells": {}},
+             "empty_cells must be a list"),
+            ({"kind": "left_of", "a": "a", "b": "b", "margin": True}, "finite"),
+            ({"kind": "contains", "outer": "a", "inner": "b", "margin": None}, "finite"),
+            ({"kind": "adjacent_to", "a": "a", "b": "b", "max_gap": 10**400}, "out of range"),
+            ("left_of", "must be an object"),
+            ({"kind": ["left_of"]}, "unknown constraint kind"),
+        ],
+    )
+    def test_from_dict_rejects_wrong_field_types(self, record, match):
+        with pytest.raises(ConstraintError, match=match):
+            constraint_from_dict(record)
+
+    def test_from_dict_reads_integer_tolerance_as_float(self):
+        con = constraint_from_dict({"kind": "left_of", "a": "a", "b": "b", "margin": 0})
+        assert con == LeftOf("a", "b") and type(con.margin) is float
+        assert repr(constraint_to_dict(con)["margin"]) == "0.0"
+
+
 class TestSerialization:
     def test_round_trip_all_kinds(self):
         cons = [

@@ -1,12 +1,15 @@
-"""Behaviour lock for the planner: SHA-256 digests of everything `plan`
-and `repair` emit, over fixed scene families.
+"""Behaviour lock: SHA-256 digests of everything `plan` and `repair`
+emit over fixed scene families, of the constraint wire records and
+`scot check` output, and of the codec's outputs and first errors.
 
 Each digest covers, per scene and planner seed: the sorted boxes, the
 iteration count, the residual messages with `repr` of each magnitude,
 the repair objective trace, the `plan_to_output` JSON, and a second
 repair with a short budget and a small starting step. Any changed byte
-changes a digest. The pinned values were recorded before repair became
-incremental; a deliberate behaviour change must update them and say so.
+changes a digest. The planner values were recorded before repair became
+incremental, the wire and codec values before each constraint kind
+became one class; a deliberate behaviour change must update them and
+say so.
 """
 
 import hashlib
@@ -15,6 +18,8 @@ import random
 
 import pytest
 
+from scotkit import codec
+from scotkit.cli import main
 from scotkit.constraints import (
     Above,
     AdjacentTo,
@@ -27,15 +32,19 @@ from scotkit.constraints import (
     LeftOf,
     NonOverlap,
     RightOf,
+    constraint_to_dict,
 )
+from scotkit.dataset import record_to_instruction, synth_generate
 from scotkit.geometry import BBox
 from scotkit.planner import (
     EntitySpec,
     SceneSpec,
+    parse_planner_output,
     plan,
     plan_to_output,
     propose_initial,
     repair,
+    to_instruction,
 )
 
 from conftest import NOUNS, synth_satisfiable_spec
@@ -141,8 +150,7 @@ def _layout(result) -> list:
 
 
 def _digest(specs) -> str:
-    records = [_record(spec, seed) for spec in specs for seed in PLANNER_SEEDS]
-    return hashlib.sha256(json.dumps(records).encode("utf-8")).hexdigest()
+    return _sha([_record(spec, seed) for spec in specs for seed in PLANNER_SEEDS])
 
 
 GOLDEN = {
@@ -163,3 +171,178 @@ def _family(name: str):
 @pytest.mark.parametrize("family", sorted(GOLDEN))
 def test_planner_outputs_match_pinned_digest(family):
     assert _digest(_family(family)) == GOLDEN[family]
+
+
+def _sha(doc) -> str:
+    return hashlib.sha256(json.dumps(doc).encode("utf-8")).hexdigest()
+
+
+# one instance of every kind, with default and with non-default tolerances
+WIRE_CONSTRAINTS = {
+    "default": [
+        LeftOf("a", "b"),
+        RightOf("a", "b"),
+        Above("a", "b"),
+        Below("a", "b"),
+        Contains("a", "b"),
+        NonOverlap("a", "b"),
+        AdjacentTo("a", "b"),
+        AlignedRow(("a", "b", "c")),
+        AlignedCol(("a", "b")),
+        CountEquals("apple", 2),
+        Grid(2, 3, (("a", (0, 1)),)),
+    ],
+    "tuned": [
+        LeftOf("a", "b", 5.0),
+        RightOf("b", "a", 2.5),
+        Above("c", "a", 1.0),
+        Below("a", "c", 7.25),
+        Contains("c", "b", 3.0),
+        NonOverlap("b", "c", 10.0),
+        AdjacentTo("a", "c", 4.5),
+        AlignedRow(("c", "a"), 3.0),
+        AlignedCol(("b", "a", "c"), 0.5),
+        CountEquals("bench", 0),
+        Grid(3, 2, (("a", (2, 1)), ("b", (0, 0))), ((1, 1), (0, 1))),
+    ],
+}
+
+WIRE_GOLDEN = {
+    "default": "3a39b3d9febeb19d4febb4288abb7174d2c9c5ae6c567f2bf1d476f2da4f9872",
+    "tuned": "a4690343464549f7c6d3703d64755a189baac510903408205c279fa69519f4fc",
+}
+
+
+@pytest.mark.parametrize("name", sorted(WIRE_GOLDEN))
+def test_constraint_wire_records_match_pinned_digest(name):
+    records = [constraint_to_dict(c) for c in WIRE_CONSTRAINTS[name]]
+    assert _sha(records) == WIRE_GOLDEN[name]
+
+
+# boxes chosen so that every constraint kind reports a violation
+CHECK_SCENE = {
+    "entities": [
+        {"id": "a", "phrase": "red apple", "category": "apple", "size": "small"},
+        {"id": "b", "phrase": "bench", "category": "bench", "size": "medium"},
+        {"id": "c", "phrase": "tree", "category": "tree", "size": "medium"},
+        {"id": "d", "phrase": "lamp", "category": "lamp", "size": "small"},
+    ],
+    "constraints": [
+        {"kind": "left_of", "a": "a", "b": "b", "margin": 12.5},
+        {"kind": "right_of", "a": "b", "b": "a"},
+        {"kind": "above", "a": "a", "b": "b", "margin": 3},
+        {"kind": "below", "a": "b", "b": "a"},
+        {"kind": "contains", "outer": "b", "inner": "a", "margin": 5},
+        {"kind": "non_overlap", "a": "b", "b": "c", "epsilon": 100},
+        {"kind": "adjacent_to", "a": "a", "b": "d", "max_gap": 10},
+        {"kind": "aligned_row", "ids": ["a", "b", "d"], "tol": 2},
+        {"kind": "aligned_col", "ids": ["b", "d"]},
+        {"kind": "count_equals", "category": "apple", "count": 3},
+        {"kind": "grid", "rows": 2, "cols": 2, "assignments": {"a": [0, 0]},
+         "empty_cells": [[0, 0]]},
+    ],
+    "boxes": {
+        "a": [600, 600, 700, 700],
+        "b": [100, 100, 300, 300],
+        "c": [150, 150, 250, 450],
+        "d": [800, 50, 900, 150],
+    },
+}
+
+CHECK_GOLDEN = "2ace299e48be6fea68a1a6e17b254b6de943c37abd830a4ba1169b0dcf796f33"
+
+
+def test_check_stdout_matches_pinned_digest(tmp_path, capsys):
+    scene = tmp_path / "scene.json"
+    scene.write_text(json.dumps(CHECK_SCENE))
+    assert main(["check", str(scene)]) == 0
+    out = capsys.readouterr().out
+    kinds = {v["constraint"]["kind"] for v in json.loads(out)["violations"]}
+    assert kinds == {c["kind"] for c in CHECK_SCENE["constraints"]}
+    assert hashlib.sha256(out.encode("utf-8")).hexdigest() == CHECK_GOLDEN
+
+
+def _instruction_record(instr: codec.InterleavedInstruction) -> list:
+    return [
+        [(t.kind.value, t.text, t.index) for t in instr.tokens],
+        [(e.phrase, dict(e.attributes), e.box.as_list(), list(e.span)) for e in instr.entities],
+    ]
+
+
+CODEC_GOLDEN = {
+    "synth": "1bcf7d1e8f57e9ccbcf31d18eafb4b0876be0f96523256ff228981f968758657",
+    "examples": "d54ea9421fa7d240d3957f3d46e890103f18d936a7095bd34cab2a2659e11a98",
+}
+
+
+def test_codec_round_trip_matches_pinned_digest():
+    records = []
+    for record in synth_generate(0, 200):
+        line = codec.serialize(record_to_instruction(record))
+        caption, entities = codec.parse(line)
+        records.append([
+            line,
+            caption,
+            [(e.phrase, e.box.as_list(), list(e.span)) for e in entities],
+            _instruction_record(codec.parse_instruction(line)),
+        ])
+    assert _sha(records) == CODEC_GOLDEN["synth"]
+
+
+def test_system_prompt_examples_match_pinned_digest(golden_examples):
+    records = []
+    for raw in golden_examples:
+        instr = to_instruction(parse_planner_output(raw))
+        records.append([codec.serialize(instr), _instruction_record(instr)])
+    assert _sha(records) == CODEC_GOLDEN["examples"]
+
+
+_B = BBox(10, 20, 30, 40)
+
+# (input, class of the first error raised, or None when it decodes)
+PARSE_ERRORS = [
+    ("x <|box|>1,2<|/box|>", "CoordCountNot4"),
+    ("cat <|box|>0,0,1500,10<|/box|>", "CoordOutOfRange"),
+    ("cat <|box|>1,2,3,4", "UnbalancedBlock"),
+    ("<|box|>1,2,3,4<|/box|> cat", "UnbalancedBlock"),
+    ("cat <|box|>a,b<|/box|> dog <|/box|>", "CoordCountNot4"),
+    ("cat <|/box|> <|box|>1,2,3,4<|/box|>", "UnbalancedBlock"),
+    ("<|box|>1,2,3<|/box|> cat", "UnbalancedBlock"),
+    ("cat <|box|><|box|>1,2,3,4<|/box|>", "UnbalancedBlock"),
+    ("cat <|box|>5,5,5,9<|/box|>", "BoxError"),
+    ("cat <|box|>1,2,3,-4<|/box|> <|box|>", "CoordOutOfRange"),
+    ("cat <|box|>1,2,3,4<|/box|> dog <|box|>1,2,3<|/box|> <|/box|>", "CoordCountNot4"),
+    ("cat <|box|>1,2,3,4<|/box|><|box|>5,6,7,8<|/box|> <|box|>", "UnbalancedBlock"),
+    ("a <|box|>1,2,3,4<|/box|> <|box|>1,2,3,4<|/box|>", None),
+    ("", None),
+]
+
+SUBSTITUTE_ERRORS = [
+    ("cat <|bbox_1|>", {}, "MissingObject"),
+    ("cat <|bbox_1|>", {1: _B, 2: _B}, "UnusedObject"),
+    ("cat <|bbox_x|>", {1: _B}, "MalformedPlaceholder"),
+    ("<|bbox_1|> cat", {1: _B}, "MalformedPlaceholder"),
+    ("cat <|bbox_1|> <|bbox_1|>", {1: _B}, "MalformedPlaceholder"),
+    ("<|bbox_1|> dog <|bbox_3|>", {1: _B, 2: _B}, "MissingObject"),
+    ("<|bbox_1|> dog <|bbox_2|> <|bbox_", {1: _B, 2: _B}, "MalformedPlaceholder"),
+    ("<|bbox_2|> dog <|bbox_1|>", {1: _B, 2: _B}, "MalformedPlaceholder"),
+    ("dog <|bbox_2|><|bbox_1|> cat", {1: _B, 2: _B}, None),
+]
+
+
+def _first_error(call, *args):
+    try:
+        call(*args)
+    except Exception as exc:  # the class is what the table pins
+        return type(exc).__name__
+    return None
+
+
+@pytest.mark.parametrize("text, expected", PARSE_ERRORS)
+def test_parse_raises_pinned_first_error(text, expected):
+    assert _first_error(codec.parse, text) == expected
+
+
+@pytest.mark.parametrize("text, objects, expected", SUBSTITUTE_ERRORS)
+def test_substitute_raises_pinned_first_error(text, objects, expected):
+    assert _first_error(codec.substitute_placeholders, text, objects) == expected

@@ -1,0 +1,112 @@
+"""Property tests over every registered constraint kind: wire round trip,
+the objective's zero set, and the entity-id contract incremental repair
+relies on (a kind's violations and moves touch only its entity_ids(),
+unless it watches_all)."""
+
+import json
+
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
+
+from scotkit.constraints import (
+    KINDS,
+    Above,
+    AdjacentTo,
+    AlignedCol,
+    AlignedRow,
+    Below,
+    Contains,
+    CountEquals,
+    Grid,
+    LeftOf,
+    NonOverlap,
+    RightOf,
+    check,
+    constraint_from_dict,
+    constraint_to_dict,
+    total_magnitude,
+)
+from scotkit.geometry import BBox
+
+PROPERTY = settings(derandomize=True, deadline=None)
+
+IDS = ("a", "b", "c", "d", "e")
+CATEGORIES = ("apple", "bench", "tree")
+
+ids = st.sampled_from(IDS)
+tolerances = st.floats(min_value=0, max_value=60, allow_nan=False)
+groups = st.lists(ids, min_size=2, max_size=4).map(tuple)
+
+
+@st.composite
+def boxes(draw):
+    x1 = draw(st.integers(0, 990))
+    y1 = draw(st.integers(0, 990))
+    return BBox(x1, y1, draw(st.integers(x1 + 1, 1000)), draw(st.integers(y1 + 1, 1000)))
+
+
+@st.composite
+def grids(draw):
+    rows, cols = draw(st.integers(1, 3)), draw(st.integers(1, 3))
+    cells = st.tuples(st.integers(0, rows - 1), st.integers(0, cols - 1))
+    assigned = draw(st.lists(ids, unique=True, max_size=3))
+    return Grid(
+        rows,
+        cols,
+        tuple((eid, draw(cells)) for eid in assigned),
+        tuple(draw(st.lists(cells, max_size=2))),
+    )
+
+
+def _pair(cls):
+    return st.builds(cls, ids, ids, tolerances)
+
+
+KIND_STRATEGIES = {
+    LeftOf: _pair(LeftOf),
+    RightOf: _pair(RightOf),
+    Above: _pair(Above),
+    Below: _pair(Below),
+    Contains: _pair(Contains),
+    NonOverlap: _pair(NonOverlap),
+    AdjacentTo: _pair(AdjacentTo),
+    AlignedRow: st.builds(AlignedRow, groups, tolerances),
+    AlignedCol: st.builds(AlignedCol, groups, tolerances),
+    CountEquals: st.builds(CountEquals, st.sampled_from(CATEGORIES), st.integers(0, 4)),
+    Grid: grids(),
+}
+constraints = st.one_of(*KIND_STRATEGIES.values())
+layouts = st.fixed_dictionaries({eid: boxes() for eid in IDS})
+categories = st.fixed_dictionaries({eid: st.sampled_from(CATEGORIES) for eid in IDS})
+
+
+def test_every_registered_kind_has_a_strategy():
+    assert set(KIND_STRATEGIES) == set(KINDS.values())
+
+
+@PROPERTY
+@given(constraints)
+def test_wire_round_trip(c):
+    assert constraint_from_dict(json.loads(json.dumps(constraint_to_dict(c)))) == c
+
+
+@PROPERTY
+@given(layouts, categories, st.lists(constraints, max_size=6))
+def test_total_magnitude_is_zero_exactly_when_nothing_is_violated(layout, cats, cs):
+    assert (total_magnitude(layout, cats, cs) == 0) == (check(layout, cats, cs) == [])
+
+
+@PROPERTY
+@given(constraints, layouts, categories, ids, boxes())
+def test_moving_an_unwatched_box_leaves_violations_unchanged(c, layout, cats, eid, box):
+    assume(eid not in c.entity_ids() and not c.watches_all)
+    moved = {**layout, eid: box}
+    assert c.violations(moved, cats) == c.violations(layout, cats)
+
+
+@PROPERTY
+@given(constraints, layouts, categories, st.floats(min_value=0.01, max_value=1.0))
+def test_moves_touch_only_entity_ids(c, layout, cats, step):
+    assume(not c.watches_all)
+    for v in c.violations(layout, cats):
+        assert set(c.moves(v.magnitude, layout, step)) <= set(c.entity_ids())
