@@ -9,12 +9,15 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from dataclasses import fields
 from pathlib import Path
+from typing import Mapping
 
 import numpy as np
 
 from . import codec, constraints, dataset, flowmatch, metrics, planner, render
 from .client import ClientConfig, ClientError, TransportError, request_plan
+from .constraints import _expect, _list
 from .geometry import BBox, BoxError
 
 EXIT_OK = 0
@@ -47,13 +50,16 @@ def _print_json(doc) -> None:
     print(json.dumps(doc, ensure_ascii=False, indent=2))
 
 
+def _read_boxes(doc: dict) -> dict[str, BBox]:
+    """The document's "boxes" map of entity id to box literal."""
+    boxes = _expect(doc["boxes"], "boxes", Mapping, "an object")
+    return {eid: BBox.from_list(_list(b, f"box {eid!r}")) for eid, b in boxes.items()}
+
+
 def _load_scene(path: str) -> tuple[planner.SceneSpec, dict[str, BBox] | None]:
     doc = _read_json(path)
     spec = planner.spec_from_dict(doc)
-    boxes = None
-    if "boxes" in doc:
-        boxes = {eid: BBox.from_list(b) for eid, b in doc["boxes"].items()}
-    return spec, boxes
+    return spec, _read_boxes(doc) if "boxes" in doc else None
 
 
 def cmd_encode(args) -> int:
@@ -106,21 +112,19 @@ def _spec_prompt(spec: planner.SceneSpec) -> str:
 
 
 def _client_config(args) -> ClientConfig:
+    """ClientConfig from the --config file, each key read by the type of
+    its field; the file wins over --base-url and --model, and keys it
+    does not set take the field defaults."""
     doc = {}
     if args.config:
-        doc = _read_json(args.config)
-    base_url = doc.get("base_url", args.base_url or "")
-    if not base_url:
+        doc = _expect(_read_json(args.config), "client config", Mapping, "an object")
+    values = {"base_url": args.base_url or "", "model_name": args.model or ""}
+    for f in fields(ClientConfig):
+        if f.name in doc:
+            values[f.name] = constraints._READERS[f.type](doc[f.name], f.name)
+    if not values["base_url"]:
         raise ValueError("--mllm needs --base-url or a config file with base_url")
-    return ClientConfig(
-        base_url=base_url,
-        model_name=doc.get("model_name", args.model or ""),
-        api_key_env_var=doc.get("api_key_env_var", "SCOT_API_KEY"),
-        temperature=doc.get("temperature", 0.2),
-        timeout=doc.get("timeout", 120.0),
-        max_retries=doc.get("max_retries", 2),
-        max_in_flight=doc.get("max_in_flight", 4),
-    )
+    return ClientConfig(**values)
 
 
 def cmd_check(args) -> int:
@@ -185,14 +189,14 @@ def cmd_eval(args) -> int:
 
 
 def cmd_render(args) -> int:
-    doc = _read_json(args.input)
+    doc = _expect(_read_json(args.input), "render input", Mapping, "an object")
     style = render.RenderStyle(canvas_size=args.canvas)
     if "objects" in doc:
         output = planner.parse_planner_output(json.dumps(doc))
         svg = render.render_svg(output, style)
     elif "boxes" in doc:
         lp = planner.LayoutPlan(
-            boxes={eid: BBox.from_list(b) for eid, b in doc["boxes"].items()},
+            boxes=_read_boxes(doc),
             iterations=int(doc.get("iterations", 0)),
             residual=(),
         )

@@ -17,7 +17,7 @@ preserve boxes and span end positions exactly, not phrase lengths.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from enum import Enum
 from typing import Callable, Iterable, Mapping, Sequence
 
@@ -113,22 +113,50 @@ class GroundedEntity:
 
 @dataclass(frozen=True)
 class InterleavedInstruction:
-    """Token sequence with entities in appearance order.
+    """Caption words plus entities in appearance order. The token stream
+    is derived: each entity's coordinate block follows word span[1].
 
-    Span end indices are non-decreasing; ties only arise from placeholder
-    substitution, where several boxes may follow the same mention.
+    Span ends are non-decreasing and at most len(words); ties only arise
+    from placeholder substitution, where several boxes may follow the
+    same mention.
     """
 
-    tokens: tuple[Token, ...]
-    entities: tuple[GroundedEntity, ...] = field(default=())
+    words: tuple[str, ...]
+    entities: tuple[GroundedEntity, ...] = ()
+
+    def __post_init__(self):
+        ends = [e.span[1] for e in self.entities]
+        if ends != sorted(ends) or (ends and ends[-1] > len(self.words)):
+            raise CodecError("entity span ends exceed the caption length")
+
+    def _chunks(self) -> list[str | BBox]:
+        """The words with each entity's box inserted right after its span end."""
+        chunks: list[str | BBox] = list(self.words)
+        for e in reversed(self.entities):
+            chunks.insert(e.span[1], e.box)
+        return chunks
+
+    @property
+    def tokens(self) -> tuple[Token, ...]:
+        """One WORD per word and, for each box, BOX_OPEN, four COORDs
+        and BOX_CLOSE."""
+        pairs: list[tuple[TokenKind, str]] = []
+        for chunk in self._chunks():
+            if isinstance(chunk, str):
+                pairs.append((TokenKind.WORD, chunk))
+            else:
+                pairs.append((TokenKind.BOX_OPEN, BOX_OPEN))
+                pairs.extend((TokenKind.COORD, str(c)) for c in chunk.as_list())
+                pairs.append((TokenKind.BOX_CLOSE, BOX_CLOSE))
+        return tuple(Token(kind, text, i) for i, (kind, text) in enumerate(pairs))
 
     @property
     def caption_tokens(self) -> list[str]:
-        return [t.text for t in self.tokens if t.kind is TokenKind.WORD]
+        return list(self.words)
 
     @property
     def caption(self) -> str:
-        return detokenize(self.caption_tokens)
+        return detokenize(self.words)
 
     @property
     def boxes(self) -> list[BBox]:
@@ -158,6 +186,12 @@ def detokenize(tokens: Sequence[str]) -> str:
         else:
             parts.append(tok)
     return " ".join(parts)
+
+
+def _caption_words(segment: str) -> list[str]:
+    if BOX_OPEN in segment or BOX_CLOSE in segment:
+        raise UnbalancedBlock(f"stray block marker near: {segment!r}")
+    return tokenize(segment)
 
 
 def locate_spans(tokens: Sequence[str], phrases: Sequence[str]) -> list[tuple[int, int]]:
@@ -192,36 +226,6 @@ def locate_spans(tokens: Sequence[str], phrases: Sequence[str]) -> list[tuple[in
     return spans
 
 
-def _build_instruction(
-    caption_tokens: Sequence[str],
-    entities: Sequence[GroundedEntity],
-) -> InterleavedInstruction:
-    """Assemble the token sequence: caption tokens with each entity's
-    coordinate block inserted right after its span end (entities must be
-    ordered by span end)."""
-    tokens: list[Token] = []
-    idx = 0
-
-    def emit(kind: TokenKind, text: str) -> None:
-        nonlocal idx
-        tokens.append(Token(kind, text, idx))
-        idx += 1
-
-    ei = 0
-    for pos, word in enumerate(caption_tokens, start=1):
-        emit(TokenKind.WORD, word)
-        while ei < len(entities) and entities[ei].span[1] == pos:
-            box = entities[ei].box
-            emit(TokenKind.BOX_OPEN, BOX_OPEN)
-            for coord in box.as_list():
-                emit(TokenKind.COORD, str(coord))
-            emit(TokenKind.BOX_CLOSE, BOX_CLOSE)
-            ei += 1
-    if ei != len(entities):
-        raise CodecError("entity span ends exceed the caption length")
-    return InterleavedInstruction(tuple(tokens), tuple(entities))
-
-
 def interleave(
     caption: str,
     entities: Iterable[tuple[str, BBox]],
@@ -232,14 +236,14 @@ def interleave(
     order (strictly increasing span ends).
     """
     pairs = list(entities)
-    tokens = tokenize(caption)
-    spans = locate_spans(tokens, [p for p, _ in pairs])
+    words = _caption_words(caption)
+    spans = locate_spans(words, [p for p, _ in pairs])
     grounded = [
         GroundedEntity(phrase=p, attributes={}, box=b, span=s)
         for (p, b), s in zip(pairs, spans)
     ]
     grounded.sort(key=lambda e: e.span[1])
-    return _build_instruction(tokens, grounded)
+    return InterleavedInstruction(tuple(words), tuple(grounded))
 
 
 def substitute_placeholders(
@@ -266,32 +270,31 @@ def substitute_placeholders(
         if n not in seen:
             raise UnusedObject(n)
 
-    return _bind_blocks(prompt_text, matches, tokenize, lambda m: objects[int(m.group(1))],
+    return _bind_blocks(prompt_text, matches, lambda m: objects[int(m.group(1))],
                         lambda m: MalformedPlaceholder(m.group(0)))
 
 
 def _bind_blocks(
     text: str,
     matches: Iterable[re.Match],
-    words: Callable[[str], list[str]],
     box_for: Callable[[re.Match], BBox],
     orphan: Callable[[re.Match], CodecError],
 ) -> InterleavedInstruction:
     """Bind the box of each match in text to the caption token just before
-    it, raising orphan(match) when there is none. `words` tokenizes the
-    text between matches and may reject it."""
+    it, raising orphan(match) when there is none. The text between
+    matches must hold no block marker."""
     caption_tokens: list[str] = []
     entities: list[GroundedEntity] = []
     cursor = 0
     for m in matches:
-        caption_tokens.extend(words(text[cursor : m.start()]))
+        caption_tokens.extend(_caption_words(text[cursor : m.start()]))
         cursor = m.end()
         if not caption_tokens:
             raise orphan(m)
         pos = len(caption_tokens)
         entities.append(GroundedEntity(caption_tokens[-1], {}, box_for(m), (pos, pos)))
-    caption_tokens.extend(words(text[cursor:]))
-    return _build_instruction(caption_tokens, entities)
+    caption_tokens.extend(_caption_words(text[cursor:]))
+    return InterleavedInstruction(tuple(caption_tokens), tuple(entities))
 
 
 def _parse_block_payload(payload: str) -> BBox:
@@ -312,15 +315,9 @@ def _parse_block_payload(payload: str) -> BBox:
     return BBox.from_list(coords)
 
 
-def _caption_words(segment: str) -> list[str]:
-    if BOX_OPEN in segment or BOX_CLOSE in segment:
-        raise UnbalancedBlock(f"stray block marker near: {segment!r}")
-    return tokenize(segment)
-
-
 def parse_instruction(text: str) -> InterleavedInstruction:
     """Decode serialized instruction text back into an instruction."""
-    return _bind_blocks(text, _BLOCK_RE.finditer(text), _caption_words,
+    return _bind_blocks(text, _BLOCK_RE.finditer(text),
                         lambda m: _parse_block_payload(m.group(1)),
                         lambda m: UnbalancedBlock("coordinate block with no preceding token"))
 
@@ -332,22 +329,9 @@ def parse(text: str) -> tuple[str, list[GroundedEntity]]:
 
 
 def serialize(instruction: InterleavedInstruction) -> str:
-    """Canonical text form: single-space-joined tokens, each coordinate
+    """Canonical text form: single-space-joined words, each coordinate
     block rendered as one chunk with no interior spaces."""
-    chunks: list[str] = []
-    toks = instruction.tokens
-    i = 0
-    while i < len(toks):
-        tok = toks[i]
-        if tok.kind is TokenKind.WORD:
-            chunks.append(tok.text)
-            i += 1
-        elif tok.kind is TokenKind.BOX_OPEN:
-            coords = [t.text for t in toks[i + 1 : i + 5]]
-            if len(coords) != 4 or toks[i + 5].kind is not TokenKind.BOX_CLOSE:
-                raise UnbalancedBlock("corrupt coordinate block in token stream")
-            chunks.append(f"{BOX_OPEN}{','.join(coords)}{BOX_CLOSE}")
-            i += 6
-        else:
-            raise UnbalancedBlock(f"unexpected token {tok!r}")
-    return " ".join(chunks)
+    return " ".join(
+        c if isinstance(c, str) else BOX_OPEN + ",".join(map(str, c.as_list())) + BOX_CLOSE
+        for c in instruction._chunks()
+    )

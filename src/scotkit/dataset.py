@@ -20,6 +20,7 @@ from pathlib import Path
 from typing import Iterable, Mapping, Sequence
 
 from . import codec
+from .constraints import ConstraintError, _expect, _str
 from .geometry import BBox, BoxError
 
 SCHEMA_VERSION = 1
@@ -80,20 +81,21 @@ def record_to_dict(r: GroundedRecord) -> dict:
 
 
 def record_from_dict(d: Mapping) -> GroundedRecord:
+    d = _expect(d, "record", Mapping, "an object")
     if d.get("v") != SCHEMA_VERSION:
         raise ValueError(f"unsupported schema version {d.get('v')!r}")
     entities = []
     for e in d["entities"]:
         entities.append(
             RecordEntity(
-                phrase=e["phrase"],
+                phrase=_str(e["phrase"], "phrase"),
                 attrs=dict(e.get("attrs", {})),
                 box=BBox.from_list(e["box"]),
             )
         )
     record = GroundedRecord(
         id=str(d["id"]),
-        caption=d["caption"],
+        caption=_str(d["caption"], "caption"),
         entities=tuple(entities),
         image_ref=d.get("image"),
         source=d.get("source", ""),
@@ -117,7 +119,8 @@ def load_records(path: str | Path) -> list[GroundedRecord]:
                 raise RecordParseError(lineno, str(exc)) from exc
             try:
                 records.append(record_from_dict(doc))
-            except (KeyError, TypeError, ValueError, BoxError, codec.CodecError) as exc:
+            except (KeyError, TypeError, ValueError, BoxError, codec.CodecError,
+                    ConstraintError) as exc:
                 raise InvalidRecord(lineno, str(exc)) from exc
     return records
 

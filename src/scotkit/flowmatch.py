@@ -129,8 +129,15 @@ class VelocityModel:
             b3=np.zeros(d),
         )
 
-    def _inputs(self, x: np.ndarray, t: np.ndarray, e: np.ndarray) -> np.ndarray:
-        return np.concatenate([x, t[:, None], e], axis=1)
+    def _activations(
+        self, x: np.ndarray, t: np.ndarray, e: np.ndarray
+    ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+        """The input z, both hidden layers and the output, for x (B,d),
+        t (B,) and e (B,m)."""
+        z = np.concatenate([x, t[:, None], e], axis=1)
+        h1 = np.tanh(z @ self.w1.T + self.b1)
+        h2 = np.tanh(h1 @ self.w2.T + self.b2)
+        return z, h1, h2, h2 @ self.w3.T + self.b3
 
     def forward(self, x: np.ndarray, t: np.ndarray, e: np.ndarray) -> np.ndarray:
         """Batched velocity prediction; x (B,d), t (B,), e (B,m) or (m,)."""
@@ -139,13 +146,7 @@ class VelocityModel:
         e = _as_vec(e)
         if e.ndim == 1:
             e = np.broadcast_to(e, (x.shape[0], e.shape[0]))
-        z = self._inputs(x, t, e)
-        h1 = np.tanh(z @ self.w1.T + self.b1)
-        h2 = np.tanh(h1 @ self.w2.T + self.b2)
-        return h2 @ self.w3.T + self.b3
-
-    def params(self) -> dict[str, np.ndarray]:
-        return {name: getattr(self, name) for name in _PARAM_NAMES}
+        return self._activations(x, t, e)[3]
 
     def flat_params(self) -> np.ndarray:
         return np.concatenate([getattr(self, n).ravel() for n in _PARAM_NAMES])
@@ -180,12 +181,7 @@ def loss_and_grad_at(
     xt = (1.0 - t)[:, None] * x0 + t[:, None] * x1
     u = x1 - x0
 
-    z = np.concatenate([xt, t[:, None], e], axis=1)
-    a1 = z @ model.w1.T + model.b1
-    h1 = np.tanh(a1)
-    a2 = h1 @ model.w2.T + model.b2
-    h2 = np.tanh(a2)
-    out = h2 @ model.w3.T + model.b3
+    z, h1, h2, out = model._activations(xt, t, e)
 
     diff = out - u
     loss = float(np.mean(np.sum(diff * diff, axis=1)))
@@ -248,7 +244,6 @@ class TrainConfig:
 def box_union_sampler(
     instruction: InterleavedInstruction,
     m: int = DEFAULT_EMBED_DIM,
-    embed_seed: int = 0,
 ) -> DataSampler:
     """Data sampler for one instruction: x0 uniform over the union of
     its boxes on the unit canvas (exact for disjoint boxes; overlap
@@ -260,7 +255,7 @@ def box_union_sampler(
     corners = np.array([b.as_list() for b in boxes], dtype=np.float64) / 1000.0
     areas = (corners[:, 2] - corners[:, 0]) * (corners[:, 3] - corners[:, 1])
     weights = areas / areas.sum()
-    embedding = embed_instruction(instruction, m=m, seed=embed_seed)
+    embedding = embed_instruction(instruction, m=m)
 
     def sample_data(rng: np.random.Generator, n: int) -> tuple[np.ndarray, np.ndarray]:
         picks = rng.choice(len(boxes), size=n, p=weights)

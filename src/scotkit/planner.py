@@ -17,11 +17,11 @@ from dataclasses import dataclass, field
 from typing import Mapping, Sequence
 
 from . import codec, constraints
-from .constraints import Constraint, Grid, Violation
+from .constraints import Constraint, Grid, Violation, _expect, _list, _str
 from .geometry import CANVAS, BBox, BoxError, place
 
 SIZE_CLASSES = ("background", "large", "medium", "small")
-_DEFAULT_SIZE_SIDE = {"large": 400.0, "medium": 250.0, "small": 120.0}
+_SIZE_SIDE = {"large": 400.0, "medium": 250.0, "small": 120.0}
 
 
 class PlannerOutputError(Exception):
@@ -193,19 +193,12 @@ def _grid_assignment(spec: SceneSpec) -> dict[str, tuple[Grid, tuple[int, int]]]
     return out
 
 
-def propose_initial(
-    spec: SceneSpec,
-    seed: int = 0,
-    size_priors: Mapping[str, float] | None = None,
-) -> dict[str, BBox]:
+def propose_initial(spec: SceneSpec, seed: int = 0) -> dict[str, BBox]:
     """Coarse placement: background entities span the canvas, grid
     assignments sit at their cell centers, and everything else packs
-    left-to-right, top-to-bottom with seeded jitter. size_priors may
-    override the default box side per size class."""
+    left-to-right, top-to-bottom with seeded jitter around the box side
+    of its size class."""
     rng = random.Random(seed)
-    sides = dict(_DEFAULT_SIZE_SIDE)
-    if size_priors:
-        sides.update(size_priors)
     boxes: dict[str, BBox] = {}
     grid_cells = _grid_assignment(spec)
 
@@ -231,7 +224,7 @@ def propose_initial(
         else:
             row, col = divmod(slot, ncols)
             slot += 1
-            side = sides[e.size]
+            side = _SIZE_SIDE[e.size]
             # ±5% seeded jitter on position and size
             cx = (col + 0.5) * cell_w + rng.uniform(-0.05, 0.05) * CANVAS
             cy = (row + 0.5) * cell_h + rng.uniform(-0.05, 0.05) * CANVAS
@@ -319,17 +312,10 @@ def _total(found: Sequence[Sequence[Violation]]) -> float:
     return sum(v.magnitude for vs in found for v in vs)
 
 
-def plan(
-    spec: SceneSpec,
-    seed: int = 0,
-    max_iters: int = 200,
-    size_priors: Mapping[str, float] | None = None,
-) -> LayoutPlan:
+def plan(spec: SceneSpec, seed: int = 0, max_iters: int = 200) -> LayoutPlan:
     """The full layout procedure: propose an initial placement, then
     repair it against the constraint set. Pure in its arguments."""
-    return repair(
-        propose_initial(spec, seed, size_priors=size_priors), spec, max_iters=max_iters
-    )
+    return repair(propose_initial(spec, seed), spec, max_iters=max_iters)
 
 
 def plan_to_output(spec: SceneSpec, layout_plan: LayoutPlan) -> PlannerOutput:
@@ -373,18 +359,25 @@ def spec_to_dict(spec: SceneSpec) -> dict:
     }
 
 
-def spec_from_dict(d: Mapping) -> SceneSpec:
-    entities = tuple(
-        EntitySpec(
-            id=e["id"],
-            phrase=e["phrase"],
-            category=e.get("category", ""),
-            attributes=dict(e.get("attrs", {})),
-            size=e.get("size", "medium"),
-        )
-        for e in d.get("entities", [])
+def _entity_from_dict(e) -> EntitySpec:
+    e = _expect(e, "entity", Mapping, "an object")
+    return EntitySpec(
+        id=_str(e["id"], "id"),
+        phrase=_str(e["phrase"], "phrase"),
+        category=_str(e.get("category", ""), "category"),
+        attributes=dict(_expect(e.get("attrs", {}), "attrs", Mapping, "an object")),
+        size=e.get("size", "medium"),
     )
-    cons = tuple(constraints.constraint_from_dict(c) for c in d.get("constraints", []))
+
+
+def spec_from_dict(d: Mapping) -> SceneSpec:
+    """Load a scene spec, rejecting records of the wrong type with
+    ConstraintError."""
+    d = _expect(d, "scene", Mapping, "an object")
+    entities = tuple(map(_entity_from_dict, _list(d.get("entities", []), "entities")))
+    cons = tuple(
+        constraints.constraint_from_dict(c) for c in _list(d.get("constraints", []), "constraints")
+    )
     spec = SceneSpec(entities=entities, constraints=cons, tail=d.get("tail"))
     known = {e.id for e in entities}
     for c in cons:

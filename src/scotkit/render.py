@@ -10,13 +10,13 @@ _PALETTE = (
     "#e6194b", "#3cb44b", "#4363d8", "#f58231", "#911eb4", "#4699c9",
     "#f032e6", "#808000", "#9a6324", "#568198", "#800000", "#2f6f4f",
 )
+_STROKE_WIDTH = 3
+_LABEL_FONT_SIZE = 24
 
 
 @dataclass(frozen=True)
 class RenderStyle:
     canvas_size: int = 1000
-    stroke_width: int = 3
-    label_font_size: int = 24
 
     def color(self, index: int) -> str:
         return _PALETTE[index % len(_PALETTE)]
@@ -58,13 +58,13 @@ def render_svg(output: PlannerOutput | LayoutPlan, style: RenderStyle = RenderSt
         lines.append(
             f'<rect x="{x}" y="{y}" width="{w}" height="{h}" '
             f'fill="{color}" fill-opacity="0.15" stroke="{color}" '
-            f'stroke-width="{style.stroke_width}"/>'
+            f'stroke-width="{_STROKE_WIDTH}"/>'
         )
         tx = _fmt(box.xmin * s + 4)
-        ty = _fmt(box.ymin * s + style.label_font_size)
+        ty = _fmt(box.ymin * s + _LABEL_FONT_SIZE)
         lines.append(
             f'<text x="{tx}" y="{ty}" font-family="monospace" '
-            f'font-size="{style.label_font_size}" fill="{color}">'
+            f'font-size="{_LABEL_FONT_SIZE}" fill="{color}">'
             f"{_escape(label)}</text>"
         )
     lines.append("</svg>")

@@ -39,6 +39,17 @@ SCENE = {
 }
 
 
+def scot_subprocess(*argv: str) -> subprocess.CompletedProcess:
+    """Run `scot` in a fresh interpreter, so a traceback reaches stderr."""
+    src = str(Path(scotkit.__file__).resolve().parents[1])
+    path = os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])
+    env = {**os.environ, "PYTHONPATH": path}
+    return subprocess.run(
+        [sys.executable, "-m", "scotkit.cli", *argv],
+        capture_output=True, text=True, env=env, timeout=60,
+    )
+
+
 class TestEncodeDecode:
     def test_encode_then_decode_round_trip(self, tmp_path, corpus, capsys):
         code, out, _ = run(capsys, "encode", str(corpus))
@@ -121,13 +132,7 @@ class TestPlanCheckRepair:
         ]
         spec_file = tmp_path / "scene.json"
         spec_file.write_text(json.dumps(scene))
-        src = str(Path(scotkit.__file__).resolve().parents[1])
-        path = os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])
-        env = {**os.environ, "PYTHONPATH": path}
-        proc = subprocess.run(
-            [sys.executable, "-m", "scotkit.cli", "plan", str(spec_file)],
-            capture_output=True, text=True, env=env, timeout=60,
-        )
+        proc = scot_subprocess("plan", str(spec_file))
         assert proc.returncode == 1 and proc.stdout == ""
         assert "Traceback" not in proc.stderr
         assert proc.stderr.splitlines() == [
@@ -139,6 +144,53 @@ class TestPlanCheckRepair:
         scene_file.write_text(json.dumps(SCENE))
         code, _, err = run(capsys, "check", str(scene_file))
         assert code == 1 and "boxes" in err
+
+
+_ENTITY = {"id": "a", "phrase": "cat"}
+_RECORD = {"v": 1, "id": "r1", "caption": "a cat", "source": "",
+           "entities": [{"phrase": "cat", "attrs": {}, "box": [1, 2, 30, 40]}]}
+_BAD_RECORD = {**_RECORD, "entities": [{"phrase": ["cat"], "attrs": {}, "box": [1, 2, 30, 40]}]}
+
+# (command, JSON document); an "encode" document is the second records
+# line, and an "mllm" one the --config file, which fails before any
+# request is sent
+MALFORMED_INPUTS = {
+    "entity id list": ("plan", {"entities": [{"id": ["x"], "phrase": "cat"}]}),
+    "entity attrs list": ("plan", {"entities": [{**_ENTITY, "attrs": [1]}]}),
+    "entities string": ("plan", {"entities": "ab"}),
+    "scene list": ("plan", [1, 2]),
+    "check boxes list": ("check", {**SCENE, "boxes": [1, 2]}),
+    "repair boxes list": ("repair", {**SCENE, "boxes": [1, 2]}),
+    "render boxes list": ("render", {"boxes": [1, 2]}),
+    "render input number": ("render", 5),
+    "config list": ("mllm", [1]),
+    "config timeout string": ("mllm", {"base_url": "http://localhost:9", "timeout": "abc"}),
+    "config retries string": ("mllm", {"base_url": "http://localhost:9", "max_retries": "2"}),
+    "record list": ("encode", [1]),
+    "record phrase list": ("encode", _BAD_RECORD),
+}
+
+
+@pytest.mark.parametrize("case", sorted(MALFORMED_INPUTS))
+def test_malformed_json_input_exits_1_with_one_error_line(case, tmp_path):
+    command, doc = MALFORMED_INPUTS[case]
+    data = tmp_path / "input.json"
+    if command == "encode":
+        data.write_text(json.dumps(_RECORD) + "\n" + json.dumps(doc) + "\n")
+        argv = ["encode", str(data)]
+    elif command == "mllm":
+        data.write_text(json.dumps(doc))
+        scene = tmp_path / "scene.json"
+        scene.write_text(json.dumps(SCENE))
+        argv = ["plan", str(scene), "--mllm", "--config", str(data)]
+    else:
+        data.write_text(json.dumps(doc))
+        argv = [command, str(data)] + ([str(tmp_path / "out.svg")] if command == "render" else [])
+    proc = scot_subprocess(*argv)
+    assert (proc.returncode, proc.stdout) == (1, "")
+    assert "Traceback" not in proc.stderr
+    [line] = proc.stderr.splitlines()
+    assert line.startswith("error: line 2: " if command == "encode" else "error: ")
 
 
 class TestEval:

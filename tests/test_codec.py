@@ -5,7 +5,10 @@ import random
 import pytest
 
 from scotkit.codec import (
+    CodecError,
     CoordCountNot4,
+    GroundedEntity,
+    InterleavedInstruction,
     CoordOutOfRange,
     MalformedPlaceholder,
     MissingObject,
@@ -127,6 +130,10 @@ class TestInterleave:
         ends = [e.span[1] for e in instr.entities]
         assert ends == sorted(ends)
 
+    def test_block_marker_in_caption_rejected(self):
+        with pytest.raises(UnbalancedBlock):
+            interleave("a <|box|> cat", [("cat", BBox(10, 20, 30, 40))])
+
     def test_strip_blocks_recovers_caption_tokens(self):
         rng = random.Random(5)
         for _ in range(100):
@@ -178,9 +185,27 @@ class TestSubstitutePlaceholders:
         assert [e.span for e in instr.entities] == [(2, 2), (2, 2)]
         assert instr.boxes == [BBox(0, 0, 100, 100), BBox(200, 0, 300, 100)]
 
+    @pytest.mark.parametrize("marker", ["<|box|>", "x<|/box|>"])
+    def test_block_marker_in_prompt_rejected(self, marker):
+        with pytest.raises(UnbalancedBlock):
+            substitute_placeholders(f"a {marker} cat<|bbox_1|>", {1: BBox(10, 20, 30, 40)})
+
     def test_placeholder_at_start_rejected(self):
         with pytest.raises(MalformedPlaceholder):
             substitute_placeholders("<|bbox_1|> a dog", {1: BBox(0, 0, 10, 10)})
+
+
+class TestInstruction:
+    @pytest.mark.parametrize("ends", [(2, 1), (3,), (1, 3)])
+    def test_span_ends_checked_at_construction(self, ends):
+        entities = tuple(GroundedEntity("w", {}, BBox(0, 0, 5, 5), (e, e)) for e in ends)
+        with pytest.raises(CodecError, match="span ends exceed the caption length"):
+            InterleavedInstruction(("a", "cat"), entities)
+
+    def test_equal_span_ends_allowed(self):
+        entity = GroundedEntity("cat", {}, BBox(0, 0, 5, 5), (2, 2))
+        instr = InterleavedInstruction(("a", "cat"), (entity, entity))
+        assert serialize(instr) == "a cat <|box|>0,0,5,5<|/box|> <|box|>0,0,5,5<|/box|>"
 
 
 class TestParse:

@@ -1,15 +1,17 @@
 """Behaviour lock: SHA-256 digests of everything `plan` and `repair`
 emit over fixed scene families, of the constraint wire records and
-`scot check` output, and of the codec's outputs and first errors.
+`scot check` output, of the codec's outputs and first errors, and of a
+`toy train` checkpoint, one plan's SVG and a synthetic corpus file.
 
-Each digest covers, per scene and planner seed: the sorted boxes, the
+Each planner digest covers, per scene and planner seed: the sorted boxes, the
 iteration count, the residual messages with `repr` of each magnitude,
 the repair objective trace, the `plan_to_output` JSON, and a second
 repair with a short budget and a small starting step. Any changed byte
 changes a digest. The planner values were recorded before repair became
 incremental, the wire and codec values before each constraint kind
-became one class; a deliberate behaviour change must update them and
-say so.
+became one class, and the checkpoint, SVG and corpus values before an
+instruction stopped storing its token stream; a deliberate behaviour
+change must update them and say so.
 """
 
 import hashlib
@@ -34,7 +36,7 @@ from scotkit.constraints import (
     RightOf,
     constraint_to_dict,
 )
-from scotkit.dataset import record_to_instruction, synth_generate
+from scotkit.dataset import record_to_instruction, save_records, synth_generate
 from scotkit.geometry import BBox
 from scotkit.planner import (
     EntitySpec,
@@ -46,6 +48,7 @@ from scotkit.planner import (
     repair,
     to_instruction,
 )
+from scotkit.render import render_svg
 
 from conftest import NOUNS, synth_satisfiable_spec
 
@@ -346,3 +349,41 @@ def test_parse_raises_pinned_first_error(text, expected):
 @pytest.mark.parametrize("text, objects, expected", SUBSTITUTE_ERRORS)
 def test_substitute_raises_pinned_first_error(text, objects, expected):
     assert _first_error(codec.substitute_placeholders, text, objects) == expected
+
+
+FILE_GOLDEN = {
+    "checkpoint": "00c73eca53203def17aafcc242fd9fce3184422586e5f5ad88d3025d0cb80df2",
+    "svg": "b088dd6d1a9a5aa5be857fe3239dc600615866a46930e7f2df30414ef5373180",
+    "synth": "20a52682c2d2347a57a314b1691fd3eaac76a192b9eccab23e07a3cff66f9004",
+}
+
+TOY_INSTRUCTION = (
+    "a red box <|box|>100,120,300,400<|/box|> left of a blue mug "
+    "<|box|>600,500,900,800<|/box|>\n"
+)
+
+
+def _file_sha(path) -> str:
+    return hashlib.sha256(path.read_bytes()).hexdigest()
+
+
+def test_toy_checkpoint_matches_pinned_digest(tmp_path, capsys):
+    instr, ckpt = tmp_path / "instr.txt", tmp_path / "model.ckpt"
+    instr.write_text(TOY_INSTRUCTION)
+    argv = ["toy", "train", "--instruction", str(instr), "--output", str(ckpt), "--steps", "25"]
+    assert main(argv) == 0
+    capsys.readouterr()
+    assert _file_sha(ckpt) == FILE_GOLDEN["checkpoint"]
+
+
+def test_plan_svg_matches_pinned_digest():
+    spec = feature_spec(0)
+    result = plan(spec, seed=0)
+    svgs = [render_svg(plan_to_output(spec, result)), render_svg(result)]
+    assert _sha(svgs) == FILE_GOLDEN["svg"]
+
+
+def test_synth_corpus_file_matches_pinned_digest(tmp_path):
+    path = tmp_path / "corpus.jsonl"
+    save_records(path, synth_generate(0, 200))
+    assert _file_sha(path) == FILE_GOLDEN["synth"]

@@ -1,13 +1,16 @@
 """Property tests over every registered constraint kind: wire round trip,
 the objective's zero set, and the entity-id contract incremental repair
 relies on (a kind's violations and moves touch only its entity_ids(),
-unless it watches_all)."""
+unless it watches_all). Also the codec round trip: whatever
+`interleave` or `substitute_placeholders` builds parses back from its
+serialized text."""
 
 import json
 
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+from scotkit import codec
 from scotkit.constraints import (
     KINDS,
     Above,
@@ -110,3 +113,51 @@ def test_moves_touch_only_entity_ids(c, layout, cats, step):
     assume(not c.watches_all)
     for v in c.violations(layout, cats):
         assert set(c.moves(v.magnitude, layout, step)) <= set(c.entity_ids())
+
+
+# plain words, punctuation that tokenize peels, and words holding block
+# markers, which no instruction may carry as caption text
+CAPTION_WORDS = (
+    "a", "cat", "red", "mat", "on", "cat.", "mat,", "!", "<|box|>", "x<|/box|>", "<|box|",
+)
+words = st.lists(st.sampled_from(CAPTION_WORDS), max_size=8)
+
+
+def assert_round_trips(instr: codec.InterleavedInstruction) -> None:
+    text = codec.serialize(instr)
+    back = codec.parse_instruction(text)
+    assert back.words == instr.words
+    assert back.boxes == instr.boxes
+    assert [e.span[1] for e in back.entities] == [e.span[1] for e in instr.entities]
+    assert codec.serialize(back) == text
+
+
+@PROPERTY
+@given(words, st.lists(st.tuples(st.integers(0, 7), st.integers(1, 3), boxes()), max_size=3))
+def test_interleave_output_round_trips(caption_words, picks):
+    pairs = [
+        (" ".join(caption_words[start : start + length]), box)
+        for start, length, box in picks
+        if start < len(caption_words)
+    ]
+    try:
+        instr = codec.interleave(" ".join(caption_words), pairs)
+    except codec.CodecError:
+        return
+    assert_round_trips(instr)
+
+
+@PROPERTY
+@given(st.lists(st.tuples(words, st.integers(0, 2)), max_size=4), st.lists(boxes(), min_size=8))
+def test_substituted_output_round_trips(segments, pool):
+    prompt, objects = "", {}
+    for segment, n_placeholders in segments:
+        prompt += " " + " ".join(segment)
+        for _ in range(n_placeholders):
+            objects[len(objects) + 1] = pool[len(objects)]
+            prompt += f"<|bbox_{len(objects)}|>"
+    try:
+        instr = codec.substitute_placeholders(prompt, objects)
+    except codec.CodecError:
+        return
+    assert_round_trips(instr)
