@@ -13,9 +13,7 @@ from dataclasses import fields
 from pathlib import Path
 from typing import Mapping
 
-import numpy as np
-
-from . import codec, constraints, dataset, flowmatch, metrics, planner, render
+from . import codec, constraints, dataset, metrics, planner, render
 from .client import ClientConfig, ClientError, TransportError, request_plan
 from .constraints import _expect, _list
 from .geometry import BBox, BoxError
@@ -237,7 +235,15 @@ def _instruction_from_file(path: str) -> codec.InterleavedInstruction:
     return codec.parse_instruction(_read_text(path).strip())
 
 
+# The toy commands import flowmatch, and with it numpy, themselves, so
+# that no other command pays for loading numpy.
+
+
 def cmd_toy_train(args) -> int:
+    import numpy as np
+
+    from . import flowmatch
+
     instruction = _instruction_from_file(args.instruction)
     config = flowmatch.TrainConfig(
         steps=args.steps,
@@ -267,6 +273,8 @@ def cmd_toy_train(args) -> int:
 
 
 def cmd_toy_sample(args) -> int:
+    from . import flowmatch
+
     model, _ = flowmatch.load_checkpoint(args.model)
     instruction = _instruction_from_file(args.instruction)
     e = flowmatch.embed_instruction(instruction, m=model.m)
@@ -285,32 +293,9 @@ def cmd_toy_sample(args) -> int:
 
 
 def cmd_toy_gradcheck(args) -> int:
-    model = flowmatch.VelocityModel.init(d=2, m=args.m, width=args.width, seed=args.seed)
-    rng = np.random.default_rng(args.seed + 1)
-    model.set_flat_params(rng.standard_normal(model.flat_params().size) * 0.5)
-    x0 = rng.uniform(0.2, 0.8, size=(4, 2))
-    x1 = rng.standard_normal((4, 2))
-    t = rng.uniform(0.0, 1.0, size=4)
-    e = rng.standard_normal((4, args.m))
-    _, grads = flowmatch.loss_and_grad_at(model, x0, x1, t, e)
-    flat_grad = np.concatenate(
-        [grads[n].ravel() for n in ("w1", "b1", "w2", "b2", "w3", "b3")]
-    )
-    flat = model.flat_params()
-    h = 1e-5
-    worst = 0.0
-    probe = model.copy()
-    for idx in rng.choice(flat.size, size=20, replace=False):
-        bumped = flat.copy()
-        bumped[idx] += h
-        probe.set_flat_params(bumped)
-        up, _ = flowmatch.loss_and_grad_at(probe, x0, x1, t, e)
-        bumped[idx] -= 2 * h
-        probe.set_flat_params(bumped)
-        down, _ = flowmatch.loss_and_grad_at(probe, x0, x1, t, e)
-        numeric = (up - down) / (2 * h)
-        denom = max(abs(numeric), abs(flat_grad[idx]), 1e-8)
-        worst = max(worst, abs(numeric - flat_grad[idx]) / denom)
+    from . import flowmatch
+
+    worst = flowmatch.gradient_check(m=args.m, width=args.width, seed=args.seed)
     _print_json({"max_relative_error": worst, "tolerance": 1e-4})
     return EXIT_OK if worst <= 1e-4 else EXIT_VALIDATION
 

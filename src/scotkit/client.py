@@ -10,13 +10,12 @@ the validator's error message back to the model.
 
 from __future__ import annotations
 
+import functools
 import hashlib
 import os
 import threading
 from dataclasses import dataclass
 from importlib import resources
-
-import requests
 
 from .planner import PlannerOutput, PlannerOutputError, parse_planner_output
 
@@ -76,7 +75,9 @@ class ClientConfig:
             raise ValueError("timeout must be > 0")
 
 
+@functools.cache
 def load_system_prompt(verify: bool = True) -> str:
+    """The packaged system prompt, read and verified once per process."""
     text = (
         resources.files("scotkit.resources")
         .joinpath(SYSTEM_PROMPT_RESOURCE)
@@ -131,6 +132,8 @@ _GATE = _InFlightGate()
 
 
 def _post_chat(config: ClientConfig, api_key: str, messages: list[dict[str, str]]) -> str:
+    import requests  # only a request pays for it
+
     url = config.base_url.rstrip("/") + "/chat/completions"
     body = {
         "model": config.model_name,

@@ -94,7 +94,7 @@ def record_from_dict(d: Mapping) -> GroundedRecord:
             )
         )
     record = GroundedRecord(
-        id=str(d["id"]),
+        id=_str(d["id"], "id"),
         caption=_str(d["caption"], "caption"),
         entities=tuple(entities),
         image_ref=d.get("image"),

@@ -166,7 +166,7 @@ def parse_planner_output(raw: str) -> PlannerOutput:
             raise InvalidBox(key, str(exc)) from exc
         entries.append((key, box))
 
-    placeholder_indices = [int(n) for n in codec._PLACEHOLDER_RE.findall(prompt)]
+    placeholder_indices = [int(n) for n in codec.PLACEHOLDER_RE.findall(prompt)]
     if sorted(placeholder_indices) != list(range(1, len(entries) + 1)):
         raise PlaceholderMismatch(
             f"prompt placeholders {sorted(placeholder_indices)} do not match "
@@ -378,7 +378,9 @@ def spec_from_dict(d: Mapping) -> SceneSpec:
     cons = tuple(
         constraints.constraint_from_dict(c) for c in _list(d.get("constraints", []), "constraints")
     )
-    spec = SceneSpec(entities=entities, constraints=cons, tail=d.get("tail"))
+    tail = d.get("tail")
+    spec = SceneSpec(entities=entities, constraints=cons,
+                     tail=None if tail is None else _str(tail, "tail"))
     known = {e.id for e in entities}
     for c in cons:
         for eid in c.entity_ids():

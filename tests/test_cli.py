@@ -39,15 +39,59 @@ SCENE = {
 }
 
 
-def scot_subprocess(*argv: str) -> subprocess.CompletedProcess:
-    """Run `scot` in a fresh interpreter, so a traceback reaches stderr."""
+def python_subprocess(*args: str) -> subprocess.CompletedProcess:
+    """Run Python on this scotkit source tree in a fresh interpreter."""
     src = str(Path(scotkit.__file__).resolve().parents[1])
     path = os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])
     env = {**os.environ, "PYTHONPATH": path}
     return subprocess.run(
-        [sys.executable, "-m", "scotkit.cli", *argv],
-        capture_output=True, text=True, env=env, timeout=60,
+        [sys.executable, *args], capture_output=True, text=True, env=env, timeout=60,
     )
+
+
+def scot_subprocess(*argv: str) -> subprocess.CompletedProcess:
+    """Run `scot` in a fresh interpreter, so a traceback reaches stderr."""
+    return python_subprocess("-m", "scotkit.cli", *argv)
+
+
+# Runs each step in one interpreter and prints, per step, the heavy
+# libraries loaded so far (and a non-zero exit code).
+_IMPORT_PROBE = """
+import json, sys
+def loaded(code=0):
+    return [m for m in ("numpy", "requests") if m in sys.modules] + ([code] if code else [])
+report = {}
+import scotkit
+report["import scotkit"] = loaded()
+from scotkit import cli
+report["import scotkit.cli"] = loaded()
+for label, argv in json.loads(sys.argv[1]):
+    report[label] = loaded(cli.main(argv))
+print(json.dumps(report))
+"""
+
+
+def test_commands_other_than_toy_and_mllm_load_neither_numpy_nor_requests(tmp_path):
+    scene, corpus = tmp_path / "scene.json", tmp_path / "corpus.jsonl"
+    scene.write_text(json.dumps({**SCENE, "boxes": {"a": [0, 0, 90, 90], "b": [50, 0, 300, 90]}}))
+    instr = tmp_path / "instr.txt"
+    instr.write_text("a red box <|box|>400,400,600,600<|/box|>\n")
+    steps = [
+        ("dataset synth", ["dataset", "synth", "--n", "3", "--output", str(corpus)]),
+        ("dataset stats", ["dataset", "stats", str(corpus)]),
+        ("encode", ["encode", str(corpus)]),
+        ("decode", ["decode", str(instr)]),
+        ("eval", ["eval", "--refs", str(corpus), "--preds", str(corpus)]),
+        ("plan", ["plan", str(scene), "--max-iters", "5"]),
+        ("check", ["check", str(scene)]),
+        ("repair", ["repair", str(scene), "--max-iters", "5"]),
+        ("render", ["render", str(scene), str(tmp_path / "out.svg")]),
+    ]
+    proc = python_subprocess("-c", _IMPORT_PROBE, json.dumps(steps))
+    assert proc.returncode == 0, proc.stderr
+    report = json.loads(proc.stdout.splitlines()[-1])
+    expected = ["import scotkit", "import scotkit.cli"] + [label for label, _ in steps]
+    assert report == {label: [] for label in expected}
 
 
 class TestEncodeDecode:
@@ -168,6 +212,9 @@ MALFORMED_INPUTS = {
     "config retries string": ("mllm", {"base_url": "http://localhost:9", "max_retries": "2"}),
     "record list": ("encode", [1]),
     "record phrase list": ("encode", _BAD_RECORD),
+    "record id list": ("encode", {**_RECORD, "id": [1]}),
+    "record id integer": ("encode", {**_RECORD, "id": 7}),
+    "scene tail number": ("plan", {**SCENE, "tail": 5}),
 }
 
 

@@ -6,6 +6,7 @@ import threading
 import time
 from concurrent.futures import ThreadPoolExecutor
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
+from types import SimpleNamespace
 
 import pytest
 
@@ -104,6 +105,22 @@ def config(mock_endpoint, monkeypatch):
     return ClientConfig(base_url=base_url, model_name="mock-model")
 
 
+@pytest.fixture()
+def prompt_reads(monkeypatch):
+    """Packages whose resources the client opens, from an empty prompt cache."""
+    reads = []
+    files = client.resources.files
+
+    def counting_files(package):
+        reads.append(package)
+        return files(package)
+
+    monkeypatch.setattr(client, "resources", SimpleNamespace(files=counting_files))
+    client.load_system_prompt.cache_clear()
+    yield reads
+    client.load_system_prompt.cache_clear()
+
+
 class TestBuildRequest:
     def test_two_messages(self):
         messages = build_request("a cat on a mat")
@@ -130,6 +147,13 @@ class TestBuildRequest:
         with pytest.raises(ClientError, match="input-text marker"):
             build_request("a cat on a mat")
 
+    def test_drifted_prompt_raises_on_every_request(self, monkeypatch, prompt_reads):
+        monkeypatch.setattr(client, "SYSTEM_PROMPT_SHA256", "0" * 64)
+        for _ in range(2):
+            with pytest.raises(ClientError, match="drifted"):
+                build_request("a cat on a mat")
+        assert len(prompt_reads) == 2
+
     def test_prompt_digest_pinned(self):
         text = load_system_prompt(verify=False)
         assert hashlib.sha256(text.encode("utf-8")).hexdigest() == SYSTEM_PROMPT_SHA256
@@ -144,6 +168,15 @@ class TestRequestPlan:
         assert len(state.requests) == 1
         assert state.requests[0]["model"] == "mock-model"
         assert state.requests[0]["temperature"] == 0.2
+
+    def test_prompt_read_once_per_process(self, config, mock_endpoint, golden_examples,
+                                          prompt_reads):
+        _, state = mock_endpoint
+        state.replies = ["not json at all", golden_examples[1]]
+        for _ in range(3):
+            request_plan(config, "a marketplace")
+        assert len(state.requests) == 4
+        assert prompt_reads == ["scotkit.resources"]
 
     def test_retry_with_feedback(self, config, mock_endpoint, golden_examples):
         _, state = mock_endpoint

@@ -3,7 +3,8 @@ the objective's zero set, and the entity-id contract incremental repair
 relies on (a kind's violations and moves touch only its entity_ids(),
 unless it watches_all). Also the codec round trip: whatever
 `interleave` or `substitute_placeholders` builds parses back from its
-serialized text."""
+serialized text; repair never raises the objective; and IoU is a
+symmetric similarity in [0, 1] that is 1 for a box with itself."""
 
 import json
 
@@ -11,6 +12,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from scotkit import codec
+from scotkit.planner import EntitySpec, SceneSpec, repair
 from scotkit.constraints import (
     KINDS,
     Above,
@@ -29,7 +31,7 @@ from scotkit.constraints import (
     constraint_to_dict,
     total_magnitude,
 )
-from scotkit.geometry import BBox
+from scotkit.geometry import BBox, iou
 
 PROPERTY = settings(derandomize=True, deadline=None)
 
@@ -113,6 +115,27 @@ def test_moves_touch_only_entity_ids(c, layout, cats, step):
     assume(not c.watches_all)
     for v in c.violations(layout, cats):
         assert set(c.moves(v.magnitude, layout, step)) <= set(c.entity_ids())
+
+
+@PROPERTY
+@given(layouts, categories, st.lists(constraints, max_size=6), st.integers(1, 20))
+def test_repair_never_raises_total_magnitude(layout, cats, cs, max_iters):
+    spec = SceneSpec(tuple(EntitySpec(eid, eid, cats[eid]) for eid in IDS), tuple(cs))
+    result = repair(layout, spec, max_iters=max_iters)
+    assert total_magnitude(result.boxes, cats, cs) <= total_magnitude(layout, cats, cs)
+
+
+@PROPERTY
+@given(boxes(), boxes())
+def test_iou_is_symmetric_and_in_unit_interval(a, b):
+    assert iou(a, b) == iou(b, a)
+    assert 0.0 <= iou(a, b) <= 1.0
+
+
+@PROPERTY
+@given(boxes())
+def test_iou_of_a_box_with_itself_is_one(a):
+    assert iou(a, a) == 1.0
 
 
 # plain words, punctuation that tokenize peels, and words holding block
