@@ -9,29 +9,16 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from dataclasses import fields
 from pathlib import Path
 from typing import Mapping
 
-from . import codec, constraints, dataset, metrics, planner, render
+from . import codec, constraints, dataset, metrics, planner, render, wire
 from .client import ClientConfig, ClientError, TransportError, request_plan
-from .constraints import _expect, _list
-from .geometry import BBox, BoxError
+from .geometry import BBox
 
 EXIT_OK = 0
 EXIT_VALIDATION = 1
 EXIT_IO = 2
-
-_VALIDATION_ERRORS = (
-    codec.CodecError,
-    planner.PlannerOutputError,
-    constraints.ConstraintError,
-    dataset.DatasetError,
-    metrics.MetricsError,
-    BoxError,
-    ValueError,
-    KeyError,
-)
 
 
 def _read_text(path: str) -> str:
@@ -50,8 +37,7 @@ def _print_json(doc) -> None:
 
 def _read_boxes(doc: dict) -> dict[str, BBox]:
     """The document's "boxes" map of entity id to box literal."""
-    boxes = _expect(doc["boxes"], "boxes", Mapping, "an object")
-    return {eid: BBox.from_list(_list(b, f"box {eid!r}")) for eid, b in boxes.items()}
+    return wire.read(Mapping[str, BBox], doc["boxes"], "boxes")
 
 
 def _load_scene(path: str) -> tuple[planner.SceneSpec, dict[str, BBox] | None]:
@@ -75,7 +61,7 @@ def cmd_decode(args) -> int:
             id=f"decoded-{i:05d}",
             caption=caption,
             entities=tuple(
-                dataset.RecordEntity(e.phrase, dict(e.attributes), e.box)
+                dataset.RecordEntity(e.phrase, attrs=dict(e.attributes), box=e.box)
                 for e in entities
             ),
             source="decoded",
@@ -115,14 +101,12 @@ def _client_config(args) -> ClientConfig:
     does not set take the field defaults."""
     doc = {}
     if args.config:
-        doc = _expect(_read_json(args.config), "client config", Mapping, "an object")
-    values = {"base_url": args.base_url or "", "model_name": args.model or ""}
-    for f in fields(ClientConfig):
-        if f.name in doc:
-            values[f.name] = constraints._READERS[f.type](doc[f.name], f.name)
-    if not values["base_url"]:
+        doc = wire.read(Mapping[str, object], _read_json(args.config), "client config")
+    values = {"base_url": args.base_url or "", "model_name": args.model or "", **doc}
+    config = wire.read(ClientConfig, values, "client config")
+    if not config.base_url:
         raise ValueError("--mllm needs --base-url or a config file with base_url")
-    return ClientConfig(**values)
+    return config
 
 
 def cmd_check(args) -> int:
@@ -132,14 +116,7 @@ def cmd_check(args) -> int:
     violations = constraints.check(boxes, spec.categories, spec.constraints)
     _print_json(
         {
-            "violations": [
-                {
-                    "constraint": constraints.constraint_to_dict(v.constraint),
-                    "magnitude": v.magnitude,
-                    "message": v.message,
-                }
-                for v in violations
-            ],
+            "violations": [wire.write(v) for v in violations],
             "total_magnitude": sum(v.magnitude for v in violations),
         }
     )
@@ -187,7 +164,7 @@ def cmd_eval(args) -> int:
 
 
 def cmd_render(args) -> int:
-    doc = _expect(_read_json(args.input), "render input", Mapping, "an object")
+    doc = wire.read(Mapping[str, object], _read_json(args.input), "render input")
     style = render.RenderStyle(canvas_size=args.canvas)
     if "objects" in doc:
         output = planner.parse_planner_output(json.dumps(doc))
@@ -195,7 +172,7 @@ def cmd_render(args) -> int:
     elif "boxes" in doc:
         lp = planner.LayoutPlan(
             boxes=_read_boxes(doc),
-            iterations=int(doc.get("iterations", 0)),
+            iterations=wire.read(int, doc.get("iterations", 0), "iterations"),
             residual=(),
         )
         svg = render.render_svg(lp, style)
@@ -408,7 +385,7 @@ def main(argv: list[str] | None = None) -> int:
     except TransportError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_IO
-    except (ClientError,) + _VALIDATION_ERRORS as exc:
+    except (ClientError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_VALIDATION
     except OSError as exc:

@@ -33,7 +33,7 @@ _BLOCK_RE = re.compile(r"<\|box\|>(.*?)<\|/box\|>", re.DOTALL)
 _PLACEHOLDER_PREFIX_RE = re.compile(r"<\|bbox_[^|>]*\|?>?")
 
 
-class CodecError(Exception):
+class CodecError(ValueError):
     """Base class for instruction encoding/decoding failures."""
 
 

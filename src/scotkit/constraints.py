@@ -10,22 +10,24 @@ x in [c*1000/C, (c+1)*1000/C] and y in [r*1000/R, (r+1)*1000/R].
 Each constraint kind is one frozen dataclass deriving from `Constraint`
 that owns everything about the kind: its wire name `kind`, the entity
 ids its violations read, the violations, the repair moves and its wire
-record. To add a kind, write that class and add it to `KINDS`.
+record, which `scotkit.wire` reads and writes from its fields. To add a
+kind, write that class and add it to `KINDS`.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import MISSING, dataclass, field, fields
-from typing import ClassVar, Mapping, Sequence
+from dataclasses import dataclass, field, fields
+from typing import ClassVar, Mapping, NamedTuple, Sequence
 
+from . import wire
 from .geometry import BBox, area, center, intersection_area, place
 
 Layout = Mapping[str, BBox]
 Categories = Mapping[str, str]
 
 
-class ConstraintError(Exception):
+class ConstraintError(wire.InputError):
     pass
 
 
@@ -44,10 +46,10 @@ class Violation:
 
 class Constraint:
     """One constraint kind: a frozen dataclass whose fields, in order and
-    under their own names, make its wire record; each field is read by
-    the `_READERS` entry for its annotation, and a `float` field is a
-    tolerance (finite and >= 0). A subclass sets `kind` and implements
-    entity_ids() and violations(), plus moves() when repair can act."""
+    under their own names after "kind", make its wire record; a `float`
+    field is a tolerance (finite and >= 0). A subclass sets `kind` and
+    implements entity_ids() and violations(), plus moves() when repair
+    can act."""
 
     kind: ClassVar[str]  # the wire name, unique across KINDS
     # True when the violations may read boxes outside entity_ids()
@@ -55,8 +57,9 @@ class Constraint:
 
     def __post_init__(self):
         for f in fields(self):
-            if f.type == "float":
-                _check_nonneg(f.name, getattr(self, f.name))
+            value = getattr(self, f.name)
+            if f.type == "float" and not (math.isfinite(value) and value >= 0):
+                raise ConstraintError(f"{f.name} must be a finite number >= 0, got {value}")
 
     def entity_ids(self) -> tuple[str, ...]:
         """Every id whose box the violations read, unless watches_all."""
@@ -70,68 +73,38 @@ class Constraint:
         """Updated boxes that shrink a violation of this magnitude."""
         return {}
 
-    def to_dict(self) -> dict:
-        out = {"kind": self.kind}
-        for f in fields(self):
-            value = getattr(self, f.name)
-            out[f.name] = list(value) if f.type == "tuple[str, ...]" else value
-        return out
+    @classmethod
+    def from_wire(cls, value, name: str) -> Constraint:
+        """The kind that the record's "kind" names, read from its fields;
+        every input error is a ConstraintError."""
+        try:
+            kind = wire.read(Mapping[str, object], value, name).get("kind")
+            if not (isinstance(kind, str) and kind in KINDS):
+                raise ConstraintError(f"unknown constraint kind {kind!r}")
+            return wire.read(KINDS[kind], value, name)
+        except ConstraintError:
+            raise
+        except wire.InputError as exc:
+            raise ConstraintError(str(exc)) from exc
+
+    def to_wire(self) -> dict:
+        return {"kind": self.kind, **wire.write(self)}
+
+
+class Cell(NamedTuple):
+    """A grid cell, written as the JSON list [row, col]."""
+
+    row: int
+    col: int
 
     @classmethod
-    def from_dict(cls, d: Mapping) -> Constraint:
-        """Each field read under its name and checked by its annotation;
-        a missing field without a default raises KeyError."""
-        values = []
-        for f in fields(cls):
-            value = d[f.name] if f.default is MISSING else d.get(f.name, f.default)
-            values.append(_READERS[f.type](value, f.name))
-        return cls(*values)
+    def from_wire(cls, value, name: str) -> Cell:
+        if not (isinstance(value, (list, tuple)) and len(value) == 2):
+            raise ConstraintError(f"grid cell must be [row, col], got {value!r}")
+        return cls(wire.read(int, value[0], "grid row"), wire.read(int, value[1], "grid col"))
 
-
-# --- wire fields: each is read by the reader for its annotation ---------
-
-
-def _check_nonneg(name: str, value: float) -> None:
-    if not (math.isfinite(value) and value >= 0):
-        raise ConstraintError(f"{name} must be a finite number >= 0, got {value}")
-
-
-def _expect(value, name: str, types, noun: str):
-    """The value itself when it is one of types (a bool never counts)."""
-    if isinstance(value, bool) or not isinstance(value, types):
-        raise ConstraintError(f"{name} must be {noun}, got {value!r}")
-    return value
-
-
-def _str(value, name: str) -> str:
-    return _expect(value, name, str, "a string")
-
-
-def _int(value, name: str) -> int:
-    return _expect(value, name, int, "an integer")
-
-
-def _list(value, name: str) -> Sequence:
-    return _expect(value, name, (list, tuple), "a list")
-
-
-def _cell(value) -> tuple[int, int]:
-    if len(_list(value, "grid cell")) != 2:
-        raise ConstraintError(f"grid cell must be [row, col], got {value!r}")
-    return (_int(value[0], "grid row"), _int(value[1], "grid col"))
-
-
-_READERS = {
-    "str": _str,
-    "int": _int,
-    "float": lambda value, name: float(_expect(value, name, (int, float), "a finite number >= 0")),
-    "tuple[str, ...]": lambda value, name: tuple(_str(v, name) for v in _list(value, name)),
-    "tuple[tuple[str, tuple[int, int]], ...]": lambda value, name: tuple(
-        (_str(eid, name), _cell(cell))
-        for eid, cell in _expect(value, name, Mapping, "an object").items()
-    ),
-    "tuple[tuple[int, int], ...]": lambda value, name: tuple(map(_cell, _list(value, name))),
-}
+    def to_wire(self) -> list[int]:
+        return list(self)
 
 
 def _require(layout: Layout, *ids: str) -> None:
@@ -176,6 +149,11 @@ class _Pair(Constraint):
 
     a: str
     b: str
+
+    def __post_init__(self):
+        super().__post_init__()
+        if self.a == self.b:
+            raise ConstraintError(f"{self.kind} needs two different ids, got {self.a!r} twice")
 
     def entity_ids(self) -> tuple[str, ...]:
         return (self.a, self.b)
@@ -411,8 +389,8 @@ class CountEquals(Constraint):
 class Grid(Constraint):
     rows: int
     cols: int
-    assignments: tuple[tuple[str, tuple[int, int]], ...]  # id -> (row, col)
-    empty_cells: tuple[tuple[int, int], ...] = field(default=())
+    assignments: tuple[tuple[str, Cell], ...]  # id -> (row, col)
+    empty_cells: tuple[Cell, ...] = field(default=())
 
     kind = "grid"
 
@@ -493,13 +471,6 @@ class Grid(Constraint):
                     out[eid] = _shift(box, dx, dy)
         return out
 
-    def to_dict(self) -> dict:
-        return {
-            **super().to_dict(),
-            "assignments": {eid: list(cell) for eid, cell in self.assignments},
-            "empty_cells": [list(cell) for cell in self.empty_cells],
-        }
-
 
 KINDS: dict[str, type[Constraint]] = {
     cls.kind: cls
@@ -525,19 +496,9 @@ def total_magnitude(layout: Layout, entities: Categories, cs: Sequence[Constrain
 
 
 def constraint_to_dict(c: Constraint) -> dict:
-    return c.to_dict()
+    return c.to_wire()
 
 
 def constraint_from_dict(d: Mapping) -> Constraint:
     """Load one wire record, rejecting fields of the wrong type."""
-    if not isinstance(d, Mapping):
-        raise ConstraintError(f"constraint record must be an object, got {d!r}")
-    try:
-        kind = d["kind"]
-        if isinstance(kind, str) and kind in KINDS:
-            return KINDS[kind].from_dict(d)
-    except KeyError as exc:
-        raise ConstraintError(f"constraint record missing field {exc}") from exc
-    except OverflowError as exc:  # an integer tolerance beyond float range
-        raise ConstraintError(f"constraint record tolerance out of range: {exc}") from exc
-    raise ConstraintError(f"unknown constraint kind {kind!r}")
+    return Constraint.from_wire(d, "constraint record")

@@ -15,26 +15,18 @@ from __future__ import annotations
 
 import json
 import random
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Iterable, Mapping, Sequence
 
-from . import codec
-from .constraints import ConstraintError, _expect, _str
-from .geometry import BBox, BoxError
+from . import codec, wire
+from .geometry import BBox
 
 SCHEMA_VERSION = 1
 
 
-class DatasetError(Exception):
+class DatasetError(ValueError):
     pass
-
-
-class RecordParseError(DatasetError):
-    def __init__(self, line: int, detail: str):
-        super().__init__(f"line {line}: {detail}")
-        self.line = line
-        self.detail = detail
 
 
 class InvalidRecord(DatasetError):
@@ -44,19 +36,24 @@ class InvalidRecord(DatasetError):
         self.detail = detail
 
 
+class RecordParseError(InvalidRecord):
+    """A line that is not JSON."""
+
+
 @dataclass(frozen=True)
 class RecordEntity:
     phrase: str
-    attrs: Mapping[str, str]
+    attrs: Mapping[str, str] = field(default_factory=dict, kw_only=True)
     box: BBox
 
 
 @dataclass(frozen=True)
 class GroundedRecord:
     id: str
+    # kw_only, here and in RecordEntity, keeps the fields in line order
+    image: str | None = field(default=None, kw_only=True)
     caption: str
     entities: tuple[RecordEntity, ...]
-    image_ref: str | None = None
     source: str = ""
 
     def validate(self) -> None:
@@ -67,39 +64,14 @@ class GroundedRecord:
 
 
 def record_to_dict(r: GroundedRecord) -> dict:
-    return {
-        "v": SCHEMA_VERSION,
-        "id": r.id,
-        "image": r.image_ref,
-        "caption": r.caption,
-        "entities": [
-            {"phrase": e.phrase, "attrs": dict(e.attrs), "box": e.box.as_list()}
-            for e in r.entities
-        ],
-        "source": r.source,
-    }
+    return {"v": SCHEMA_VERSION, **wire.write(r)}
 
 
 def record_from_dict(d: Mapping) -> GroundedRecord:
-    d = _expect(d, "record", Mapping, "an object")
-    if d.get("v") != SCHEMA_VERSION:
-        raise ValueError(f"unsupported schema version {d.get('v')!r}")
-    entities = []
-    for e in d["entities"]:
-        entities.append(
-            RecordEntity(
-                phrase=_str(e["phrase"], "phrase"),
-                attrs=dict(e.get("attrs", {})),
-                box=BBox.from_list(e["box"]),
-            )
-        )
-    record = GroundedRecord(
-        id=_str(d["id"], "id"),
-        caption=_str(d["caption"], "caption"),
-        entities=tuple(entities),
-        image_ref=d.get("image"),
-        source=d.get("source", ""),
-    )
+    record = wire.read(GroundedRecord, d, "record")
+    version = d.get("v")
+    if isinstance(version, bool) or version != SCHEMA_VERSION:
+        raise DatasetError(f"unsupported schema version {version!r}")
     record.validate()
     return record
 
@@ -119,8 +91,7 @@ def load_records(path: str | Path) -> list[GroundedRecord]:
                 raise RecordParseError(lineno, str(exc)) from exc
             try:
                 records.append(record_from_dict(doc))
-            except (KeyError, TypeError, ValueError, BoxError, codec.CodecError,
-                    ConstraintError) as exc:
+            except ValueError as exc:
                 raise InvalidRecord(lineno, str(exc)) from exc
     return records
 
@@ -177,7 +148,6 @@ def synth_generate(seed: int, n: int, max_entities: int = 12) -> list[GroundedRe
             id=f"synth-{seed:04d}-{i:05d}",
             caption=f"A scene with {listing}.",
             entities=tuple(entities),
-            image_ref=None,
             source="synthetic",
         )
         record.validate()

@@ -17,10 +17,11 @@ from __future__ import annotations
 import hashlib
 import json
 from dataclasses import dataclass
-from typing import Callable, Sequence
+from typing import Callable, Mapping, Sequence
 
 import numpy as np
 
+from . import wire
 from .codec import InterleavedInstruction
 
 DEFAULT_DIM = 2
@@ -204,8 +205,8 @@ def loss_and_grad_at(
 
 def gradient_check(m: int, width: int, seed: int) -> float:
     """Worst relative error between loss_and_grad_at's gradient and a
-    central finite difference, over 20 seeded parameter indices of a
-    seeded random model and batch of 4."""
+    central finite difference, over 20 seeded parameter indices (all of
+    them when the model has fewer) of a seeded random model and batch of 4."""
     model = VelocityModel.init(d=2, m=m, width=width, seed=seed)
     rng = np.random.default_rng(seed + 1)
     model.set_flat_params(rng.standard_normal(model.flat_params().size) * 0.5)
@@ -219,7 +220,7 @@ def gradient_check(m: int, width: int, seed: int) -> float:
     h = 1e-5
     worst = 0.0
     probe = model.copy()
-    for idx in rng.choice(flat.size, size=20, replace=False):
+    for idx in rng.choice(flat.size, size=min(20, flat.size), replace=False):
         bumped = flat.copy()
         bumped[idx] += h
         probe.set_flat_params(bumped)
@@ -403,7 +404,9 @@ def load_checkpoint(path) -> tuple[VelocityModel, dict]:
     with open(path, "rb") as f:
         header = json.loads(f.readline().decode("utf-8"))
         blob = f.read()
-    model = VelocityModel.init(header["d"], header["m"], header["width"], seed=0)
+    header = wire.read(Mapping[str, object], header, "checkpoint header")
+    shape = (wire.read(int, header.get(k), f"checkpoint {k}") for k in ("d", "m", "width"))
+    model = VelocityModel.init(*shape, seed=0)
     flat = np.frombuffer(blob, dtype="<f8")
     model.set_flat_params(flat.astype(np.float64))
     return model, header.get("meta", {})

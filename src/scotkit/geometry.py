@@ -49,6 +49,15 @@ class BBox:
         """Box literal form ``[xmin, ymin, xmax, ymax]``."""
         return [self.xmin, self.ymin, self.xmax, self.ymax]
 
+    @classmethod
+    def from_wire(cls, value, name: str) -> "BBox":
+        """A JSON box literal; see `scotkit.wire`."""
+        if not isinstance(value, (list, tuple)):
+            raise BoxError(f"{name} must be a list, got {value!r}")
+        return cls.from_list(value)
+
+    to_wire = as_list
+
     @property
     def width(self) -> int:
         return self.xmax - self.xmin

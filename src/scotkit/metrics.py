@@ -20,7 +20,7 @@ from .geometry import BBox, iou
 DEFAULT_IOU_THRESHOLD = 0.5
 
 
-class MetricsError(Exception):
+class MetricsError(ValueError):
     pass
 
 

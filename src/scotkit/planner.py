@@ -16,15 +16,15 @@ import re
 from dataclasses import dataclass, field
 from typing import Mapping, Sequence
 
-from . import codec, constraints
-from .constraints import Constraint, Grid, Violation, _expect, _list, _str
+from . import codec, constraints, wire
+from .constraints import Constraint, Grid, Violation
 from .geometry import CANVAS, BBox, BoxError, place
 
 SIZE_CLASSES = ("background", "large", "medium", "small")
 _SIZE_SIDE = {"large": 400.0, "medium": 250.0, "small": 120.0}
 
 
-class PlannerOutputError(Exception):
+class PlannerOutputError(ValueError):
     """Base class for planner wire-schema validation failures."""
 
 
@@ -69,7 +69,7 @@ class EntitySpec:
     id: str
     phrase: str
     category: str = ""
-    attributes: Mapping[str, str] = field(default_factory=dict)
+    attrs: Mapping[str, str] = field(default_factory=dict)
     size: str = "medium"
 
     def __post_init__(self):
@@ -79,14 +79,18 @@ class EntitySpec:
 
 @dataclass(frozen=True)
 class SceneSpec:
-    entities: tuple[EntitySpec, ...]
+    entities: tuple[EntitySpec, ...] = ()
     constraints: tuple[Constraint, ...] = ()
     tail: str | None = None
 
     def __post_init__(self):
-        ids = [e.id for e in self.entities]
-        if len(set(ids)) != len(ids):
+        ids = {e.id for e in self.entities}
+        if len(ids) != len(self.entities):
             raise ValueError("entity ids must be unique")
+        for c in self.constraints:
+            for eid in c.entity_ids():
+                if eid not in ids:
+                    raise constraints.UnknownEntityId(eid)
 
     @property
     def categories(self) -> dict[str, str]:
@@ -113,11 +117,7 @@ class PlannerOutput:
         return {i + 1: box for i, (_, box) in enumerate(self.objects)}
 
     def to_dict(self) -> dict:
-        return {
-            "reasoning": self.reasoning,
-            "prompt": self.prompt,
-            "objects": {key: box.as_list() for key, box in self.objects},
-        }
+        return wire.write(self)
 
 
 _FENCE_RE = re.compile(r"```(?:json)?\s*(.*?)```", re.DOTALL)
@@ -135,16 +135,10 @@ def parse_planner_output(raw: str) -> PlannerOutput:
     if not isinstance(doc, dict):
         raise NotJson(f"expected a JSON object, got {type(doc).__name__}")
 
-    for name in ("reasoning", "prompt", "objects"):
-        if name not in doc:
+    for name, kind in (("reasoning", str), ("prompt", str), ("objects", dict)):
+        if not isinstance(doc.get(name), kind):
             raise MissingField(name)
     reasoning, prompt, objects = doc["reasoning"], doc["prompt"], doc["objects"]
-    if not isinstance(reasoning, str):
-        raise MissingField("reasoning")
-    if not isinstance(prompt, str):
-        raise MissingField("prompt")
-    if not isinstance(objects, dict):
-        raise MissingField("objects")
 
     entries: list[tuple[str, BBox]] = []
     for expected, (key, value) in enumerate(objects.items(), start=1):
@@ -154,14 +148,8 @@ def parse_planner_output(raw: str) -> PlannerOutput:
         index = int(km.group(1))
         if index != expected:
             raise IndexGap(expected, index)
-        if not (
-            isinstance(value, list)
-            and len(value) == 4
-            and all(isinstance(v, int) and not isinstance(v, bool) for v in value)
-        ):
-            raise InvalidBox(key, f"expected 4 integers, got {value!r}")
         try:
-            box = BBox.from_list(value)
+            box = BBox.from_wire(value, "box")
         except BoxError as exc:
             raise InvalidBox(key, str(exc)) from exc
         entries.append((key, box))
@@ -343,48 +331,8 @@ def plan_to_output(spec: SceneSpec, layout_plan: LayoutPlan) -> PlannerOutput:
 
 
 def spec_to_dict(spec: SceneSpec) -> dict:
-    return {
-        "entities": [
-            {
-                "id": e.id,
-                "phrase": e.phrase,
-                "category": e.category,
-                "attrs": dict(e.attributes),
-                "size": e.size,
-            }
-            for e in spec.entities
-        ],
-        "constraints": [constraints.constraint_to_dict(c) for c in spec.constraints],
-        "tail": spec.tail,
-    }
-
-
-def _entity_from_dict(e) -> EntitySpec:
-    e = _expect(e, "entity", Mapping, "an object")
-    return EntitySpec(
-        id=_str(e["id"], "id"),
-        phrase=_str(e["phrase"], "phrase"),
-        category=_str(e.get("category", ""), "category"),
-        attributes=dict(_expect(e.get("attrs", {}), "attrs", Mapping, "an object")),
-        size=e.get("size", "medium"),
-    )
+    return wire.write(spec)
 
 
 def spec_from_dict(d: Mapping) -> SceneSpec:
-    """Load a scene spec, rejecting records of the wrong type with
-    ConstraintError."""
-    d = _expect(d, "scene", Mapping, "an object")
-    entities = tuple(map(_entity_from_dict, _list(d.get("entities", []), "entities")))
-    cons = tuple(
-        constraints.constraint_from_dict(c) for c in _list(d.get("constraints", []), "constraints")
-    )
-    tail = d.get("tail")
-    spec = SceneSpec(entities=entities, constraints=cons,
-                     tail=None if tail is None else _str(tail, "tail"))
-    known = {e.id for e in entities}
-    for c in cons:
-        for eid in c.entity_ids():
-            if eid not in known:
-                raise constraints.UnknownEntityId(eid)
-    return spec
-
+    return wire.read(SceneSpec, d, "scene")

@@ -1,0 +1,129 @@
+"""One reader and one writer for every JSON record, built once per
+annotation from the type itself.
+
+`read(tp, value, name)` checks a decoded JSON value against `tp` and
+builds it, or raises InputError naming the field; `write(value)` is the
+JSON value that reads back as `value`. A float is an int or a finite
+float, and a bool is never a number. `X | None` allows null;
+`tuple[X, ...]` is a list, or an object when X is `tuple[str, Y]`;
+`Mapping[str, X]` is an object; `object` is any value. A dataclass is
+an object holding each field under its own name, in field order; a
+field with a default may be left out and other keys are ignored. A
+class that defines `from_wire(value, name)` and `to_wire(self)`
+itself, not by inheritance, has its own shape.
+"""
+
+from __future__ import annotations
+
+import dataclasses
+import functools
+import math
+import types
+import typing
+from collections.abc import Mapping
+
+
+class InputError(ValueError):
+    """A JSON input value whose type or shape its record does not allow."""
+
+
+def read(tp, value, name: str):
+    """`value`, a decoded JSON value, checked and built as a `tp`."""
+    return _codec(tp)[0](value, name)
+
+
+def write(value):
+    """The JSON value that reads back as `value`."""
+    return _codec(type(value))[1](value)
+
+
+def _expect(kinds, noun: str):
+    def read(value, name):
+        if isinstance(value, bool) or not isinstance(value, kinds):
+            raise InputError(f"{name} must be {noun}, got {value!r}")
+        return value
+
+    return read
+
+
+_str = _expect(str, "a string")
+_object = _expect((dict, Mapping), "an object")  # dict first: an ABC check is slow
+_list = _expect((list, tuple), "a list")
+_number = _expect((int, float), "a finite number")
+
+
+def _float(value, name: str) -> float:
+    try:
+        number = float(_number(value, name))
+    except OverflowError:
+        raise InputError(f"{name} is out of range for a number") from None
+    if not math.isfinite(number):
+        raise InputError(f"{name} must be a finite number, got {value!r}")
+    return number
+
+
+def _same(value):
+    return value
+
+
+_SCALARS = {str: _str, int: _expect(int, "an integer"), float: _float,
+            object: lambda value, name: value}
+
+
+@functools.cache
+def _codec(tp):
+    """(read, write) for the annotation tp."""
+    if isinstance(tp, type) and "from_wire" in vars(tp):
+        return tp.from_wire, tp.to_wire
+    if tp in _SCALARS:
+        return _SCALARS[tp], _same
+    if dataclasses.is_dataclass(tp):
+        return _record(tp)
+    origin, args = typing.get_origin(tp), typing.get_args(tp)
+    if isinstance(tp, types.UnionType) and len(args) == 2 and type(None) in args:
+        read_x, write_x = _codec(next(a for a in args if a is not type(None)))
+        return ((lambda value, name: None if value is None else read_x(value, name)),
+                write_x if write_x is _same else lambda v: None if v is None else write_x(v))
+    if origin is tuple and args[1:] == (Ellipsis,):
+        if typing.get_origin(args[0]) is tuple and typing.get_args(args[0])[0] is str:
+            read_pairs, write_pairs = _mapping(typing.get_args(args[0])[1])
+            return (lambda value, name: tuple(read_pairs(value, name).items())), write_pairs
+        read_x, write_x = _codec(args[0])
+        return ((lambda value, name: tuple([read_x(v, name) for v in _list(value, name)])),
+                list if write_x is _same else lambda value: [write_x(v) for v in value])
+    if origin is Mapping and args[0] is str:
+        read_map, write_pairs = _mapping(args[1])
+        return read_map, lambda value: write_pairs(value.items())
+    raise TypeError(f"no JSON form for {tp!r}")
+
+
+def _mapping(value_type):
+    """(read, write) for an object of value_type values: read gives a
+    dict, and write takes (key, value) pairs."""
+    read_x, write_x = _codec(value_type)
+
+    def read(value, name):
+        return {_str(k, name): read_x(v, f"{name} {k!r}") for k, v in _object(value, name).items()}
+
+    return read, dict if write_x is _same else lambda pairs: {k: write_x(v) for k, v in pairs}
+
+
+def _record(cls):
+    hints = typing.get_type_hints(cls)
+    plan = [
+        (f.name, *_codec(hints[f.name]),
+         f.default is dataclasses.MISSING and f.default_factory is dataclasses.MISSING)
+        for f in dataclasses.fields(cls)
+    ]
+
+    def read(value, name):
+        value = _object(value, name)
+        kwargs = {}
+        for key, read_field, _, required in plan:
+            if key in value:
+                kwargs[key] = read_field(value[key], key)
+            elif required:
+                raise InputError(f"missing field {key!r} in {name}")
+        return cls(**kwargs)
+
+    return read, lambda value: {key: w(getattr(value, key)) for key, _, w, _ in plan}

@@ -201,6 +201,7 @@ _BAD_RECORD = {**_RECORD, "entities": [{"phrase": ["cat"], "attrs": {}, "box": [
 MALFORMED_INPUTS = {
     "entity id list": ("plan", {"entities": [{"id": ["x"], "phrase": "cat"}]}),
     "entity attrs list": ("plan", {"entities": [{**_ENTITY, "attrs": [1]}]}),
+    "entity attrs value number": ("plan", {"entities": [{**_ENTITY, "attrs": {"n": 5}}]}),
     "entities string": ("plan", {"entities": "ab"}),
     "scene list": ("plan", [1, 2]),
     "check boxes list": ("check", {**SCENE, "boxes": [1, 2]}),
@@ -215,6 +216,14 @@ MALFORMED_INPUTS = {
     "record id list": ("encode", {**_RECORD, "id": [1]}),
     "record id integer": ("encode", {**_RECORD, "id": 7}),
     "scene tail number": ("plan", {**SCENE, "tail": 5}),
+    "scene self pair": ("plan", {**SCENE, "constraints": [{"kind": "left_of", "a": "a", "b": "a"}]}),
+    "record source number": ("encode", {**_RECORD, "source": 5}),
+    "record image list": ("encode", {**_RECORD, "image": [1]}),
+    "record attrs list value": ("encode", {**_RECORD, "entities": [
+        {"phrase": "cat", "attrs": {"category": ["x"]}, "box": [1, 2, 30, 40]}]}),
+    "record version true": ("encode", {**_RECORD, "v": True}),
+    "render iterations list": ("render", {"boxes": {"a": [0, 0, 9, 9]}, "iterations": [1]}),
+    "render iterations fraction": ("render", {"boxes": {"a": [0, 0, 9, 9]}, "iterations": 2.9}),
 }
 
 
@@ -328,6 +337,20 @@ class TestToy:
         code, out, _ = run(capsys, "toy", "gradcheck")
         assert code == 0
         assert json.loads(out)["max_relative_error"] <= 1e-4
+
+    def test_sample_rejects_a_checkpoint_header_without_its_shape(self, tmp_path):
+        instr_file = tmp_path / "instr.txt"
+        instr_file.write_text("a red box <|box|>400,400,600,600<|/box|>\n")
+        ckpt = tmp_path / "model.ckpt"
+        ckpt.write_bytes(b'{"m": 3, "width": 4}\n')
+        proc = scot_subprocess("toy", "sample", "--model", str(ckpt), "--instruction", str(instr_file))
+        assert (proc.returncode, proc.stdout) == (1, "")
+        assert proc.stderr.splitlines() == ["error: checkpoint d must be an integer, got None"]
+
+    def test_gradcheck_probes_every_parameter_of_a_tiny_model(self):
+        proc = scot_subprocess("toy", "gradcheck", "--m", "3", "--width", "1")
+        assert proc.returncode == 0, proc.stderr
+        assert json.loads(proc.stdout)["max_relative_error"] <= 1e-4
 
     def test_checkpoint_determinism(self, tmp_path, capsys):
         instr_file = tmp_path / "instr.txt"

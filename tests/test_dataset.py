@@ -116,8 +116,8 @@ class TestRecordToInstruction:
             id="x",
             caption="A wooden table with a severely rotten apple",
             entities=(
-                RecordEntity("table", {}, BBox(128, 120, 968, 920)),
-                RecordEntity("apple", {}, BBox(376, 336, 744, 696)),
+                RecordEntity("table", attrs={}, box=BBox(128, 120, 968, 920)),
+                RecordEntity("apple", attrs={}, box=BBox(376, 336, 744, 696)),
             ),
             source="t",
         )

@@ -3,16 +3,23 @@ the objective's zero set, and the entity-id contract incremental repair
 relies on (a kind's violations and moves touch only its entity_ids(),
 unless it watches_all). Also the codec round trip: whatever
 `interleave` or `substitute_placeholders` builds parses back from its
-serialized text; repair never raises the objective; and IoU is a
-symmetric similarity in [0, 1] that is 1 for a box with itself."""
+serialized text; repair never raises the objective; IoU is a
+symmetric similarity in [0, 1] that is 1 for a box with itself; scene
+specs and grounded records read back from what they write; and a JSON
+input with one field of the wrong type, or one field missing, fails
+with a ValueError and nothing else."""
 
 import json
 
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from scotkit import codec
-from scotkit.planner import EntitySpec, SceneSpec, repair
+from scotkit import codec, wire
+from scotkit.client import ClientConfig
+from scotkit.dataset import GroundedRecord, RecordEntity, record_from_dict, record_to_dict
+from scotkit.planner import (
+    SIZE_CLASSES, EntitySpec, SceneSpec, repair, spec_from_dict, spec_to_dict,
+)
 from scotkit.constraints import (
     KINDS,
     Above,
@@ -64,7 +71,9 @@ def grids(draw):
 
 
 def _pair(cls):
-    return st.builds(cls, ids, ids, tolerances)
+    """Two different ids, which every pair kind but Contains requires."""
+    distinct = st.lists(ids, min_size=2, max_size=2, unique=True)
+    return st.builds(lambda ab, tol: cls(*ab, tol), distinct, tolerances)
 
 
 KIND_STRATEGIES = {
@@ -72,7 +81,7 @@ KIND_STRATEGIES = {
     RightOf: _pair(RightOf),
     Above: _pair(Above),
     Below: _pair(Below),
-    Contains: _pair(Contains),
+    Contains: st.builds(Contains, ids, ids, tolerances),
     NonOverlap: _pair(NonOverlap),
     AdjacentTo: _pair(AdjacentTo),
     AlignedRow: st.builds(AlignedRow, groups, tolerances),
@@ -184,3 +193,128 @@ def test_substituted_output_round_trips(segments, pool):
     except codec.CodecError:
         return
     assert_round_trips(instr)
+
+
+# --- JSON records --------------------------------------------------------
+
+text = st.text(max_size=6)
+attrs = st.dictionaries(text, text, max_size=3)
+
+
+@st.composite
+def scenes(draw):
+    entities = tuple(
+        EntitySpec(eid, draw(text), draw(text), draw(attrs), draw(st.sampled_from(SIZE_CLASSES)))
+        for eid in IDS
+    )
+    return SceneSpec(entities, tuple(draw(st.lists(constraints, max_size=4))), draw(st.none() | text))
+
+
+records = st.builds(
+    GroundedRecord,
+    id=text,
+    image=st.none() | text,
+    caption=text,
+    entities=st.lists(st.builds(RecordEntity, text, attrs=attrs, box=boxes()), max_size=3).map(tuple),
+    source=text,
+)
+
+
+def through_json(doc):
+    return json.loads(json.dumps(doc))
+
+
+@PROPERTY
+@given(scenes())
+def test_scene_spec_reads_back_what_it_writes(spec):
+    assert wire.read(SceneSpec, through_json(wire.write(spec)), "scene") == spec
+    assert spec_from_dict(through_json(spec_to_dict(spec))) == spec
+
+
+@PROPERTY
+@given(records)
+def test_grounded_record_reads_back_what_it_writes(record):
+    assert wire.read(GroundedRecord, through_json(wire.write(record)), "record") == record
+
+
+_CELLS = Grid(2, 2, (("a", (0, 1)), ("b", (1, 0))), ((1, 1),))
+VALID_CONSTRAINTS = (
+    LeftOf("a", "b", 5.0), RightOf("b", "a"), Above("a", "c", 1.5), Below("c", "a"),
+    Contains("c", "a", 2.0), NonOverlap("a", "b", 0.5), AdjacentTo("a", "b", 4.0),
+    AlignedRow(("a", "b"), 3.0), AlignedCol(("a", "c")), CountEquals("cat", 2), _CELLS,
+)
+VALID_SCENE = spec_to_dict(SceneSpec(
+    (EntitySpec("a", "red cat", "cat", {"color": "red"}, "small"),
+     EntitySpec("b", "mat", "mat"),
+     EntitySpec("c", "room", "room", size="background")),
+    VALID_CONSTRAINTS,
+    "in a room",
+))
+VALID_RECORD = record_to_dict(GroundedRecord(
+    "r1",
+    "a red cat on a mat",
+    (RecordEntity("red cat", attrs={"category": "cat"}, box=BBox(1, 2, 30, 40)),
+     RecordEntity("mat", box=BBox(0, 30, 90, 60))),
+    "test",
+    image="img-1.png",
+))
+VALID_CONFIG = {
+    "base_url": "http://localhost:9", "model_name": "m", "api_key_env_var": "KEY",
+    "temperature": 0.2, "timeout": 5.0, "max_retries": 2, "max_in_flight": 4,
+}
+READERS = [
+    (spec_from_dict, VALID_SCENE),
+    (record_from_dict, VALID_RECORD),
+    (lambda doc: wire.read(ClientConfig, doc, "client config"), VALID_CONFIG),
+] + [(constraint_from_dict, constraint_to_dict(c)) for c in VALID_CONSTRAINTS]
+
+
+def _paths(doc, prefix=()):
+    """Every position in a JSON document: the root, each object key and
+    each list index, at any depth."""
+    yield prefix
+    items = doc.items() if isinstance(doc, dict) else enumerate(doc) if isinstance(doc, list) else ()
+    for key, value in items:
+        yield from _paths(value, prefix + (key,))
+
+
+POSITIONS = [(read, doc, path) for read, doc in READERS for path in _paths(doc)]
+# one JSON value of each type, and "drop" for leaving the field out
+REPLACEMENTS = (None, True, 7, 2.5, "x", [1], {"k": "v"}, "drop")
+
+
+def _at(doc, path):
+    for key in path:
+        doc = doc[key]
+    return doc
+
+
+def test_valid_inputs_read():
+    for read, doc in READERS:
+        read(through_json(doc))
+
+
+@settings(PROPERTY, max_examples=400)
+@given(st.sampled_from(POSITIONS), st.sampled_from(REPLACEMENTS))
+def test_wrong_type_or_missing_field_raises_only_a_value_error(position, replacement):
+    read, doc, path = position
+    doc = through_json(doc)
+    original = _at(doc, path)
+    if replacement == "drop":
+        assume(path and isinstance(path[-1], str))
+        del _at(doc, path[:-1])[path[-1]]
+    elif path:
+        _at(doc, path[:-1])[path[-1]] = replacement
+    else:
+        doc = replacement
+    # null may be allowed, an int is a number, and a dropped field may
+    # have a default; any other change of JSON type must be refused
+    must_fail = replacement not in (None, "drop") and original is not None and (
+        type(replacement) is not type(original)
+        and not (type(original) is float and type(replacement) is int)
+    )
+    try:
+        read(doc)
+    except ValueError:
+        return
+    assert not must_fail, f"{path} = {replacement!r} was accepted"

@@ -1,0 +1,85 @@
+"""Tests for the JSON record reader and writer, and for the module
+boundary that keeps each format rule in one place."""
+
+import ast
+from pathlib import Path
+from typing import Mapping
+
+import pytest
+
+import scotkit
+from scotkit import wire
+from scotkit.client import ClientConfig
+from scotkit.constraints import Cell, ConstraintError, Grid, constraint_from_dict
+from scotkit.geometry import BBox, BoxError
+from scotkit.planner import spec_from_dict
+
+SRC = Path(scotkit.__file__).parent
+
+
+@pytest.mark.parametrize("value", [float("nan"), float("inf"), True, "1.0", None])
+def test_float_is_a_finite_number_and_never_a_bool(value):
+    with pytest.raises(wire.InputError, match="temperature must be a finite number"):
+        wire.read(ClientConfig, {"base_url": "u", "model_name": "m", "temperature": value}, "config")
+
+
+def test_an_int_reads_as_a_float():
+    config = wire.read(ClientConfig, {"base_url": "u", "model_name": "m", "timeout": 3}, "config")
+    assert type(config.timeout) is float and config.timeout == 3.0
+
+
+def test_missing_field_is_named():
+    with pytest.raises(wire.InputError, match="missing field 'id' in entities"):
+        spec_from_dict({"entities": [{"phrase": "cat"}]})
+
+
+def test_a_mapping_value_is_named_by_its_key():
+    with pytest.raises(wire.InputError, match=r"attrs 'color' must be a string, got \['red'\]"):
+        spec_from_dict({"entities": [{"id": "a", "phrase": "cat", "attrs": {"color": ["red"]}}]})
+    with pytest.raises(BoxError, match="boxes 'b' must be a list, got 5"):
+        wire.read(Mapping[str, BBox], {"a": [0, 0, 1, 1], "b": 5}, "boxes")
+
+
+def test_keys_that_are_not_fields_are_ignored():
+    spec = spec_from_dict({"entities": [{"id": "a", "phrase": "cat", "note": 1}], "v": 9})
+    assert [e.id for e in spec.entities] == ["a"]
+
+
+def test_grid_pairs_are_an_object_and_cells_are_lists():
+    grid = Grid(2, 2, (("a", (0, 1)),), ((1, 1),))
+    doc = wire.write(grid)
+    assert doc == {"rows": 2, "cols": 2, "assignments": {"a": [0, 1]}, "empty_cells": [[1, 1]]}
+    back = wire.read(Grid, doc, "grid")
+    assert back == grid and back.assignments[0][1] == Cell(0, 1)
+
+
+def test_constraint_errors_stay_constraint_errors():
+    with pytest.raises(ConstraintError, match="margin must be a finite number"):
+        constraint_from_dict({"kind": "left_of", "a": "a", "b": "b", "margin": float("inf")})
+    with pytest.raises(ConstraintError, match="left_of needs two different ids"):
+        constraint_from_dict({"kind": "left_of", "a": "a", "b": "a"})
+
+
+def _private_sibling_imports(path: Path) -> list[str]:
+    """`from .x import _y` and `x._y` where x is a sibling module."""
+    tree = ast.parse(path.read_text(encoding="utf-8"))
+    siblings = {p.stem for p in SRC.glob("*.py")}
+    modules, found = set(), []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and (node.level or (node.module or "").startswith("scotkit")):
+            for alias in node.names:
+                if alias.name.startswith("_") and not alias.name.startswith("__"):
+                    found.append(f"{path.name}:{node.lineno} imports {alias.name}")
+                if alias.name in siblings:
+                    modules.add(alias.asname or alias.name)
+    for node in ast.walk(tree):
+        if (isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name)
+                and node.value.id in modules
+                and node.attr.startswith("_") and not node.attr.startswith("__")):
+            found.append(f"{path.name}:{node.lineno} reads {node.value.id}.{node.attr}")
+    return found
+
+
+def test_no_module_uses_a_private_name_of_a_sibling():
+    found = [f for path in sorted(SRC.glob("*.py")) for f in _private_sibling_imports(path)]
+    assert found == []
