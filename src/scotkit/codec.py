@@ -28,7 +28,7 @@ BOX_CLOSE = "<|/box|>"
 # The planner prompt's placeholder for object N (group 1 is N).
 PLACEHOLDER_RE = re.compile(r"<\|bbox_(\d+)\|>")
 
-_TRAILING_PUNCT = set('.,;:!?"')
+_TRAILING_PUNCT = '.,;:!?"'
 _BLOCK_RE = re.compile(r"<\|box\|>(.*?)<\|/box\|>", re.DOTALL)
 _PLACEHOLDER_PREFIX_RE = re.compile(r"<\|bbox_[^|>]*\|?>?")
 
@@ -168,12 +168,13 @@ def tokenize(text: str) -> list[str]:
     """Whitespace split with trailing punctuation peeled into own tokens."""
     out: list[str] = []
     for chunk in text.split():
-        tail: list[str] = []
-        while len(chunk) > 1 and chunk[-1] in _TRAILING_PUNCT:
-            tail.append(chunk[-1])
-            chunk = chunk[:-1]
-        out.append(chunk)
-        out.extend(reversed(tail))
+        if chunk[-1] not in _TRAILING_PUNCT:
+            out.append(chunk)
+            continue
+        # A chunk of punctuation only keeps its first character as the word.
+        word = chunk.rstrip(_TRAILING_PUNCT) or chunk[0]
+        out.append(word)
+        out.extend(chunk[len(word):])
     return out
 
 
@@ -203,6 +204,7 @@ def locate_spans(tokens: Sequence[str], phrases: Sequence[str]) -> list[tuple[in
     resolve to successive occurrences. Returned spans are pairwise
     disjoint, aligned with the input phrase order.
     """
+    tokens = list(tokens)
     claimed = [False] * len(tokens)
     spans: list[tuple[int, int]] = []
     for phrase in phrases:
@@ -210,19 +212,23 @@ def locate_spans(tokens: Sequence[str], phrases: Sequence[str]) -> list[tuple[in
         if not needle:
             raise PhraseNotFound(phrase)
         k = len(needle)
+        stop = max(0, len(tokens) - k + 1)  # clamped: a negative stop counts from the end
         found = None
         occurred = False
-        for i in range(len(tokens) - k + 1):
-            if list(tokens[i : i + k]) != needle:
-                continue
-            occurred = True
-            if not any(claimed[i : i + k]):
-                found = i
+        i = 0
+        while found is None:
+            try:
+                i = tokens.index(needle[0], i, stop)
+            except ValueError:
                 break
+            if tokens[i : i + k] == needle:
+                occurred = True
+                if not any(claimed[i : i + k]):
+                    found = i
+            i += 1
         if found is None:
             raise OverlappingSpans(phrase) if occurred else PhraseNotFound(phrase)
-        for j in range(found, found + k):
-            claimed[j] = True
+        claimed[found : found + k] = [True] * k
         spans.append((found + 1, found + k))
     return spans
 
@@ -307,7 +313,8 @@ def _parse_block_payload(payload: str) -> BBox:
     coords = []
     for part in parts:
         part = part.strip()
-        if not part or not (part.isdigit() or (part[0] == "-" and part[1:].isdigit())):
+        digits = part[1:] if part[:1] == "-" else part
+        if not (part.isascii() and digits.isdigit()):
             raise CoordOutOfRange(part)
         value = int(part)
         if not 0 <= value <= 1000:

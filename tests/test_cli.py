@@ -122,6 +122,14 @@ class TestEncodeDecode:
         code, _, err = run(capsys, "decode", str(bad))
         assert code == 1
 
+    def test_decode_rejects_non_ascii_digits(self, tmp_path):
+        bad = tmp_path / "bad.txt"
+        bad.write_text("a cat <|box|>١,٢,٣٠,٤٠<|/box|>\n", encoding="utf-8")
+        proc = scot_subprocess("decode", str(bad))
+        assert (proc.returncode, proc.stdout) == (1, "")
+        [line] = proc.stderr.splitlines()
+        assert line.startswith("error: ")
+
 
 class TestPlanCheckRepair:
     def test_plan(self, tmp_path, capsys):

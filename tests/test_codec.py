@@ -237,6 +237,13 @@ class TestParse:
         with pytest.raises(CoordOutOfRange):
             parse("cat <|box|>a,b,c,d<|/box|>")
 
+    @pytest.mark.parametrize("payload, bad", [("١,٢,٣٠,٤٠", "١"), ("²,2,30,40", "²")])
+    def test_coords_are_ascii_digits_only(self, payload, bad):
+        # Arabic-Indic digits would decode to [1,2,30,40] and not round-trip;
+        # a superscript two passes str.isdigit() but not int()
+        with pytest.raises(CoordOutOfRange, match=repr(bad)):
+            parse(f"a cat <|box|>{payload}<|/box|>")
+
 
 class TestSerialize:
     def test_empty(self):

@@ -4,10 +4,11 @@ relies on (a kind's violations and moves touch only its entity_ids(),
 unless it watches_all). Also the codec round trip: whatever
 `interleave` or `substitute_placeholders` builds parses back from its
 serialized text; repair never raises the objective; IoU is a
-symmetric similarity in [0, 1] that is 1 for a box with itself; scene
-specs and grounded records read back from what they write; and a JSON
-input with one field of the wrong type, or one field missing, fails
-with a ValueError and nothing else."""
+symmetric similarity in [0, 1] that is 1 for a box with itself;
+`tokenize` and `locate_spans` return what their loop versions return,
+or raise the same error; scene specs and grounded records read back
+from what they write; and a JSON input with one field of the wrong
+type, or one field missing, fails with a ValueError and nothing else."""
 
 import json
 
@@ -193,6 +194,91 @@ def test_substituted_output_round_trips(segments, pool):
     except codec.CodecError:
         return
     assert_round_trips(instr)
+
+
+# --- tokenize and locate_spans against their loop versions ---------------
+
+ORACLE_PUNCT = set('.,;:!?"')
+
+
+def oracle_tokenize(text: str) -> list[str]:
+    """codec.tokenize as it was written before the one-pass version."""
+    out: list[str] = []
+    for chunk in text.split():
+        tail: list[str] = []
+        while len(chunk) > 1 and chunk[-1] in ORACLE_PUNCT:
+            tail.append(chunk[-1])
+            chunk = chunk[:-1]
+        out.append(chunk)
+        out.extend(reversed(tail))
+    return out
+
+
+def oracle_locate_spans(tokens, phrases):
+    """codec.locate_spans as it was written before the index scan."""
+    claimed = [False] * len(tokens)
+    spans: list[tuple[int, int]] = []
+    for phrase in phrases:
+        needle = oracle_tokenize(phrase)
+        if not needle:
+            raise codec.PhraseNotFound(phrase)
+        k = len(needle)
+        found = None
+        occurred = False
+        for i in range(len(tokens) - k + 1):
+            if list(tokens[i : i + k]) != needle:
+                continue
+            occurred = True
+            if not any(claimed[i : i + k]):
+                found = i
+                break
+        if found is None:
+            raise codec.OverlappingSpans(phrase) if occurred else codec.PhraseNotFound(phrase)
+        for j in range(found, found + k):
+            claimed[j] = True
+        spans.append((found + 1, found + k))
+    return spans
+
+
+def outcome(call, *args):
+    """The value returned, or the class and message of the error raised."""
+    try:
+        return call(*args)
+    except Exception as exc:  # what is compared is the class and message
+        return type(exc), str(exc)
+
+
+# words, each trailing punctuation character, punctuation-only chunks and
+# words with punctuation before, inside and after them
+CHUNKS = (
+    "a", "cat", "mat", "red", ".", ",", ";", ":", "!", "?", '"', "...", '"!', "?!.",
+    "cat.", "mat,", '"stop!"', "a.b", "x;:",
+)
+chunk_lists = st.lists(st.sampled_from(CHUNKS), max_size=10)
+
+
+@settings(PROPERTY, max_examples=500)
+@given(chunk_lists, st.sampled_from([" ", "  ", "\t"]), st.booleans(), st.lists(
+    st.one_of(st.tuples(st.integers(0, 11), st.integers(0, 4)), chunk_lists), max_size=5,
+))
+def test_tokenize_and_locate_spans_match_their_loop_versions(chunks, sep, as_tuple, picks):
+    caption = sep.join(chunks)
+    tokens = codec.tokenize(caption)
+    assert tokens == oracle_tokenize(caption)
+    # a pick is a slice of the caption's tokens (repeats and overlaps,
+    # possibly empty or running off the end) or chunks of its own (often
+    # absent, sometimes longer than the caption)
+    phrases = [
+        " ".join(tokens[p[0] : p[0] + p[1]]) if isinstance(p, tuple) else " ".join(p)
+        for p in picks
+    ]
+    for phrase in phrases:
+        assert codec.tokenize(phrase) == oracle_tokenize(phrase)
+    if as_tuple:
+        tokens = tuple(tokens)
+    assert outcome(codec.locate_spans, tokens, phrases) == outcome(
+        oracle_locate_spans, tokens, phrases
+    )
 
 
 # --- JSON records --------------------------------------------------------

@@ -1,5 +1,6 @@
-"""Tests for the JSON record reader and writer, and for the module
-boundary that keeps each format rule in one place."""
+"""Tests for the JSON record reader and writer, for the module boundary
+that keeps each format rule in one place, and for runtime checks that
+`python -O` cannot strip."""
 
 import ast
 from pathlib import Path
@@ -82,4 +83,15 @@ def _private_sibling_imports(path: Path) -> list[str]:
 
 def test_no_module_uses_a_private_name_of_a_sibling():
     found = [f for path in sorted(SRC.glob("*.py")) for f in _private_sibling_imports(path)]
+    assert found == []
+
+
+def test_no_runtime_check_is_an_assert():
+    # `python -O` strips assert statements, so a check in src must raise
+    found = [
+        f"{path.name}:{node.lineno}"
+        for path in sorted(SRC.glob("*.py"))
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
+        if isinstance(node, ast.Assert)
+    ]
     assert found == []
