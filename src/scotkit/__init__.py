@@ -1,41 +1,3 @@
 """Spatial chain-of-thought toolkit: interleaved text-coordinate
 instructions, constraint-aware layout planning, layout-compliance
 metrics, and a desk-scale conditional flow-matching demo."""
-
-from .geometry import BBox, area, center, contains, iou, quantize
-from .codec import (
-    GroundedEntity,
-    InterleavedInstruction,
-    interleave,
-    locate_spans,
-    parse,
-    serialize,
-    substitute_placeholders,
-    tokenize,
-)
-from .planner import (
-    EntitySpec,
-    LayoutPlan,
-    PlannerOutput,
-    SceneSpec,
-    parse_planner_output,
-    plan,
-    plan_to_output,
-    propose_initial,
-    repair,
-    to_instruction,
-)
-from .client import ClientConfig, build_request, request_plan
-
-__version__ = "0.1.0"
-
-__all__ = [
-    "BBox", "area", "center", "contains", "iou", "quantize",
-    "GroundedEntity", "InterleavedInstruction", "interleave", "locate_spans",
-    "parse", "serialize", "substitute_placeholders", "tokenize",
-    "EntitySpec", "LayoutPlan", "PlannerOutput", "SceneSpec",
-    "parse_planner_output", "plan", "plan_to_output", "propose_initial",
-    "repair", "to_instruction",
-    "ClientConfig", "build_request", "request_plan",
-    "__version__",
-]

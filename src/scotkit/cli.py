@@ -41,8 +41,8 @@ def _read_boxes(doc: dict) -> dict[str, BBox]:
 
 
 def _load_scene(path: str) -> tuple[planner.SceneSpec, dict[str, BBox] | None]:
-    doc = _read_json(path)
-    spec = planner.spec_from_dict(doc)
+    doc = wire.read(Mapping[str, object], _read_json(path), "scene")
+    spec = planner.spec_from_dict({k: v for k, v in doc.items() if k != "boxes"})
     return spec, _read_boxes(doc) if "boxes" in doc else None
 
 
@@ -165,17 +165,16 @@ def cmd_eval(args) -> int:
 
 def cmd_render(args) -> int:
     doc = wire.read(Mapping[str, object], _read_json(args.input), "render input")
-    style = render.RenderStyle(canvas_size=args.canvas)
     if "objects" in doc:
         output = planner.parse_planner_output(json.dumps(doc))
-        svg = render.render_svg(output, style)
+        svg = render.render_svg(output, args.canvas)
     elif "boxes" in doc:
         lp = planner.LayoutPlan(
             boxes=_read_boxes(doc),
             iterations=wire.read(int, doc.get("iterations", 0), "iterations"),
             residual=(),
         )
-        svg = render.render_svg(lp, style)
+        svg = render.render_svg(lp, args.canvas)
     else:
         raise ValueError('render input needs "objects" or "boxes"')
     Path(args.output).write_text(svg, encoding="utf-8")
@@ -193,18 +192,6 @@ def cmd_dataset_synth(args) -> int:
 def cmd_dataset_stats(args) -> int:
     records = dataset.load_records(args.input)
     _print_json(dataset.stats(records).to_dict())
-    return EXIT_OK
-
-
-def cmd_dataset_convert(args) -> int:
-    records = dataset.load_records(args.input)
-    out_lines = [codec.serialize(dataset.record_to_instruction(r)) for r in records]
-    if args.output:
-        Path(args.output).write_text("\n".join(out_lines) + "\n", encoding="utf-8")
-        print(args.output)
-    else:
-        for line in out_lines:
-            print(line)
     return EXIT_OK
 
 
@@ -338,11 +325,6 @@ def build_parser() -> argparse.ArgumentParser:
     p = dsub.add_parser("stats", help="corpus statistics")
     p.add_argument("input")
     p.set_defaults(func=cmd_dataset_stats)
-
-    p = dsub.add_parser("convert", help="records -> instruction text lines")
-    p.add_argument("input")
-    p.add_argument("--output")
-    p.set_defaults(func=cmd_dataset_convert)
 
     pt = sub.add_parser("toy", help="flow-matching toy")
     tsub = pt.add_subparsers(dest="toy_command", required=True)

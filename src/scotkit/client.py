@@ -76,19 +76,16 @@ class ClientConfig:
 
 
 @functools.cache
-def load_system_prompt(verify: bool = True) -> str:
+def load_system_prompt() -> str:
     """The packaged system prompt, read and verified once per process."""
     text = (
         resources.files("scotkit.resources")
         .joinpath(SYSTEM_PROMPT_RESOURCE)
         .read_text(encoding="utf-8")
     )
-    if verify:
-        digest = hashlib.sha256(text.encode("utf-8")).hexdigest()
-        if digest != SYSTEM_PROMPT_SHA256:
-            raise ClientError(
-                f"system prompt resource drifted: sha256 {digest} != pinned"
-            )
+    digest = hashlib.sha256(text.encode("utf-8")).hexdigest()
+    if digest != SYSTEM_PROMPT_SHA256:
+        raise ClientError(f"system prompt resource drifted: sha256 {digest} != pinned")
     return text
 
 

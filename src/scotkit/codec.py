@@ -152,10 +152,6 @@ class InterleavedInstruction:
         return tuple(Token(kind, text, i) for i, (kind, text) in enumerate(pairs))
 
     @property
-    def caption_tokens(self) -> list[str]:
-        return list(self.words)
-
-    @property
     def caption(self) -> str:
         return detokenize(self.words)
 
@@ -190,7 +186,8 @@ def detokenize(tokens: Sequence[str]) -> str:
     return " ".join(parts)
 
 
-def _caption_words(segment: str) -> list[str]:
+def caption_words(segment: str) -> list[str]:
+    """tokenize(segment), raising UnbalancedBlock if it holds a block marker."""
     if BOX_OPEN in segment or BOX_CLOSE in segment:
         raise UnbalancedBlock(f"stray block marker near: {segment!r}")
     return tokenize(segment)
@@ -243,7 +240,7 @@ def interleave(
     order (strictly increasing span ends).
     """
     pairs = list(entities)
-    words = _caption_words(caption)
+    words = caption_words(caption)
     spans = locate_spans(words, [p for p, _ in pairs])
     grounded = [
         GroundedEntity(phrase=p, attributes={}, box=b, span=s)
@@ -294,13 +291,13 @@ def _bind_blocks(
     entities: list[GroundedEntity] = []
     cursor = 0
     for m in matches:
-        caption_tokens.extend(_caption_words(text[cursor : m.start()]))
+        caption_tokens.extend(caption_words(text[cursor : m.start()]))
         cursor = m.end()
         if not caption_tokens:
             raise orphan(m)
         pos = len(caption_tokens)
         entities.append(GroundedEntity(caption_tokens[-1], {}, box_for(m), (pos, pos)))
-    caption_tokens.extend(_caption_words(text[cursor:]))
+    caption_tokens.extend(caption_words(text[cursor:]))
     return InterleavedInstruction(tuple(caption_tokens), tuple(entities))
 
 

@@ -78,10 +78,11 @@ class Constraint:
         """The kind that the record's "kind" names, read from its fields;
         every input error is a ConstraintError."""
         try:
-            kind = wire.read(Mapping[str, object], value, name).get("kind")
+            record = wire.read(Mapping[str, object], value, name)
+            kind = record.pop("kind", None)
             if not (isinstance(kind, str) and kind in KINDS):
                 raise ConstraintError(f"unknown constraint kind {kind!r}")
-            return wire.read(KINDS[kind], value, name)
+            return wire.read(KINDS[kind], record, name)
         except ConstraintError:
             raise
         except wire.InputError as exc:
@@ -493,10 +494,6 @@ def check(layout: Layout, entities: Categories, cs: Sequence[Constraint]) -> lis
 def total_magnitude(layout: Layout, entities: Categories, cs: Sequence[Constraint]) -> float:
     """Scalar repair objective: the sum of violation magnitudes."""
     return sum(v.magnitude for v in check(layout, entities, cs))
-
-
-def constraint_to_dict(c: Constraint) -> dict:
-    return c.to_wire()
 
 
 def constraint_from_dict(d: Mapping) -> Constraint:

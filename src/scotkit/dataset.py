@@ -59,8 +59,8 @@ class GroundedRecord:
     def validate(self) -> None:
         if not self.caption:
             raise ValueError("caption must be non-empty")
-        tokens = codec.tokenize(self.caption)
-        codec.locate_spans(tokens, [e.phrase for e in self.entities])
+        words = codec.caption_words(self.caption)
+        codec.locate_spans(words, [e.phrase for e in self.entities])
 
 
 def record_to_dict(r: GroundedRecord) -> dict:
@@ -68,8 +68,9 @@ def record_to_dict(r: GroundedRecord) -> dict:
 
 
 def record_from_dict(d: Mapping) -> GroundedRecord:
-    record = wire.read(GroundedRecord, d, "record")
-    version = d.get("v")
+    fields = wire.read(Mapping[str, object], d, "record")
+    version = fields.pop("v", None)
+    record = wire.read(GroundedRecord, fields, "record")
     if isinstance(version, bool) or version != SCHEMA_VERSION:
         raise DatasetError(f"unsupported schema version {version!r}")
     record.validate()

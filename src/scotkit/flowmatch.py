@@ -37,8 +37,8 @@ def _as_vec(x) -> np.ndarray:
     return np.asarray(x, dtype=np.float64)
 
 
-def interpolate(x0, x1, t: float) -> np.ndarray:
-    """Linear path point x_t = (1 - t) x0 + t x1."""
+def interpolate(x0, x1, t: float | np.ndarray) -> np.ndarray:
+    """Linear path point x_t = (1 - t) x0 + t x1; an array t broadcasts against x0."""
     a, b = _as_vec(x0), _as_vec(x1)
     if a.shape != b.shape:
         raise DimensionMismatch(f"{a.shape} vs {b.shape}")
@@ -74,7 +74,7 @@ def embed_instruction(
     e = np.zeros(m, dtype=np.float64)
     # scales keep ||e|| well below the (x, t) input norms, so the
     # constant-per-condition channels never dominate first-layer inputs
-    for word in instruction.caption_tokens:
+    for word in instruction.words:
         rng = np.random.default_rng([seed, _token_seed(word)])
         e += 0.02 * rng.standard_normal(m)
     if instruction.entities:
@@ -179,8 +179,8 @@ def loss_and_grad_at(
     """Velocity-matching loss and exact gradient at given draws:
     mean over the batch of ||v(x_t, t, e) - (x1 - x0)||^2."""
     batch = x0.shape[0]
-    xt = (1.0 - t)[:, None] * x0 + t[:, None] * x1
-    u = x1 - x0
+    xt = interpolate(x0, x1, t[:, None])
+    u = target_velocity(x0, x1)
 
     z, h1, h2, out = model._activations(xt, t, e)
 
@@ -232,23 +232,6 @@ def gradient_check(m: int, width: int, seed: int) -> float:
         denom = max(abs(numeric), abs(flat_grad[idx]), 1e-8)
         worst = max(worst, abs(numeric - flat_grad[idx]) / denom)
     return worst
-
-
-def fm_loss_and_grad(
-    model: VelocityModel,
-    batch: Sequence[tuple[np.ndarray, np.ndarray]],
-    noise_seed: int,
-) -> tuple[float, dict[str, np.ndarray]]:
-    """Draw x1 ~ N(0, I) and t ~ U(0, 1) from the seeded generator, then
-    evaluate loss_and_grad_at. Deterministic in (model, batch, seed)."""
-    if not batch:
-        raise ValueError("batch must be non-empty")
-    x0 = np.stack([_as_vec(x) for x, _ in batch])
-    e = np.stack([_as_vec(c) for _, c in batch])
-    rng = np.random.default_rng(noise_seed)
-    x1 = rng.standard_normal(x0.shape)
-    t = rng.uniform(0.0, 1.0, size=x0.shape[0])
-    return loss_and_grad_at(model, x0, x1, t, e)
 
 
 # --- training ------------------------------------------------------------

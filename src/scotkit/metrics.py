@@ -59,16 +59,6 @@ class EvalReport:
     iou_threshold: float
     per_sample: tuple[SampleResult, ...]
 
-    def to_dict(self) -> dict:
-        return {
-            "mIoU": self.miou,
-            "SR": self.sr,
-            "I-SR": self.isr,
-            "iou_threshold": self.iou_threshold,
-            "samples": len(self.per_sample),
-            "instances": sum(len(s.matches) for s in self.per_sample),
-        }
-
 
 def greedy_match(pairs: Sequence[tuple[int, int, float]], n_refs: int) -> list[InstanceMatch]:
     """One-to-one matching: walk candidate (ref, pred, iou) pairs in

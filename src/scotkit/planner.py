@@ -330,9 +330,5 @@ def plan_to_output(spec: SceneSpec, layout_plan: LayoutPlan) -> PlannerOutput:
 # --- scene spec (de)serialization --------------------------------------
 
 
-def spec_to_dict(spec: SceneSpec) -> dict:
-    return wire.write(spec)
-
-
 def spec_from_dict(d: Mapping) -> SceneSpec:
     return wire.read(SceneSpec, d, "scene")

@@ -2,8 +2,6 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 from .planner import LayoutPlan, PlannerOutput
 
 _PALETTE = (
@@ -14,17 +12,9 @@ _STROKE_WIDTH = 3
 _LABEL_FONT_SIZE = 24
 
 
-@dataclass(frozen=True)
-class RenderStyle:
-    canvas_size: int = 1000
-
-    def color(self, index: int) -> str:
-        return _PALETTE[index % len(_PALETTE)]
-
-
-def render_svg(output: PlannerOutput | LayoutPlan, style: RenderStyle = RenderStyle()) -> str:
-    """One labelled rectangle per entity, drawn in object order;
-    byte-identical output for identical inputs."""
+def render_svg(output: PlannerOutput | LayoutPlan, canvas_size: int = 1000) -> str:
+    """One labelled rectangle per entity, drawn in object order on a
+    canvas_size-pixel square; byte-identical output for identical inputs."""
     if isinstance(output, PlannerOutput):
         items = list(output.objects)
     elif isinstance(output, LayoutPlan):
@@ -35,22 +25,16 @@ def render_svg(output: PlannerOutput | LayoutPlan, style: RenderStyle = RenderSt
     else:
         raise TypeError(f"cannot render {type(output).__name__}")
 
-    s = style.canvas_size / 1000
+    s = canvas_size / 1000
     lines = [
         '<?xml version="1.0" encoding="UTF-8"?>',
-        (
-            f'<svg xmlns="http://www.w3.org/2000/svg" '
-            f'width="{style.canvas_size}" height="{style.canvas_size}" '
-            f'viewBox="0 0 {style.canvas_size} {style.canvas_size}">'
-        ),
-        (
-            f'<rect x="0" y="0" width="{style.canvas_size}" '
-            f'height="{style.canvas_size}" fill="#ffffff" stroke="#000000" '
-            f'stroke-width="1"/>'
-        ),
+        f'<svg xmlns="http://www.w3.org/2000/svg" width="{canvas_size}" '
+        f'height="{canvas_size}" viewBox="0 0 {canvas_size} {canvas_size}">',
+        f'<rect x="0" y="0" width="{canvas_size}" height="{canvas_size}" '
+        f'fill="#ffffff" stroke="#000000" stroke-width="1"/>',
     ]
     for index, (label, box) in enumerate(items):
-        color = style.color(index)
+        color = _PALETTE[index % len(_PALETTE)]
         x = _fmt(box.xmin * s)
         y = _fmt(box.ymin * s)
         w = _fmt(box.width * s)

@@ -8,7 +8,7 @@ float, and a bool is never a number. `X | None` allows null;
 `tuple[X, ...]` is a list, or an object when X is `tuple[str, Y]`;
 `Mapping[str, X]` is an object; `object` is any value. A dataclass is
 an object holding each field under its own name, in field order; a
-field with a default may be left out and other keys are ignored. A
+field with a default may be left out, and any other key is an error. A
 class that defines `from_wire(value, name)` and `to_wire(self)`
 itself, not by inheritance, has its own shape.
 """
@@ -103,6 +103,8 @@ def _mapping(value_type):
     read_x, write_x = _codec(value_type)
 
     def read(value, name):
+        if value_type is object:  # any value, and a JSON object's keys are strings
+            return dict(_object(value, name))
         return {_str(k, name): read_x(v, f"{name} {k!r}") for k, v in _object(value, name).items()}
 
     return read, dict if write_x is _same else lambda pairs: {k: write_x(v) for k, v in pairs}
@@ -124,6 +126,9 @@ def _record(cls):
                 kwargs[key] = read_field(value[key], key)
             elif required:
                 raise InputError(f"missing field {key!r} in {name}")
+        if len(kwargs) < len(value):
+            unknown = next(key for key in value if key not in kwargs)
+            raise InputError(f"unknown field {unknown!r} in {name}")
         return cls(**kwargs)
 
     return read, lambda value: {key: w(getattr(value, key)) for key, _, w, _ in plan}

@@ -1,5 +1,6 @@
 """End-to-end CLI tests (in-process main() invocations)."""
 
+import argparse
 import json
 import os
 import subprocess
@@ -9,7 +10,7 @@ from pathlib import Path
 import pytest
 
 import scotkit
-from scotkit.cli import main
+from scotkit.cli import build_parser, main
 from scotkit.dataset import load_records, save_records, synth_generate
 
 
@@ -55,14 +56,15 @@ def scot_subprocess(*argv: str) -> subprocess.CompletedProcess:
 
 
 # Runs each step in one interpreter and prints, per step, the heavy
-# libraries loaded so far (and a non-zero exit code).
+# libraries loaded so far (and a non-zero exit code); `import scotkit`
+# also lists the scotkit modules it loaded.
 _IMPORT_PROBE = """
 import json, sys
 def loaded(code=0):
     return [m for m in ("numpy", "requests") if m in sys.modules] + ([code] if code else [])
 report = {}
 import scotkit
-report["import scotkit"] = loaded()
+report["import scotkit"] = loaded() + sorted(m for m in sys.modules if m.startswith("scotkit."))
 from scotkit import cli
 report["import scotkit.cli"] = loaded()
 for label, argv in json.loads(sys.argv[1]):
@@ -92,6 +94,29 @@ def test_commands_other_than_toy_and_mllm_load_neither_numpy_nor_requests(tmp_pa
     report = json.loads(proc.stdout.splitlines()[-1])
     expected = ["import scotkit", "import scotkit.cli"] + [label for label, _ in steps]
     assert report == {label: [] for label in expected}
+
+
+def _command_paths(parser: argparse.ArgumentParser, prefix: tuple[str, ...] = ()):
+    """Every runnable command under parser, as its words after `scot`."""
+    for action in parser._actions:
+        if isinstance(action, argparse._SubParsersAction):
+            for name, sub in action.choices.items():
+                yield from _command_paths(sub, prefix + (name,))
+            return
+    yield prefix
+
+
+def test_readme_command_block_lists_every_command_and_no_other():
+    commands = set(_command_paths(build_parser()))
+    groups = {path[0] for path in commands if len(path) > 1}
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+    block = readme.split("## Command line", 1)[1].split("```bash", 1)[1].split("```", 1)[0]
+    listed = set()
+    for line in block.splitlines():
+        words = line.split()
+        if words[:1] == ["scot"]:
+            listed.add(tuple(words[1:3] if words[1] in groups else words[1:2]))
+    assert listed == commands
 
 
 class TestEncodeDecode:
@@ -232,6 +257,12 @@ MALFORMED_INPUTS = {
     "record version true": ("encode", {**_RECORD, "v": True}),
     "render iterations list": ("render", {"boxes": {"a": [0, 0, 9, 9]}, "iterations": [1]}),
     "render iterations fraction": ("render", {"boxes": {"a": [0, 0, 9, 9]}, "iterations": 2.9}),
+    "scene misspelt key": ("plan", {"entities": SCENE["entities"], "constraint": SCENE["constraints"]}),
+    "constraint misspelt key": ("plan", {**SCENE, "constraints": [
+        {"kind": "left_of", "a": "a", "b": "b", "margn": 5}]}),
+    "config misspelt key": ("mllm", {"base_url": "http://localhost:9", "max_retry": 0}),
+    "record misspelt key": ("encode", {**_RECORD, "images": None}),
+    "record caption block marker": ("encode", {**_RECORD, "caption": "a <|box|> cat"}),
 }
 
 
@@ -294,7 +325,7 @@ class TestRender:
 
 
 class TestDataset:
-    def test_synth_stats_convert(self, tmp_path, capsys):
+    def test_synth_stats_encode(self, tmp_path, capsys):
         out_file = tmp_path / "synth.jsonl"
         code, _, _ = run(
             capsys, "dataset", "synth", "--seed", "1", "--n", "20",
@@ -306,7 +337,7 @@ class TestDataset:
         doc = json.loads(out)
         assert doc["count"] == 20
 
-        code, out, _ = run(capsys, "dataset", "convert", str(out_file))
+        code, out, _ = run(capsys, "encode", str(out_file))
         assert code == 0
         assert len(out.strip().splitlines()) == 20
 

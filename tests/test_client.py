@@ -21,7 +21,6 @@ from scotkit.client import (
     MissingApiKey,
     TransportError,
     build_request,
-    load_system_prompt,
     request_plan,
 )
 from scotkit.geometry import BBox
@@ -154,9 +153,8 @@ class TestBuildRequest:
                 build_request("a cat on a mat")
         assert len(prompt_reads) == 2
 
-    def test_prompt_digest_pinned(self):
-        text = load_system_prompt(verify=False)
-        assert hashlib.sha256(text.encode("utf-8")).hexdigest() == SYSTEM_PROMPT_SHA256
+    def test_prompt_digest_pinned(self, system_prompt):
+        assert hashlib.sha256(system_prompt.encode("utf-8")).hexdigest() == SYSTEM_PROMPT_SHA256
 
 
 class TestRequestPlan:

@@ -142,7 +142,7 @@ class TestInterleave:
                 instr = interleave(caption, entities)
             except OverlappingSpans:
                 continue
-            assert instr.caption_tokens == tokenize(caption)
+            assert list(instr.words) == tokenize(caption)
 
 
 class TestSubstitutePlaceholders:
@@ -153,7 +153,7 @@ class TestSubstitutePlaceholders:
         )
         assert [e.phrase for e in instr.entities] == ["marketplace", "stalls"]
         assert [e.span for e in instr.entities] == [(3, 3), (5, 5)]
-        assert instr.caption_tokens == tokenize("A vibrant marketplace with stalls selling goods.")
+        assert list(instr.words) == tokenize("A vibrant marketplace with stalls selling goods.")
 
     def test_single_object(self):
         instr = substitute_placeholders(
@@ -271,7 +271,7 @@ class TestRoundTrip:
             assert [e.span[1] for e in recovered.entities] == [
                 e.span[1] for e in instr.entities
             ]
-            assert recovered.caption_tokens == instr.caption_tokens
+            assert recovered.words == instr.words
 
     def test_block_token_kinds(self):
         instr = interleave("a cat", [("cat", BBox(1, 2, 3, 4))])

@@ -23,7 +23,6 @@ from scotkit.constraints import (
     UnknownEntityId,
     check,
     constraint_from_dict,
-    constraint_to_dict,
     total_magnitude,
 )
 from scotkit.geometry import BBox
@@ -319,7 +318,7 @@ class TestValidation:
     def test_from_dict_reads_integer_tolerance_as_float(self):
         con = constraint_from_dict({"kind": "left_of", "a": "a", "b": "b", "margin": 0})
         assert con == LeftOf("a", "b") and type(con.margin) is float
-        assert repr(constraint_to_dict(con)["margin"]) == "0.0"
+        assert repr(con.to_wire()["margin"]) == "0.0"
 
 
 class TestSerialization:
@@ -338,7 +337,7 @@ class TestSerialization:
             Grid(2, 3, (("a", (0, 1)),), ((1, 2),)),
         ]
         for con in cons:
-            assert constraint_from_dict(constraint_to_dict(con)) == con
+            assert constraint_from_dict(con.to_wire()) == con
 
     def test_unknown_kind(self):
         with pytest.raises(ConstraintError):

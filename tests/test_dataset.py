@@ -65,6 +65,17 @@ class TestIO:
             load_records(path)
         assert exc.value.line == 1
 
+    def test_block_marker_in_caption_reports_line(self, tmp_path):
+        good = make_record(1)
+        bad = GroundedRecord(id="r2", caption="a <|box|> apple",
+                             entities=(RecordEntity("apple", box=BBox(0, 0, 10, 10)),))
+        path = tmp_path / "marker.jsonl"
+        save_records(path, [good, bad])
+        with pytest.raises(InvalidRecord, match=r"^line 2: stray block marker") as exc:
+            load_records(path)
+        assert exc.value.line == 2
+        assert isinstance(exc.value.__cause__, codec.UnbalancedBlock)
+
     def test_unlocatable_phrase_rejected(self, tmp_path):
         doc = {
             "v": 1, "id": "a", "image": None,

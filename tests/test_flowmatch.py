@@ -13,7 +13,6 @@ from scotkit.flowmatch import (
     VelocityModel,
     box_union_sampler,
     embed_instruction,
-    fm_loss_and_grad,
     in_box_fraction,
     interpolate,
     load_checkpoint,
@@ -98,14 +97,13 @@ class TestLossAndGrad:
         model = randomized_model()
         instr = single_box_instruction()
         e = embed_instruction(instr, m=5)
-        batch = [(np.array([0.5, 0.5]), e), (np.array([0.48, 0.52]), e)]
-        loss_once, _ = fm_loss_and_grad(model, batch, noise_seed=8)
-        # duplicating the batch with the same per-element draws keeps the mean
-        x0 = np.stack([b[0] for b in batch])
-        es = np.stack([b[1] for b in batch])
+        x0 = np.array([[0.5, 0.5], [0.48, 0.52]])
+        es = np.stack([e, e])
         rng = np.random.default_rng(8)
         x1 = rng.standard_normal(x0.shape)
         t = rng.uniform(0.0, 1.0, size=2)
+        loss_once, _ = loss_and_grad_at(model, x0, x1, t, es)
+        # duplicating the batch with the same per-element draws keeps the mean
         loss_dup, _ = loss_and_grad_at(
             model,
             np.concatenate([x0, x0]),
@@ -114,10 +112,6 @@ class TestLossAndGrad:
             np.concatenate([es, es]),
         )
         assert loss_dup == pytest.approx(loss_once, rel=1e-12)
-
-    def test_empty_batch_rejected(self):
-        with pytest.raises(ValueError):
-            fm_loss_and_grad(randomized_model(), [], noise_seed=0)
 
     @pytest.mark.parametrize("d,m,width", [(2, 5, 8), (2, 16, 12), (3, 4, 6)])
     def test_gradient_matches_finite_differences(self, d, m, width):

@@ -34,7 +34,6 @@ from scotkit.constraints import (
     LeftOf,
     NonOverlap,
     RightOf,
-    constraint_to_dict,
 )
 from scotkit.dataset import record_to_instruction, save_records, synth_generate
 from scotkit.geometry import BBox
@@ -218,7 +217,7 @@ WIRE_GOLDEN = {
 
 @pytest.mark.parametrize("name", sorted(WIRE_GOLDEN))
 def test_constraint_wire_records_match_pinned_digest(name):
-    records = [constraint_to_dict(c) for c in WIRE_CONSTRAINTS[name]]
+    records = [c.to_wire() for c in WIRE_CONSTRAINTS[name]]
     assert _sha(records) == WIRE_GOLDEN[name]
 
 

@@ -5,7 +5,7 @@ import json
 
 import pytest
 
-from scotkit import codec
+from scotkit import codec, wire
 from scotkit.constraints import Grid, LeftOf, NonOverlap, check
 from scotkit.geometry import BBox
 from scotkit.planner import (
@@ -25,7 +25,6 @@ from scotkit.planner import (
     propose_initial,
     repair,
     spec_from_dict,
-    spec_to_dict,
     to_instruction,
 )
 
@@ -262,7 +261,7 @@ class TestPlanToOutput:
 class TestSpecSerialization:
     def test_round_trip(self):
         spec = synth_satisfiable_spec(3)
-        assert spec_from_dict(spec_to_dict(spec)) == spec
+        assert spec_from_dict(wire.write(spec)) == spec
 
     def test_unknown_constraint_id_rejected(self):
         doc = {

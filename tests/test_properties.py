@@ -19,7 +19,7 @@ from scotkit import codec, wire
 from scotkit.client import ClientConfig
 from scotkit.dataset import GroundedRecord, RecordEntity, record_from_dict, record_to_dict
 from scotkit.planner import (
-    SIZE_CLASSES, EntitySpec, SceneSpec, repair, spec_from_dict, spec_to_dict,
+    SIZE_CLASSES, EntitySpec, SceneSpec, repair, spec_from_dict,
 )
 from scotkit.constraints import (
     KINDS,
@@ -36,7 +36,6 @@ from scotkit.constraints import (
     RightOf,
     check,
     constraint_from_dict,
-    constraint_to_dict,
     total_magnitude,
 )
 from scotkit.geometry import BBox, iou
@@ -102,7 +101,7 @@ def test_every_registered_kind_has_a_strategy():
 @PROPERTY
 @given(constraints)
 def test_wire_round_trip(c):
-    assert constraint_from_dict(json.loads(json.dumps(constraint_to_dict(c)))) == c
+    assert constraint_from_dict(json.loads(json.dumps(c.to_wire()))) == c
 
 
 @PROPERTY
@@ -314,7 +313,7 @@ def through_json(doc):
 @given(scenes())
 def test_scene_spec_reads_back_what_it_writes(spec):
     assert wire.read(SceneSpec, through_json(wire.write(spec)), "scene") == spec
-    assert spec_from_dict(through_json(spec_to_dict(spec))) == spec
+    assert spec_from_dict(through_json(wire.write(spec))) == spec
 
 
 @PROPERTY
@@ -329,7 +328,7 @@ VALID_CONSTRAINTS = (
     Contains("c", "a", 2.0), NonOverlap("a", "b", 0.5), AdjacentTo("a", "b", 4.0),
     AlignedRow(("a", "b"), 3.0), AlignedCol(("a", "c")), CountEquals("cat", 2), _CELLS,
 )
-VALID_SCENE = spec_to_dict(SceneSpec(
+VALID_SCENE = wire.write(SceneSpec(
     (EntitySpec("a", "red cat", "cat", {"color": "red"}, "small"),
      EntitySpec("b", "mat", "mat"),
      EntitySpec("c", "room", "room", size="background")),
@@ -352,7 +351,7 @@ READERS = [
     (spec_from_dict, VALID_SCENE),
     (record_from_dict, VALID_RECORD),
     (lambda doc: wire.read(ClientConfig, doc, "client config"), VALID_CONFIG),
-] + [(constraint_from_dict, constraint_to_dict(c)) for c in VALID_CONSTRAINTS]
+] + [(constraint_from_dict, c.to_wire()) for c in VALID_CONSTRAINTS]
 
 
 def _paths(doc, prefix=()):

@@ -4,7 +4,7 @@ import pytest
 
 from scotkit.geometry import BBox
 from scotkit.planner import LayoutPlan, PlannerOutput, parse_planner_output
-from scotkit.render import RenderStyle, render_svg
+from scotkit.render import render_svg
 
 
 class TestRenderSvg:
@@ -37,7 +37,7 @@ class TestRenderSvg:
 
     def test_canvas_scaling(self):
         lp = LayoutPlan(boxes={"a": BBox(0, 0, 500, 500)}, iterations=0, residual=())
-        svg = render_svg(lp, RenderStyle(canvas_size=500))
+        svg = render_svg(lp, canvas_size=500)
         assert 'width="500" height="500"' in svg
         assert '<rect x="0" y="0" width="250" height="250"' in svg
 

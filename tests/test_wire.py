@@ -41,9 +41,13 @@ def test_a_mapping_value_is_named_by_its_key():
         wire.read(Mapping[str, BBox], {"a": [0, 0, 1, 1], "b": 5}, "boxes")
 
 
-def test_keys_that_are_not_fields_are_ignored():
-    spec = spec_from_dict({"entities": [{"id": "a", "phrase": "cat", "note": 1}], "v": 9})
-    assert [e.id for e in spec.entities] == ["a"]
+def test_keys_that_are_not_fields_are_rejected():
+    with pytest.raises(wire.InputError, match="unknown field 'constraint' in scene"):
+        spec_from_dict({"entities": [], "constraint": []})
+    with pytest.raises(wire.InputError, match="unknown field 'note' in entities"):
+        spec_from_dict({"entities": [{"id": "a", "phrase": "cat", "note": 1}]})
+    with pytest.raises(ConstraintError, match="unknown field 'margn' in constraint record"):
+        constraint_from_dict({"kind": "left_of", "a": "a", "b": "b", "margn": 1})
 
 
 def test_grid_pairs_are_an_object_and_cells_are_lists():
