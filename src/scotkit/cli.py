@@ -2,6 +2,9 @@
 
 Machine-readable output goes to stdout, diagnostics to stderr. Exit
 codes: 0 success, 1 validation failure, 2 I/O or transport failure.
+
+Each command imports the scotkit modules it runs, so that a call loads
+no module its command does not use (`scot --help` loads none).
 """
 
 from __future__ import annotations
@@ -10,11 +13,12 @@ import argparse
 import json
 import sys
 from pathlib import Path
-from typing import Mapping
+from typing import TYPE_CHECKING, Mapping
 
-from . import codec, constraints, dataset, metrics, planner, render, wire
-from .client import ClientConfig, ClientError, TransportError, request_plan
-from .geometry import BBox
+if TYPE_CHECKING:
+    from . import codec, planner
+    from .client import ClientConfig
+    from .geometry import BBox
 
 EXIT_OK = 0
 EXIT_VALIDATION = 1
@@ -32,21 +36,28 @@ def _read_json(path: str) -> dict:
 
 
 def _print_json(doc) -> None:
-    print(json.dumps(doc, ensure_ascii=False, indent=2))
+    print(json.dumps(doc, ensure_ascii=False, indent=2, allow_nan=False))
 
 
 def _read_boxes(doc: dict) -> dict[str, BBox]:
     """The document's "boxes" map of entity id to box literal."""
+    from . import wire
+    from .geometry import BBox
+
     return wire.read(Mapping[str, BBox], doc["boxes"], "boxes")
 
 
 def _load_scene(path: str) -> tuple[planner.SceneSpec, dict[str, BBox] | None]:
+    from . import planner, wire
+
     doc = wire.read(Mapping[str, object], _read_json(path), "scene")
     spec = planner.spec_from_dict({k: v for k, v in doc.items() if k != "boxes"})
     return spec, _read_boxes(doc) if "boxes" in doc else None
 
 
 def cmd_encode(args) -> int:
+    from . import codec, dataset
+
     records = dataset.load_records(args.input)
     for record in records:
         print(codec.serialize(dataset.record_to_instruction(record)))
@@ -54,6 +65,8 @@ def cmd_encode(args) -> int:
 
 
 def cmd_decode(args) -> int:
+    from . import codec, dataset
+
     lines = [ln for ln in _read_text(args.input).splitlines() if ln.strip()]
     for i, line in enumerate(lines, start=1):
         caption, entities = codec.parse(line)
@@ -74,10 +87,14 @@ def cmd_decode(args) -> int:
 def cmd_plan(args) -> int:
     spec, _ = _load_scene(args.spec)
     if args.mllm:
+        from .client import request_plan
+
         config = _client_config(args)
         prompt = args.prompt or _spec_prompt(spec)
         output = request_plan(config, prompt)
     else:
+        from . import planner
+
         result = planner.plan(spec, seed=args.seed, max_iters=args.max_iters)
         output = planner.plan_to_output(spec, result)
         if result.residual:
@@ -99,6 +116,9 @@ def _client_config(args) -> ClientConfig:
     """ClientConfig from the --config file, each key read by the type of
     its field; the file wins over --base-url and --model, and keys it
     does not set take the field defaults."""
+    from . import wire
+    from .client import ClientConfig
+
     doc = {}
     if args.config:
         doc = wire.read(Mapping[str, object], _read_json(args.config), "client config")
@@ -110,6 +130,8 @@ def _client_config(args) -> ClientConfig:
 
 
 def cmd_check(args) -> int:
+    from . import constraints, wire
+
     spec, boxes = _load_scene(args.scene)
     if boxes is None:
         raise ValueError('check needs a "boxes" map in the scene file')
@@ -124,6 +146,8 @@ def cmd_check(args) -> int:
 
 
 def cmd_repair(args) -> int:
+    from . import planner
+
     spec, boxes = _load_scene(args.scene)
     if boxes is None:
         raise ValueError('repair needs a "boxes" map in the scene file')
@@ -139,6 +163,8 @@ def cmd_repair(args) -> int:
 
 
 def cmd_eval(args) -> int:
+    from . import dataset, metrics
+
     refs = dataset.load_records(args.refs)
     preds = dataset.load_records(args.preds)
     pred_by_id = {r.id: r for r in preds}
@@ -164,6 +190,8 @@ def cmd_eval(args) -> int:
 
 
 def cmd_render(args) -> int:
+    from . import planner, render, wire
+
     doc = wire.read(Mapping[str, object], _read_json(args.input), "render input")
     if "objects" in doc:
         output = planner.parse_planner_output(json.dumps(doc))
@@ -183,6 +211,8 @@ def cmd_render(args) -> int:
 
 
 def cmd_dataset_synth(args) -> int:
+    from . import dataset
+
     records = dataset.synth_generate(args.seed, args.n, args.max_entities)
     dataset.save_records(args.output, records)
     print(args.output)
@@ -190,17 +220,17 @@ def cmd_dataset_synth(args) -> int:
 
 
 def cmd_dataset_stats(args) -> int:
+    from . import dataset
+
     records = dataset.load_records(args.input)
     _print_json(dataset.stats(records).to_dict())
     return EXIT_OK
 
 
 def _instruction_from_file(path: str) -> codec.InterleavedInstruction:
+    from . import codec
+
     return codec.parse_instruction(_read_text(path).strip())
-
-
-# The toy commands import flowmatch, and with it numpy, themselves, so
-# that no other command pays for loading numpy.
 
 
 def cmd_toy_train(args) -> int:
@@ -362,17 +392,16 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
+    # OSError first: a client TransportError is both an OSError and a
+    # ValueError, and a transport fault exits 2
     try:
         return args.func(args)
-    except TransportError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_IO
-    except (ClientError, ValueError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_VALIDATION
     except OSError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_IO
+    except ValueError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return EXIT_VALIDATION
 
 
 if __name__ == "__main__":

@@ -5,15 +5,21 @@ PlannerOutput.
 The system prompt ships as a package resource and is integrity-checked
 against a pinned digest so silent edits cannot drift the planner
 contract. Invalid model output triggers a bounded retry loop that feeds
-the validator's error message back to the model.
+the validator's error message back to the model. Requests go through
+the standard library's `urllib`, which reads proxies from
+HTTP(S)_PROXY / NO_PROXY and verifies TLS against the system store.
 """
 
 from __future__ import annotations
 
 import functools
 import hashlib
+import http.client
+import json
 import os
 import threading
+import urllib.error
+import urllib.request
 from dataclasses import dataclass
 from importlib import resources
 
@@ -26,7 +32,7 @@ _PROMPT_OPENING = "You are a Layout-to-Image Generation Spatial Planning Expert.
 _PROMPT_CLOSING = "Below is the input text:"
 
 
-class ClientError(Exception):
+class ClientError(ValueError):
     pass
 
 
@@ -40,7 +46,10 @@ class MissingApiKey(ClientError):
         self.env_var = env_var
 
 
-class TransportError(ClientError):
+class TransportError(ClientError, OSError):
+    """The endpoint could not be reached or did not answer with a
+    completion; an OSError, so the CLI exits 2 for it."""
+
     def __init__(self, detail: str, status: int | None = None):
         super().__init__(f"transport failure ({status}): {detail}" if status else detail)
         self.status = status
@@ -129,28 +138,41 @@ _GATE = _InFlightGate()
 
 
 def _post_chat(config: ClientConfig, api_key: str, messages: list[dict[str, str]]) -> str:
-    import requests  # only a request pays for it
-
     url = config.base_url.rstrip("/") + "/chat/completions"
+    if not url.lower().startswith(("http://", "https://")):
+        raise TransportError(f"base_url is not an http(s) URL: {config.base_url!r}")
     body = {
         "model": config.model_name,
         "messages": messages,
         "temperature": config.temperature,
     }
-    headers = {"Authorization": f"Bearer {api_key}"}
+    request = urllib.request.Request(
+        url,
+        data=json.dumps(body).encode("utf-8"),
+        headers={"Content-Type": "application/json", "Authorization": f"Bearer {api_key}"},
+        method="POST",
+    )
     _GATE.acquire(config.max_in_flight)
     try:
-        response = requests.post(url, json=body, headers=headers, timeout=config.timeout)
-    except requests.RequestException as exc:
-        raise TransportError(str(exc)) from exc
+        try:
+            response = urllib.request.urlopen(request, timeout=config.timeout)
+        except urllib.error.HTTPError as exc:
+            response = exc  # an error status still carries a body
+        with response:
+            status, payload = response.status, response.read()
+    except (OSError, http.client.HTTPException) as exc:
+        raise TransportError(f"POST {url}: {getattr(exc, 'reason', exc)}") from exc
     finally:
         _GATE.release()
-    if response.status_code != 200:
-        raise TransportError(response.text[:500], status=response.status_code)
+    if status != 200:
+        raise TransportError(payload.decode("utf-8", "replace")[:500], status=status)
     try:
-        return response.json()["choices"][0]["message"]["content"]
+        content = json.loads(payload)["choices"][0]["message"]["content"]
     except (KeyError, IndexError, TypeError, ValueError) as exc:
         raise TransportError(f"malformed completion payload: {exc}") from exc
+    if not isinstance(content, str):
+        raise TransportError(f"malformed completion payload: content is {type(content).__name__}")
+    return content
 
 
 def request_plan(config: ClientConfig, user_prompt: str) -> PlannerOutput:

@@ -102,9 +102,12 @@ def evaluate(
 ) -> EvalReport:
     """Aggregate SR / I-SR / mIoU over the corpus, as percentages with
     two decimals. A corpus without any reference instance scores 100.00
-    vacuously (so SR <= I-SR always holds)."""
+    vacuously (so SR <= I-SR always holds). The threshold lies in (0, 1]:
+    at 0 an unmatched reference would count as a success."""
     if not samples:
         raise EmptyCorpus("evaluate needs at least one sample")
+    if not 0 < iou_threshold <= 1:
+        raise MetricsError(f"iou_threshold must be in (0, 1], got {iou_threshold}")
     per_sample = []
     total_instances = 0
     total_successful = 0

@@ -15,6 +15,8 @@ _LABEL_FONT_SIZE = 24
 def render_svg(output: PlannerOutput | LayoutPlan, canvas_size: int = 1000) -> str:
     """One labelled rectangle per entity, drawn in object order on a
     canvas_size-pixel square; byte-identical output for identical inputs."""
+    if canvas_size < 1:
+        raise ValueError(f"canvas_size must be >= 1, got {canvas_size}")
     if isinstance(output, PlannerOutput):
         items = list(output.objects)
     elif isinstance(output, LayoutPlan):

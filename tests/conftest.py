@@ -1,7 +1,12 @@
-"""Shared fixtures: golden planner examples and satisfiable spec synthesis."""
+"""Shared fixtures: golden planner examples, a mock chat-completion
+endpoint and satisfiable spec synthesis."""
 
+import json
 import random
 import re
+import threading
+import time
+from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 from importlib import resources
 
 import pytest
@@ -40,6 +45,80 @@ def golden_examples(system_prompt) -> list[str]:
     blocks = [f"```json\n{m}\n```" for m in _OUTPUT_BLOCK_RE.findall(system_prompt)]
     assert len(blocks) == 7
     return blocks
+
+
+class MockState:
+    def __init__(self):
+        self.lock = threading.Lock()
+        self.requests: list[dict] = []
+        self.headers: list[dict] = []
+        self.payload: bytes | None = None  # a 200 body sent as is, in place of a reply
+        self.replies: list[str] = []
+        self.active = 0
+        self.max_active = 0
+        self.delay = 0.0
+        self.status = 200
+
+    def next_reply(self) -> str:
+        with self.lock:
+            if len(self.replies) > 1:
+                return self.replies.pop(0)
+            return self.replies[0]
+
+
+class MockHandler(BaseHTTPRequestHandler):
+    state: MockState = None
+
+    def do_POST(self):
+        st = self.state
+        with st.lock:
+            st.active += 1
+            st.max_active = max(st.max_active, st.active)
+        try:
+            if st.delay:
+                time.sleep(st.delay)
+            length = int(self.headers["Content-Length"])
+            body = json.loads(self.rfile.read(length))
+            with st.lock:
+                st.requests.append(body)
+                st.headers.append(dict(self.headers))
+        finally:
+            # leave the count before replying: the client frees its gate
+            # slot on receipt and may send its next request at once
+            with st.lock:
+                st.active -= 1
+        if self.path != "/v1/chat/completions":
+            self.send_error(404)
+            return
+        if st.status != 200:
+            self.send_response(st.status)
+            self.end_headers()
+            self.wfile.write(b"boom")
+            return
+        payload = st.payload or json.dumps(
+            {"choices": [{"message": {"content": st.next_reply()}}]}
+        ).encode()
+        self.send_response(200)
+        self.send_header("Content-Type", "application/json")
+        self.send_header("Content-Length", str(len(payload)))
+        self.end_headers()
+        self.wfile.write(payload)
+
+    def log_message(self, *args):
+        pass
+
+
+@pytest.fixture()
+def mock_endpoint():
+    state = MockState()
+    handler = type("Handler", (MockHandler,), {"state": state})
+    server = ThreadingHTTPServer(("127.0.0.1", 0), handler)
+    thread = threading.Thread(target=server.serve_forever, daemon=True)
+    thread.start()
+    base_url = f"http://127.0.0.1:{server.server_address[1]}/v1"
+    yield base_url, state
+    server.shutdown()
+    server.server_close()
 
 
 NOUNS = [

@@ -3,6 +3,7 @@
 import argparse
 import json
 import os
+import socket
 import subprocess
 import sys
 from pathlib import Path
@@ -55,45 +56,117 @@ def scot_subprocess(*argv: str) -> subprocess.CompletedProcess:
     return python_subprocess("-m", "scotkit.cli", *argv)
 
 
-# Runs each step in one interpreter and prints, per step, the heavy
-# libraries loaded so far (and a non-zero exit code); `import scotkit`
-# also lists the scotkit modules it loaded.
+# Runs one `scot` command (or, for a null argv, `import scotkit`) and
+# prints its exit code and the scotkit and watched modules it loaded.
 _IMPORT_PROBE = """
 import json, sys
-def loaded(code=0):
-    return [m for m in ("numpy", "requests") if m in sys.modules] + ([code] if code else [])
-report = {}
-import scotkit
-report["import scotkit"] = loaded() + sorted(m for m in sys.modules if m.startswith("scotkit."))
-from scotkit import cli
-report["import scotkit.cli"] = loaded()
-for label, argv in json.loads(sys.argv[1]):
-    report[label] = loaded(cli.main(argv))
-print(json.dumps(report))
+argv = json.loads(sys.argv[1])
+code = 0
+if argv is None:
+    import scotkit
+else:
+    from scotkit import cli
+    try:
+        code = cli.main(argv)
+    except SystemExit as exc:  # --help
+        code = exc.code
+watched = ("numpy", "requests", "urllib.request")
+print(json.dumps([code, sorted(m for m in sys.modules if m.startswith("scotkit.") or m in watched)]))
 """
 
+_CODEC = ["scotkit.cli", "scotkit.codec", "scotkit.geometry", "scotkit.wire"]
+_DATA = _CODEC + ["scotkit.dataset"]
+_PLAN = _CODEC + ["scotkit.constraints", "scotkit.planner"]
+_TOY = _CODEC + ["numpy", "scotkit.flowmatch"]
+# what each command loads: no command loads requests, and only
+# `plan --mllm` loads the client and urllib
+COMMAND_MODULES = {
+    "import scotkit": [],
+    "--help": ["scotkit.cli"],
+    "dataset synth": _DATA,
+    "dataset stats": _DATA,
+    "encode": _DATA,
+    "decode": _DATA,
+    "eval": _DATA + ["scotkit.metrics"],
+    "plan": _PLAN,
+    "check": _PLAN,
+    "repair": _PLAN,
+    "render": _PLAN + ["scotkit.render"],
+    "plan --mllm": _PLAN + ["scotkit.client", "scotkit.resources", "urllib.request"],
+    "toy train": _TOY,
+    "toy sample": _TOY,
+    "toy gradcheck": _TOY,
+}
 
-def test_commands_other_than_toy_and_mllm_load_neither_numpy_nor_requests(tmp_path):
+
+def test_each_command_loads_only_the_modules_it_runs(tmp_path, mock_endpoint, golden_examples,
+                                                     monkeypatch):
+    base_url, state = mock_endpoint
+    state.replies = [golden_examples[0]]
+    monkeypatch.setenv("SCOT_API_KEY", "test-key")
     scene, corpus = tmp_path / "scene.json", tmp_path / "corpus.jsonl"
     scene.write_text(json.dumps({**SCENE, "boxes": {"a": [0, 0, 90, 90], "b": [50, 0, 300, 90]}}))
-    instr = tmp_path / "instr.txt"
+    instr, ckpt = tmp_path / "instr.txt", tmp_path / "model.ckpt"
     instr.write_text("a red box <|box|>400,400,600,600<|/box|>\n")
-    steps = [
-        ("dataset synth", ["dataset", "synth", "--n", "3", "--output", str(corpus)]),
-        ("dataset stats", ["dataset", "stats", str(corpus)]),
-        ("encode", ["encode", str(corpus)]),
-        ("decode", ["decode", str(instr)]),
-        ("eval", ["eval", "--refs", str(corpus), "--preds", str(corpus)]),
-        ("plan", ["plan", str(scene), "--max-iters", "5"]),
-        ("check", ["check", str(scene)]),
-        ("repair", ["repair", str(scene), "--max-iters", "5"]),
-        ("render", ["render", str(scene), str(tmp_path / "out.svg")]),
-    ]
-    proc = python_subprocess("-c", _IMPORT_PROBE, json.dumps(steps))
-    assert proc.returncode == 0, proc.stderr
-    report = json.loads(proc.stdout.splitlines()[-1])
-    expected = ["import scotkit", "import scotkit.cli"] + [label for label, _ in steps]
-    assert report == {label: [] for label in expected}
+    steps = {
+        "import scotkit": None,
+        "--help": ["--help"],
+        "dataset synth": ["dataset", "synth", "--n", "3", "--output", str(corpus)],
+        "dataset stats": ["dataset", "stats", str(corpus)],
+        "encode": ["encode", str(corpus)],
+        "decode": ["decode", str(instr)],
+        "eval": ["eval", "--refs", str(corpus), "--preds", str(corpus)],
+        "plan": ["plan", str(scene), "--max-iters", "5"],
+        "check": ["check", str(scene)],
+        "repair": ["repair", str(scene), "--max-iters", "5"],
+        "render": ["render", str(scene), str(tmp_path / "out.svg")],
+        "plan --mllm": ["plan", str(scene), "--mllm", "--base-url", base_url, "--model", "mock"],
+        "toy train": ["toy", "train", "--instruction", str(instr), "--output", str(ckpt),
+                      "--steps", "2", "--batch-size", "4"],
+        "toy sample": ["toy", "sample", "--model", str(ckpt), "--instruction", str(instr),
+                       "--n", "4", "--n-steps", "2"],
+        "toy gradcheck": ["toy", "gradcheck", "--m", "3", "--width", "1"],
+    }
+    report = {}
+    for label, argv in steps.items():
+        proc = python_subprocess("-c", _IMPORT_PROBE, json.dumps(argv))
+        assert proc.returncode == 0, proc.stderr
+        report[label] = json.loads(proc.stdout.splitlines()[-1])
+    assert report == {label: [0, sorted(mods)] for label, mods in COMMAND_MODULES.items()}
+
+
+def _closed_port_url() -> str:
+    with socket.socket() as sock:
+        sock.bind(("127.0.0.1", 0))
+        port = sock.getsockname()[1]
+    return f"http://127.0.0.1:{port}/v1"
+
+
+@pytest.mark.parametrize("case, code, posts", [
+    ("closed port", 2, 0),
+    ("status 503", 2, 1),
+    ("invalid output", 1, 1),
+    ("no api key", 1, 0),
+])
+def test_plan_mllm_exit_codes(case, code, posts, tmp_path, mock_endpoint, monkeypatch):
+    base_url, state = mock_endpoint
+    state.replies = ["not a plan"]
+    monkeypatch.setenv("SCOT_API_KEY", "test-key")
+    config = {"base_url": base_url, "model_name": "mock", "timeout": 10, "max_retries": 0}
+    if case == "closed port":
+        config["base_url"] = _closed_port_url()
+    elif case == "status 503":
+        state.status = 503
+    elif case == "no api key":
+        monkeypatch.delenv("SCOT_API_KEY")
+    scene, config_file = tmp_path / "scene.json", tmp_path / "config.json"
+    scene.write_text(json.dumps(SCENE))
+    config_file.write_text(json.dumps(config))
+    proc = scot_subprocess("plan", str(scene), "--mllm", "--config", str(config_file))
+    assert (proc.returncode, proc.stdout) == (code, "")
+    [line] = proc.stderr.splitlines()
+    assert line.startswith("error: ")
+    assert len(state.requests) == posts
 
 
 def _command_paths(parser: argparse.ArgumentParser, prefix: tuple[str, ...] = ()):
@@ -286,6 +359,44 @@ def test_malformed_json_input_exits_1_with_one_error_line(case, tmp_path):
     assert "Traceback" not in proc.stderr
     [line] = proc.stderr.splitlines()
     assert line.startswith("error: line 2: " if command == "encode" else "error: ")
+
+
+# (argv after `scot`, with {scene}, {corpus}, {instr} and {out} filled in)
+# that name a value outside the option's domain: exit 1, nothing on stdout
+REJECTED_OPTION_VALUES = {
+    "eval threshold 0": ["eval", "--refs", "{corpus}", "--preds", "{corpus}", "--iou-threshold", "0"],
+    "eval threshold -1": ["eval", "--refs", "{corpus}", "--preds", "{corpus}", "--iou-threshold", "-1"],
+    "eval threshold nan": ["eval", "--refs", "{corpus}", "--preds", "{corpus}", "--iou-threshold", "nan"],
+    "eval threshold 1.5": ["eval", "--refs", "{corpus}", "--preds", "{corpus}", "--iou-threshold", "1.5"],
+    "toy batch size 0": ["toy", "train", "--instruction", "{instr}", "--output", "{out}",
+                         "--steps", "3", "--batch-size", "0"],
+    "toy learning rate nan": ["toy", "train", "--instruction", "{instr}", "--output", "{out}",
+                              "--steps", "3", "--learning-rate", "nan"],
+    "render canvas 0": ["render", "{scene}", "{out}", "--canvas", "0"],
+    "render canvas -10": ["render", "{scene}", "{out}", "--canvas", "-10"],
+}
+
+
+@pytest.mark.parametrize("case", sorted(REJECTED_OPTION_VALUES))
+def test_option_value_outside_its_domain_exits_1_and_writes_nothing(case, tmp_path, corpus, capsys):
+    scene, instr, out = tmp_path / "scene.json", tmp_path / "instr.txt", tmp_path / "out"
+    scene.write_text(json.dumps({"boxes": {"a": [0, 0, 90, 90]}}))
+    instr.write_text("a red box <|box|>400,400,600,600<|/box|>\n")
+    paths = {"scene": scene, "corpus": corpus, "instr": instr, "out": out}
+    code, stdout, stderr = run(capsys, *(arg.format(**paths) for arg in REJECTED_OPTION_VALUES[case]))
+    assert (code, stdout) == (1, "")
+    [line] = stderr.splitlines()
+    assert line.startswith("error: ")
+    assert not out.exists()
+
+
+def test_json_output_never_holds_nan(monkeypatch, capsys):
+    from scotkit import flowmatch
+
+    monkeypatch.setattr(flowmatch, "gradient_check", lambda **kw: float("nan"))
+    code, stdout, stderr = run(capsys, "toy", "gradcheck")
+    assert (code, stdout) == (1, "")
+    assert stderr.startswith("error: Out of range float values")
 
 
 class TestEval:

@@ -1,11 +1,8 @@
-"""Client tests against a local mock chat-completion endpoint."""
+"""Client tests against a local mock chat-completion endpoint
+(`mock_endpoint` in conftest)."""
 
 import hashlib
-import json
-import threading
-import time
 from concurrent.futures import ThreadPoolExecutor
-from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 from types import SimpleNamespace
 
 import pytest
@@ -24,77 +21,6 @@ from scotkit.client import (
     request_plan,
 )
 from scotkit.geometry import BBox
-
-
-class MockState:
-    def __init__(self):
-        self.lock = threading.Lock()
-        self.requests: list[dict] = []
-        self.replies: list[str] = []
-        self.active = 0
-        self.max_active = 0
-        self.delay = 0.0
-        self.status = 200
-
-    def next_reply(self) -> str:
-        with self.lock:
-            if len(self.replies) > 1:
-                return self.replies.pop(0)
-            return self.replies[0]
-
-
-class MockHandler(BaseHTTPRequestHandler):
-    state: MockState = None
-
-    def do_POST(self):
-        st = self.state
-        with st.lock:
-            st.active += 1
-            st.max_active = max(st.max_active, st.active)
-        try:
-            if st.delay:
-                time.sleep(st.delay)
-            length = int(self.headers["Content-Length"])
-            body = json.loads(self.rfile.read(length))
-            with st.lock:
-                st.requests.append(body)
-        finally:
-            # leave the count before replying: the client frees its gate
-            # slot on receipt and may send its next request at once
-            with st.lock:
-                st.active -= 1
-        if self.path != "/v1/chat/completions":
-            self.send_error(404)
-            return
-        if st.status != 200:
-            self.send_response(st.status)
-            self.end_headers()
-            self.wfile.write(b"boom")
-            return
-        payload = json.dumps(
-            {"choices": [{"message": {"content": st.next_reply()}}]}
-        ).encode()
-        self.send_response(200)
-        self.send_header("Content-Type", "application/json")
-        self.send_header("Content-Length", str(len(payload)))
-        self.end_headers()
-        self.wfile.write(payload)
-
-    def log_message(self, *args):
-        pass
-
-
-@pytest.fixture()
-def mock_endpoint():
-    state = MockState()
-    handler = type("Handler", (MockHandler,), {"state": state})
-    server = ThreadingHTTPServer(("127.0.0.1", 0), handler)
-    thread = threading.Thread(target=server.serve_forever, daemon=True)
-    thread.start()
-    base_url = f"http://127.0.0.1:{server.server_address[1]}/v1"
-    yield base_url, state
-    server.shutdown()
-    server.server_close()
 
 
 @pytest.fixture()
@@ -212,6 +138,38 @@ class TestRequestPlan:
         with pytest.raises(TransportError) as exc:
             request_plan(config, "anything")
         assert exc.value.status == 500
+
+    def test_transport_error_carries_the_error_body_and_is_an_os_error(self, config, mock_endpoint):
+        _, state = mock_endpoint
+        state.status = 503
+        with pytest.raises(TransportError) as exc:
+            request_plan(config, "anything")
+        assert (exc.value.status, exc.value.detail) == (503, "boom")
+        assert isinstance(exc.value, OSError) and isinstance(exc.value, ValueError)
+
+    def test_request_is_json_with_the_bearer_key(self, config, mock_endpoint, golden_examples):
+        _, state = mock_endpoint
+        state.replies = [golden_examples[0]]
+        request_plan(config, "a marketplace")
+        [headers] = state.headers
+        assert headers["Content-Type"] == "application/json"
+        assert headers["Authorization"] == "Bearer test-key"
+
+    @pytest.mark.parametrize("payload", [
+        b"not json", b"[]", b'{"choices": []}', b'{"choices": [{"message": {"content": 5}}]}',
+    ])
+    def test_malformed_completion_payload(self, config, mock_endpoint, payload):
+        _, state = mock_endpoint
+        state.payload = payload
+        with pytest.raises(TransportError, match="malformed completion payload"):
+            request_plan(config, "anything")
+
+    def test_unreachable_endpoint(self, monkeypatch):
+        monkeypatch.setenv("SCOT_API_KEY", "test-key")
+        for base_url in ("http://127.0.0.1:1/v1", "ftp://127.0.0.1/v1"):
+            cfg = ClientConfig(base_url=base_url, model_name="mock", timeout=5)
+            with pytest.raises(TransportError):
+                request_plan(cfg, "anything")
 
     def test_in_flight_cap(self, config, mock_endpoint, golden_examples):
         _, state = mock_endpoint

@@ -167,6 +167,16 @@ class TestTrain:
         with pytest.raises(ValueError):
             TrainConfig(steps=0)
 
+    @pytest.mark.parametrize("batch_size", [0, -1])
+    def test_batch_size_validation(self, batch_size):
+        with pytest.raises(ValueError, match="batch_size"):
+            TrainConfig(batch_size=batch_size)
+
+    @pytest.mark.parametrize("learning_rate", [0.0, -0.1, float("nan"), float("inf")])
+    def test_learning_rate_validation(self, learning_rate):
+        with pytest.raises(ValueError, match="learning_rate"):
+            TrainConfig(learning_rate=learning_rate)
+
 
 class TestSample:
     def test_zero_field_returns_initial_noise(self):

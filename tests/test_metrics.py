@@ -8,6 +8,7 @@ from scotkit.geometry import BBox, iou
 from scotkit.metrics import (
     EmptyCorpus,
     EvalSample,
+    MetricsError,
     evaluate,
     greedy_match,
     match_instances,
@@ -109,6 +110,19 @@ class TestEvaluate:
     def test_empty_corpus(self):
         with pytest.raises(EmptyCorpus):
             evaluate([])
+
+    @pytest.mark.parametrize("threshold", [0.0, -1.0, float("nan"), 1.5, float("inf")])
+    def test_threshold_outside_unit_interval_rejected(self, threshold):
+        # at 0 an unmatched reference (IoU 0) would count as a success
+        refs = [("cat", FULL)]
+        with pytest.raises(MetricsError, match="iou_threshold"):
+            evaluate([sample("a", refs, [])], iou_threshold=threshold)
+
+    def test_threshold_one_needs_exact_boxes(self):
+        refs = [("cat", FULL)]
+        report = evaluate([sample("a", refs, refs), sample("b", refs, [("cat", frac_box(0.6))])],
+                          iou_threshold=1.0)
+        assert (report.sr, report.isr) == (50.0, 50.0)
 
     def test_invariants_on_random_corpora(self):
         # SR <= I-SR is guaranteed when every sample in a corpus carries

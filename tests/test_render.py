@@ -48,6 +48,12 @@ class TestRenderSvg:
         svg = render_svg(out)
         assert "&lt;b&gt;" in svg and "&amp;" in svg
 
+    @pytest.mark.parametrize("canvas_size", [0, -10])
+    def test_canvas_below_one_pixel_rejected(self, canvas_size):
+        lp = LayoutPlan(boxes={"a": BBox(0, 0, 500, 500)}, iterations=0, residual=())
+        with pytest.raises(ValueError, match="canvas_size"):
+            render_svg(lp, canvas_size=canvas_size)
+
     def test_unrenderable_type(self):
         with pytest.raises(TypeError):
             render_svg({"boxes": {}})

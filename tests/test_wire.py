@@ -1,8 +1,10 @@
 """Tests for the JSON record reader and writer, for the module boundary
-that keeps each format rule in one place, and for runtime checks that
-`python -O` cannot strip."""
+that keeps each format rule in one place, for runtime checks that
+`python -O` cannot strip, and for the declared dependencies."""
 
 import ast
+import re
+import sys
 from pathlib import Path
 from typing import Mapping
 
@@ -99,3 +101,24 @@ def test_no_runtime_check_is_an_assert():
         if isinstance(node, ast.Assert)
     ]
     assert found == []
+
+
+def _third_party_imports(path: Path) -> set[str]:
+    """Top-level names of the non-stdlib modules path imports, at module
+    level or inside a function."""
+    names = set()
+    for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+        if isinstance(node, ast.Import):
+            names.update(alias.name.split(".")[0] for alias in node.names)
+        elif isinstance(node, ast.ImportFrom) and not node.level:
+            names.add(node.module.split(".")[0])
+    return names - set(sys.stdlib_module_names)
+
+
+def test_every_imported_package_is_a_declared_dependency_and_no_other():
+    tomllib = pytest.importorskip("tomllib")
+    pyproject = tomllib.loads((SRC.parents[1] / "pyproject.toml").read_text(encoding="utf-8"))
+    declared = {re.match(r"[A-Za-z0-9_.-]+", req).group().lower().replace("-", "_")
+                for req in pyproject["project"]["dependencies"]}
+    imported = set().union(*(_third_party_imports(path) for path in SRC.glob("*.py")))
+    assert imported == declared
