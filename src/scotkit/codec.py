@@ -21,7 +21,7 @@ from dataclasses import dataclass
 from enum import Enum
 from typing import Callable, Iterable, Mapping, Sequence
 
-from .geometry import BBox
+from .geometry import CANVAS, BBox
 
 BOX_OPEN = "<|box|>"
 BOX_CLOSE = "<|/box|>"
@@ -73,7 +73,7 @@ class UnbalancedBlock(CodecError):
 
 class CoordOutOfRange(CodecError):
     def __init__(self, value: str):
-        super().__init__(f"coordinate out of [0, 1000]: {value!r}")
+        super().__init__(f"coordinate out of [0, {CANVAS}]: {value!r}")
         self.value = value
 
 
@@ -314,7 +314,7 @@ def _parse_block_payload(payload: str) -> BBox:
         if not (part.isascii() and digits.isdigit()):
             raise CoordOutOfRange(part)
         value = int(part)
-        if not 0 <= value <= 1000:
+        if not 0 <= value <= CANVAS:
             raise CoordOutOfRange(part)
         coords.append(value)
     return BBox.from_list(coords)

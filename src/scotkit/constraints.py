@@ -21,7 +21,7 @@ from dataclasses import dataclass, field, fields
 from typing import ClassVar, Mapping, NamedTuple, Sequence
 
 from . import wire
-from .geometry import BBox, area, center, intersection_area, place
+from .geometry import CANVAS, BBox, area, center, intersection_area, place
 
 Layout = Mapping[str, BBox]
 Categories = Mapping[str, str]
@@ -411,8 +411,8 @@ class Grid(Constraint):
         return bool(self.empty_cells)
 
     def cell_rect(self, row: int, col: int) -> tuple[float, float, float, float]:
-        w = 1000 / self.cols
-        h = 1000 / self.rows
+        w = CANVAS / self.cols
+        h = CANVAS / self.rows
         return (col * w, row * h, (col + 1) * w, (row + 1) * h)
 
     def entity_ids(self) -> tuple[str, ...]:
@@ -495,7 +495,3 @@ def total_magnitude(layout: Layout, entities: Categories, cs: Sequence[Constrain
     """Scalar repair objective: the sum of violation magnitudes."""
     return sum(v.magnitude for v in check(layout, entities, cs))
 
-
-def constraint_from_dict(d: Mapping) -> Constraint:
-    """Load one wire record, rejecting fields of the wrong type."""
-    return Constraint.from_wire(d, "constraint record")

@@ -20,7 +20,7 @@ from pathlib import Path
 from typing import Iterable, Mapping, Sequence
 
 from . import codec, wire
-from .geometry import BBox
+from .geometry import CANVAS, BBox
 
 SCHEMA_VERSION = 1
 
@@ -131,8 +131,8 @@ def synth_generate(seed: int, n: int, max_entities: int = 12) -> list[GroundedRe
             phrase = f"{adj} {noun}"
             w = rng.randint(60, 400)
             h = rng.randint(60, 400)
-            x1 = rng.randint(0, 1000 - w)
-            y1 = rng.randint(0, 1000 - h)
+            x1 = rng.randint(0, CANVAS - w)
+            y1 = rng.randint(0, CANVAS - h)
             entities.append(
                 RecordEntity(
                     phrase=phrase,

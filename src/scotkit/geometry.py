@@ -91,52 +91,9 @@ def iou(a: BBox, b: BBox) -> float:
     return inter / union
 
 
-def contains(outer: BBox, inner: BBox, margin: int = 0) -> bool:
-    """True iff ``inner`` fits inside ``outer`` dilated by ``margin``."""
-    if margin < 0:
-        raise ValueError("margin must be >= 0")
-    return (
-        outer.xmin - margin <= inner.xmin
-        and inner.xmax <= outer.xmax + margin
-        and outer.ymin - margin <= inner.ymin
-        and inner.ymax <= outer.ymax + margin
-    )
-
-
 def center(b: BBox) -> tuple[float, float]:
     """Box center (cx, cy); halves are exact in binary floating point."""
     return ((b.xmin + b.xmax) / 2, (b.ymin + b.ymax) / 2)
-
-
-def _round_half_away(x: float) -> int:
-    if x >= 0:
-        return math.floor(x + 0.5)
-    return math.ceil(x - 0.5)
-
-
-def quantize(nx: float, ny: float, nx2: float, ny2: float) -> BBox:
-    """Map normalized [0,1] corners onto the integer canvas.
-
-    Each coordinate is rounded half away from zero to the 1000-unit grid
-    and clamped into [0, 1000]. A degenerate axis (min >= max after
-    rounding) is repaired by widening it to one unit.
-    """
-
-    def snap(v: float) -> int:
-        return min(CANVAS, max(0, _round_half_away(v * CANVAS)))
-
-    xmin, ymin, xmax, ymax = snap(nx), snap(ny), snap(nx2), snap(ny2)
-    if xmin >= xmax:
-        if xmin < CANVAS:
-            xmax = xmin + 1
-        else:
-            xmin, xmax = CANVAS - 1, CANVAS
-    if ymin >= ymax:
-        if ymin < CANVAS:
-            ymax = ymin + 1
-        else:
-            ymin, ymax = CANVAS - 1, CANVAS
-    return BBox(xmin, ymin, xmax, ymax)
 
 
 def place(cx: float, cy: float, w: float, h: float) -> BBox:

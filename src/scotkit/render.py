@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+from .geometry import CANVAS
 from .planner import LayoutPlan, PlannerOutput
 
 _PALETTE = (
@@ -27,7 +28,7 @@ def render_svg(output: PlannerOutput | LayoutPlan, canvas_size: int = 1000) -> s
     else:
         raise TypeError(f"cannot render {type(output).__name__}")
 
-    s = canvas_size / 1000
+    s = canvas_size / CANVAS
     lines = [
         '<?xml version="1.0" encoding="UTF-8"?>',
         f'<svg xmlns="http://www.w3.org/2000/svg" width="{canvas_size}" '

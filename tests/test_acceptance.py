@@ -8,10 +8,8 @@ the whole suite stays well inside its time budget.
 
 import json
 import random
-import threading
 import time
 from concurrent.futures import ThreadPoolExecutor
-from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 
 import numpy as np
 import pytest
@@ -289,89 +287,37 @@ class TestCriterion7FlowMatching:
 # --- criterion 8: client against a local mock ----------------------------
 
 
-class _State:
-    def __init__(self):
-        self.lock = threading.Lock()
-        self.replies = []
-        self.count = 0
-        self.active = 0
-        self.max_active = 0
-        self.delay = 0.0
-
-
-class _Handler(BaseHTTPRequestHandler):
-    state: _State = None
-
-    def do_POST(self):
-        st = self.state
-        with st.lock:
-            st.active += 1
-            st.max_active = max(st.max_active, st.active)
-            st.count += 1
-            reply = st.replies.pop(0) if len(st.replies) > 1 else st.replies[0]
-        try:
-            if st.delay:
-                time.sleep(st.delay)
-            self.rfile.read(int(self.headers["Content-Length"]))
-        finally:
-            # leave the count before replying: the client frees its gate
-            # slot on receipt and may send its next request at once
-            with st.lock:
-                st.active -= 1
-        payload = json.dumps(
-            {"choices": [{"message": {"content": reply}}]}
-        ).encode()
-        self.send_response(200)
-        self.send_header("Content-Length", str(len(payload)))
-        self.end_headers()
-        self.wfile.write(payload)
-
-    def log_message(self, *args):
-        pass
-
-
-@pytest.fixture()
-def mock_server():
-    state = _State()
-    handler = type("H", (_Handler,), {"state": state})
-    server = ThreadingHTTPServer(("127.0.0.1", 0), handler)
-    threading.Thread(target=server.serve_forever, daemon=True).start()
-    yield f"http://127.0.0.1:{server.server_address[1]}", state
-    server.shutdown()
-    server.server_close()
-
-
 class TestCriterion8ClientBehavior:
-    def test_client_contract(self, mock_server, golden_examples, monkeypatch):
+    def test_client_contract(self, mock_endpoint, golden_examples, monkeypatch):
         monkeypatch.setenv("SCOT_API_KEY", "k")
-        base_url, state = mock_server
+        base_url, state = mock_endpoint
         config = ClientConfig(base_url=base_url, model_name="mock")
 
         state.replies = [golden_examples[0]]
         out = request_plan(config, "a marketplace")
-        single_ok = len(out.objects) == 8 and state.count == 1
+        single_ok = len(out.objects) == 8 and len(state.requests) == 1
 
         state.replies = ["garbage", golden_examples[1]]
-        state.count = 0
+        state.requests.clear()
         out = request_plan(config, "a park")
-        retry_ok = len(out.objects) == 5 and state.count == 2
+        retry_ok = len(out.objects) == 5 and len(state.requests) == 2
 
         state.replies = ["garbage"]
-        state.count = 0
+        state.requests.clear()
         strict = ClientConfig(base_url=base_url, model_name="mock", max_retries=1)
         with pytest.raises(InvalidAfterRetries):
             request_plan(strict, "anything")
-        exhaust_ok = state.count == 2
+        exhaust_ok = len(state.requests) == 2
 
         state.replies = [golden_examples[2]]
-        state.count = 0
+        state.requests.clear()
         state.max_active = 0
         state.delay = 0.03
         with ThreadPoolExecutor(max_workers=32) as pool:
             futures = [pool.submit(request_plan, config, f"p{i}") for i in range(32)]
             for f in futures:
                 f.result()
-        cap_ok = state.max_active <= config.max_in_flight and state.count == 32
+        cap_ok = state.max_active <= config.max_in_flight and len(state.requests) == 32
 
         report(
             "8 client behavior",

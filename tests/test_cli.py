@@ -497,6 +497,19 @@ class TestToy:
         assert (proc.returncode, proc.stdout) == (1, "")
         assert proc.stderr.splitlines() == ["error: checkpoint d must be an integer, got None"]
 
+    def test_diverging_train_exits_1_and_writes_nothing(self, tmp_path):
+        instr_file = tmp_path / "instr.txt"
+        instr_file.write_text("a red box <|box|>400,400,600,600<|/box|>\n")
+        ckpt, curve = tmp_path / "model.ckpt", tmp_path / "curve.txt"
+        proc = scot_subprocess(
+            "toy", "train", "--instruction", str(instr_file), "--output", str(ckpt),
+            "--curve", str(curve), "--learning-rate", "1e300", "--steps", "3", "--batch-size", "4",
+        )
+        assert (proc.returncode, proc.stdout) == (1, "")
+        [line] = proc.stderr.splitlines()
+        assert line.startswith("error: training diverged at step 1: loss is ")
+        assert not ckpt.exists() and not curve.exists()
+
     def test_gradcheck_probes_every_parameter_of_a_tiny_model(self):
         proc = scot_subprocess("toy", "gradcheck", "--m", "3", "--width", "1")
         assert proc.returncode == 0, proc.stderr

@@ -22,7 +22,6 @@ from scotkit.constraints import (
     RightOf,
     UnknownEntityId,
     check,
-    constraint_from_dict,
     total_magnitude,
 )
 from scotkit.geometry import BBox
@@ -142,8 +141,9 @@ class TestCheckExamples:
         assert check(layout, {}, [LeftOf("soda", "apple")]) == []
 
     def test_cake_contains_text(self):
-        layout = {"cake": BBox(300, 500, 700, 900), "text": BBox(350, 550, 650, 650)}
-        assert check(layout, {}, [Contains("cake", "text")]) == []
+        layout = {"cake": BBox(300, 500, 700, 900), "text": BBox(350, 550, 650, 650),
+                  "market": BBox(0, 0, 1000, 1000), "stalls": BBox(16, 136, 792, 984)}
+        assert check(layout, {}, [Contains("cake", "text"), Contains("market", "stalls")]) == []
 
     def test_self_overlap_magnitude_one(self):
         b = BBox(100, 100, 300, 400)
@@ -206,6 +206,11 @@ class TestProperties:
         shifted = {"a": BBox(399, 0, 599, 100), "b": base["b"]}
         m1 = total_magnitude(shifted, {}, [LeftOf("a", "b")])
         assert m0 == 2.0 and m1 == 1.0
+        # each unit of margin takes one unit off a protrusion, down to 0
+        boxes = {"outer": BBox(0, 0, 10, 10), "inner": BBox(5, 5, 15, 15)}
+        magnitudes = [total_magnitude(boxes, {}, [Contains("outer", "inner", margin)])
+                      for margin in (0.0, 4.0, 5.0)]
+        assert magnitudes == [5.0, 1.0, 0.0]
 
     def test_grid_cell_geometry(self):
         g = Grid(3, 4, (("a", (0, 0)),))
@@ -276,10 +281,13 @@ class TestValidation:
 
     def test_from_dict_rejects_before_planning(self):
         with pytest.raises(ConstraintError, match="finite"):
-            constraint_from_dict({"kind": "left_of", "a": "a", "b": "b", "margin": "nan"})
+            Constraint.from_wire(
+                {"kind": "left_of", "a": "a", "b": "b", "margin": "nan"}, "constraint record"
+            )
         with pytest.raises(ConstraintError, match="outside"):
-            constraint_from_dict(
-                {"kind": "grid", "rows": 2, "cols": 2, "assignments": {"a": [5, 0]}}
+            Constraint.from_wire(
+                {"kind": "grid", "rows": 2, "cols": 2, "assignments": {"a": [5, 0]}},
+                "constraint record",
             )
 
 
@@ -313,10 +321,11 @@ class TestValidation:
     )
     def test_from_dict_rejects_wrong_field_types(self, record, match):
         with pytest.raises(ConstraintError, match=match):
-            constraint_from_dict(record)
+            Constraint.from_wire(record, "constraint record")
 
     def test_from_dict_reads_integer_tolerance_as_float(self):
-        con = constraint_from_dict({"kind": "left_of", "a": "a", "b": "b", "margin": 0})
+        record = {"kind": "left_of", "a": "a", "b": "b", "margin": 0}
+        con = Constraint.from_wire(record, "constraint record")
         assert con == LeftOf("a", "b") and type(con.margin) is float
         assert repr(con.to_wire()["margin"]) == "0.0"
 
@@ -337,8 +346,8 @@ class TestSerialization:
             Grid(2, 3, (("a", (0, 1)),), ((1, 2),)),
         ]
         for con in cons:
-            assert constraint_from_dict(con.to_wire()) == con
+            assert Constraint.from_wire(con.to_wire(), "constraint record") == con
 
     def test_unknown_kind(self):
         with pytest.raises(ConstraintError):
-            constraint_from_dict({"kind": "teleports_to"})
+            Constraint.from_wire({"kind": "teleports_to"}, "constraint record")

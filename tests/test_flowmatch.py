@@ -16,7 +16,6 @@ from scotkit.flowmatch import (
     in_box_fraction,
     interpolate,
     load_checkpoint,
-    load_loss_curve,
     loss_and_grad_at,
     sample,
     save_checkpoint,
@@ -74,8 +73,8 @@ class TestTargetVelocity:
 class TestEmbedding:
     def test_deterministic(self):
         instr = single_box_instruction()
-        a = embed_instruction(instr, m=16, seed=4)
-        b = embed_instruction(instr, m=16, seed=4)
+        a = embed_instruction(instr, m=16)
+        b = embed_instruction(instr, m=16)
         assert np.array_equal(a, b)
 
     def test_box_changes_embedding(self):
@@ -145,7 +144,7 @@ class TestLossAndGrad:
 
 class TestTrain:
     def small_config(self, **kw):
-        defaults = dict(steps=5, batch_size=16, d=2, m=8, width=8)
+        defaults = dict(steps=5, batch_size=16, m=8, width=8)
         defaults.update(kw)
         return TrainConfig(**defaults)
 
@@ -213,9 +212,10 @@ class TestInBoxFraction:
 
     def test_edge_within_tolerance(self):
         instr = single_box_instruction(BBox(400, 400, 600, 600))
-        pts = np.array([[0.4 - 0.019, 0.5], [0.6 + 0.019, 0.5]])
-        assert in_box_fraction(pts, instr, tolerance=0.02) == 1.0
-        assert in_box_fraction(pts, instr, tolerance=0.0) == 0.0
+        within = np.array([[0.4 - 0.019, 0.5], [0.6 + 0.019, 0.5]])
+        beyond = np.array([[0.4 - 0.021, 0.5], [0.6 + 0.021, 0.5]])
+        assert in_box_fraction(within, instr) == 1.0
+        assert in_box_fraction(beyond, instr) == 0.0
 
 
 class TestFiles:
@@ -238,4 +238,5 @@ class TestFiles:
         curve = [2.5, 1.25, 0.8125]
         path = tmp_path / "curve.txt"
         save_loss_curve(path, curve)
-        assert load_loss_curve(path) == curve
+        rows = [line.split() for line in path.read_text(encoding="utf-8").splitlines()]
+        assert [(int(step), float(value)) for step, value in rows] == list(enumerate(curve))

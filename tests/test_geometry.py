@@ -5,7 +5,7 @@ import random
 import numpy as np
 import pytest
 
-from scotkit.geometry import BBox, BoxError, area, center, contains, iou, quantize
+from scotkit.geometry import BBox, BoxError, area, center, iou
 
 
 def raster_iou(a: BBox, b: BBox) -> float:
@@ -99,29 +99,6 @@ class TestIou:
         assert iou(a, overlapping) > 0.0
 
 
-class TestContains:
-    def test_cake_contains_text(self):
-        assert contains(BBox(300, 500, 700, 900), BBox(350, 550, 650, 650))
-
-    def test_marketplace_contains_stalls(self):
-        assert contains(BBox(0, 0, 1000, 1000), BBox(16, 136, 792, 984))
-
-    def test_margin_boundary(self):
-        outer = BBox(0, 0, 10, 10)
-        inner = BBox(5, 5, 15, 15)
-        assert not contains(outer, inner, margin=0)
-        assert contains(outer, inner, margin=5)
-
-    def test_mutual_containment_implies_equal(self):
-        rng = random.Random(3)
-        for _ in range(200):
-            a, b = random_box(rng), random_box(rng)
-            if contains(a, b, 0) and contains(b, a, 0):
-                assert a == b
-        b = BBox(10, 20, 30, 40)
-        assert contains(b, b, 0) and contains(b, b, 0)
-
-
 class TestCenter:
     def test_full_canvas(self):
         assert center(BBox(0, 0, 1000, 1000)) == (500, 500)
@@ -131,28 +108,3 @@ class TestCenter:
 
     def test_apple_box(self):
         assert center(BBox(450, 400, 550, 600)) == (500, 500)
-
-
-class TestQuantize:
-    def test_unit_corners(self):
-        assert quantize(0.0, 0.0, 1.0, 1.0).as_list() == [0, 0, 1000, 1000]
-
-    def test_round_half_away(self):
-        assert quantize(0.376, 0.336, 0.744, 0.696).as_list() == [376, 336, 744, 696]
-        assert quantize(0.0005, 0.0, 0.5, 0.5).xmin == 1
-
-    def test_degeneracy_repair(self):
-        assert quantize(0.5, 0.5, 0.5, 0.5).as_list() == [500, 500, 501, 501]
-        assert quantize(1.0, 1.0, 1.0, 1.0).as_list() == [999, 999, 1000, 1000]
-
-    def test_clamps_out_of_range_inputs(self):
-        b = quantize(-0.5, -0.1, 1.7, 2.0)
-        assert b.as_list() == [0, 0, 1000, 1000]
-
-    def test_output_always_valid(self):
-        rng = random.Random(11)
-        for _ in range(500):
-            vals = [rng.uniform(-0.2, 1.2) for _ in range(4)]
-            b = quantize(*vals)  # constructor enforces the invariants
-            assert 0 <= b.xmin < b.xmax <= 1000
-            assert 0 <= b.ymin < b.ymax <= 1000

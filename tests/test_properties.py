@@ -28,6 +28,7 @@ from scotkit.constraints import (
     AlignedCol,
     AlignedRow,
     Below,
+    Constraint,
     Contains,
     CountEquals,
     Grid,
@@ -35,7 +36,6 @@ from scotkit.constraints import (
     NonOverlap,
     RightOf,
     check,
-    constraint_from_dict,
     total_magnitude,
 )
 from scotkit.geometry import BBox, iou
@@ -101,7 +101,7 @@ def test_every_registered_kind_has_a_strategy():
 @PROPERTY
 @given(constraints)
 def test_wire_round_trip(c):
-    assert constraint_from_dict(json.loads(json.dumps(c.to_wire()))) == c
+    assert Constraint.from_wire(json.loads(json.dumps(c.to_wire())), "constraint record") == c
 
 
 @PROPERTY
@@ -351,7 +351,8 @@ READERS = [
     (spec_from_dict, VALID_SCENE),
     (record_from_dict, VALID_RECORD),
     (lambda doc: wire.read(ClientConfig, doc, "client config"), VALID_CONFIG),
-] + [(constraint_from_dict, c.to_wire()) for c in VALID_CONSTRAINTS]
+] + [(lambda doc: Constraint.from_wire(doc, "constraint record"), c.to_wire())
+      for c in VALID_CONSTRAINTS]
 
 
 def _paths(doc, prefix=()):

@@ -13,7 +13,7 @@ import pytest
 import scotkit
 from scotkit import wire
 from scotkit.client import ClientConfig
-from scotkit.constraints import Cell, ConstraintError, Grid, constraint_from_dict
+from scotkit.constraints import Cell, Constraint, ConstraintError, Grid
 from scotkit.geometry import BBox, BoxError
 from scotkit.planner import spec_from_dict
 
@@ -49,7 +49,9 @@ def test_keys_that_are_not_fields_are_rejected():
     with pytest.raises(wire.InputError, match="unknown field 'note' in entities"):
         spec_from_dict({"entities": [{"id": "a", "phrase": "cat", "note": 1}]})
     with pytest.raises(ConstraintError, match="unknown field 'margn' in constraint record"):
-        constraint_from_dict({"kind": "left_of", "a": "a", "b": "b", "margn": 1})
+        Constraint.from_wire(
+            {"kind": "left_of", "a": "a", "b": "b", "margn": 1}, "constraint record"
+        )
 
 
 def test_grid_pairs_are_an_object_and_cells_are_lists():
@@ -62,9 +64,11 @@ def test_grid_pairs_are_an_object_and_cells_are_lists():
 
 def test_constraint_errors_stay_constraint_errors():
     with pytest.raises(ConstraintError, match="margin must be a finite number"):
-        constraint_from_dict({"kind": "left_of", "a": "a", "b": "b", "margin": float("inf")})
+        Constraint.from_wire(
+            {"kind": "left_of", "a": "a", "b": "b", "margin": float("inf")}, "constraint record"
+        )
     with pytest.raises(ConstraintError, match="left_of needs two different ids"):
-        constraint_from_dict({"kind": "left_of", "a": "a", "b": "a"})
+        Constraint.from_wire({"kind": "left_of", "a": "a", "b": "a"}, "constraint record")
 
 
 def _private_sibling_imports(path: Path) -> list[str]:
@@ -122,3 +126,45 @@ def test_every_imported_package_is_a_declared_dependency_and_no_other():
                 for req in pyproject["project"]["dependencies"]}
     imported = set().union(*(_third_party_imports(path) for path in SRC.glob("*.py")))
     assert imported == declared
+
+
+# public names that nothing in src/scotkit or bench/ calls, kept because
+# an acceptance criterion in tests/test_acceptance.py does
+CALLED_ONLY_BY_ACCEPTANCE = {
+    "mixture_sampler": "7e conditioning swap",
+    "to_instruction": "2 appendix golden fixtures",
+}
+
+
+def _names_read(node: ast.AST) -> set[str]:
+    """Every name node reads as a bare name, an attribute or an import."""
+    names = set()
+    for sub in ast.walk(node):
+        if isinstance(sub, ast.Name):
+            names.add(sub.id)
+        elif isinstance(sub, ast.Attribute):
+            names.add(sub.attr)
+        elif isinstance(sub, ast.ImportFrom):
+            names.update(alias.name for alias in sub.names)
+    return names
+
+
+def test_every_public_definition_is_used_outside_its_own_body():
+    # a function or class that only its own unit tests call is code no
+    # command, benchmark workload or acceptance criterion runs
+    bench = SRC.parents[1] / "bench"
+    trees = {path: ast.parse(path.read_text(encoding="utf-8"))
+             for path in sorted(SRC.glob("*.py")) + sorted(bench.glob("*.py"))}
+    unused = set()
+    for path in sorted(SRC.glob("*.py")):
+        for node in trees[path].body:
+            if (isinstance(node, (ast.FunctionDef, ast.ClassDef))
+                    and not node.name.startswith("_")
+                    and not any(node.name in _names_read(other)
+                                for tree in trees.values() for other in tree.body
+                                if other is not node)):
+                unused.add(node.name)
+    assert unused == set(CALLED_ONLY_BY_ACCEPTANCE)
+    acceptance = (Path(__file__).parent / "test_acceptance.py").read_text(encoding="utf-8")
+    for name, criterion in CALLED_ONLY_BY_ACCEPTANCE.items():
+        assert f".{name}(" in acceptance and f'"{criterion}"' in acceptance
