@@ -141,9 +141,8 @@ class TestCheckExamples:
         assert check(layout, {}, [LeftOf("soda", "apple")]) == []
 
     def test_cake_contains_text(self):
-        layout = {"cake": BBox(300, 500, 700, 900), "text": BBox(350, 550, 650, 650),
-                  "market": BBox(0, 0, 1000, 1000), "stalls": BBox(16, 136, 792, 984)}
-        assert check(layout, {}, [Contains("cake", "text"), Contains("market", "stalls")]) == []
+        layout = {"cake": BBox(300, 500, 700, 900), "text": BBox(350, 550, 650, 650)}
+        assert check(layout, {}, [Contains("cake", "text")]) == []
 
     def test_self_overlap_magnitude_one(self):
         b = BBox(100, 100, 300, 400)
@@ -206,11 +205,6 @@ class TestProperties:
         shifted = {"a": BBox(399, 0, 599, 100), "b": base["b"]}
         m1 = total_magnitude(shifted, {}, [LeftOf("a", "b")])
         assert m0 == 2.0 and m1 == 1.0
-        # each unit of margin takes one unit off a protrusion, down to 0
-        boxes = {"outer": BBox(0, 0, 10, 10), "inner": BBox(5, 5, 15, 15)}
-        magnitudes = [total_magnitude(boxes, {}, [Contains("outer", "inner", margin)])
-                      for margin in (0.0, 4.0, 5.0)]
-        assert magnitudes == [5.0, 1.0, 0.0]
 
     def test_grid_cell_geometry(self):
         g = Grid(3, 4, (("a", (0, 0)),))

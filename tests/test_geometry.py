@@ -5,6 +5,7 @@ import random
 import numpy as np
 import pytest
 
+from scotkit.constraints import Contains, total_magnitude
 from scotkit.geometry import BBox, BoxError, area, center, iou
 
 
@@ -97,6 +98,27 @@ class TestIou:
         assert iou(a, touching) == 0.0
         overlapping = BBox(99, 0, 200, 100)
         assert iou(a, overlapping) > 0.0
+
+
+def contains(outer: BBox, inner: BBox, margin: float = 0.0) -> bool:
+    """Whether inner lies within outer grown by margin, read off the Contains constraint."""
+    layout = {"outer": outer, "inner": inner}
+    return total_magnitude(layout, {}, [Contains("outer", "inner", margin)]) == 0.0
+
+
+class TestContains:
+    def test_cake_contains_text(self):
+        assert contains(BBox(300, 500, 700, 900), BBox(350, 550, 650, 650))
+
+    def test_marketplace_contains_stalls(self):
+        assert contains(BBox(0, 0, 1000, 1000), BBox(16, 136, 792, 984))
+
+    def test_margin_boundary(self):
+        outer = BBox(0, 0, 10, 10)
+        inner = BBox(5, 5, 15, 15)
+        assert not contains(outer, inner, margin=0)
+        assert not contains(outer, inner, margin=4)
+        assert contains(outer, inner, margin=5)
 
 
 class TestCenter:
