@@ -286,14 +286,6 @@ def cmd_toy_sample(args) -> int:
     return EXIT_OK
 
 
-def cmd_toy_gradcheck(args) -> int:
-    from . import flowmatch
-
-    worst = flowmatch.gradient_check(m=args.m, width=args.width, seed=args.seed)
-    _print_json({"max_relative_error": worst, "tolerance": 1e-4})
-    return EXIT_OK if worst <= 1e-4 else EXIT_VALIDATION
-
-
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="scot",
@@ -379,12 +371,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--output", help="write samples as two-column text")
     p.set_defaults(func=cmd_toy_sample)
-
-    p = tsub.add_parser("gradcheck", help="finite-difference gradient check")
-    p.add_argument("--m", type=int, default=16)
-    p.add_argument("--width", type=int, default=16)
-    p.add_argument("--seed", type=int, default=0)
-    p.set_defaults(func=cmd_toy_gradcheck)
 
     return parser
 

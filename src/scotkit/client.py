@@ -28,9 +28,6 @@ from .planner import PlannerOutput, PlannerOutputError, parse_planner_output
 SYSTEM_PROMPT_RESOURCE = "planner_system_prompt.txt"
 SYSTEM_PROMPT_SHA256 = "ca2418d0873776d3e0c596c589ebc9a85b33c558a24f48662aa7583fc4710ec6"
 
-_PROMPT_OPENING = "You are a Layout-to-Image Generation Spatial Planning Expert."
-_PROMPT_CLOSING = "Below is the input text:"
-
 
 class ClientError(ValueError):
     pass
@@ -103,13 +100,8 @@ def build_request(user_prompt: str) -> list[dict[str, str]]:
     the input-text marker line) and the raw user prompt."""
     if not user_prompt:
         raise EmptyPrompt("user prompt must be non-empty")
-    system = load_system_prompt()
-    if not system.startswith(_PROMPT_OPENING):
-        raise ClientError("system prompt does not open with the planner role line")
-    if not system.rstrip().endswith(_PROMPT_CLOSING):
-        raise ClientError("system prompt does not close with the input-text marker")
     return [
-        {"role": "system", "content": system},
+        {"role": "system", "content": load_system_prompt()},
         {"role": "user", "content": user_prompt},
     ]
 

@@ -66,7 +66,8 @@ class Constraint:
         raise NotImplementedError
 
     def violations(self, layout: Layout, entities: Categories) -> list[Violation]:
-        """One Violation per failure, each with a strictly positive magnitude."""
+        """One Violation per failure, each with a strictly positive magnitude.
+        layout holds a box for every id in entity_ids(); see require_boxes."""
         raise NotImplementedError
 
     def moves(self, magnitude: float, boxes: Layout, step: float) -> dict[str, BBox]:
@@ -108,10 +109,13 @@ class Cell(NamedTuple):
         return list(self)
 
 
-def _require(layout: Layout, *ids: str) -> None:
-    for entity_id in ids:
-        if entity_id not in layout:
-            raise UnknownEntityId(entity_id)
+def require_boxes(layout: Layout, cs: Sequence[Constraint]) -> None:
+    """Raise UnknownEntityId for the first id, in constraint order and then
+    entity_ids() order, that layout holds no box for."""
+    for c in cs:
+        for entity_id in c.entity_ids():
+            if entity_id not in layout:
+                raise UnknownEntityId(entity_id)
 
 
 # --- repair move primitives ---------------------------------------------
@@ -176,7 +180,6 @@ class _Directional(_Pair):
     _sign: ClassVar[float]
 
     def violations(self, layout: Layout, entities: Categories) -> list[Violation]:
-        _require(layout, self.a, self.b)
         ca, cb = center(layout[self.a]), center(layout[self.b])
         first, second = (ca, cb) if self._sign > 0 else (cb, ca)
         mag = max(0.0, first[self._axis] + self.margin - second[self._axis])
@@ -218,7 +221,6 @@ class Contains(Constraint):
         return (self.outer, self.inner)
 
     def violations(self, layout: Layout, entities: Categories) -> list[Violation]:
-        _require(layout, self.outer, self.inner)
         outer, inner = layout[self.outer], layout[self.inner]
         protrusion = max(
             0.0,
@@ -263,7 +265,6 @@ class NonOverlap(_Pair):
     kind = "non_overlap"
 
     def violations(self, layout: Layout, entities: Categories) -> list[Violation]:
-        _require(layout, self.a, self.b)
         inter = intersection_area(layout[self.a], layout[self.b])
         excess = inter - self.epsilon
         if excess > 0:
@@ -293,7 +294,6 @@ class AdjacentTo(_Pair):
     kind = "adjacent_to"
 
     def violations(self, layout: Layout, entities: Categories) -> list[Violation]:
-        _require(layout, self.a, self.b)
         a, b = layout[self.a], layout[self.b]
         gap_x = max(a.xmin, b.xmin) - min(a.xmax, b.xmax)
         gap_y = max(a.ymin, b.ymin) - min(a.ymax, b.ymax)
@@ -333,7 +333,6 @@ class _Aligned(Constraint):
         return self.ids
 
     def violations(self, layout: Layout, entities: Categories) -> list[Violation]:
-        _require(layout, *self.ids)
         coords = [center(layout[i])[self._axis] for i in self.ids]
         mean = sum(coords) / len(coords)
         deviation = max(abs(v - mean) for v in coords)
@@ -421,7 +420,6 @@ class Grid(Constraint):
     def violations(self, layout: Layout, entities: Categories) -> list[Violation]:
         out: list[Violation] = []
         for entity_id, (row, col) in self.assignments:
-            _require(layout, entity_id)
             x1, y1, x2, y2 = self.cell_rect(row, col)
             cx, cy = center(layout[entity_id])
             dist = math.hypot(max(x1 - cx, 0.0, cx - x2), max(y1 - cy, 0.0, cy - y2))
@@ -485,6 +483,7 @@ KINDS: dict[str, type[Constraint]] = {
 def check(layout: Layout, entities: Categories, cs: Sequence[Constraint]) -> list[Violation]:
     """Evaluate every constraint; returns one Violation per failure
     (Grid may emit several), each with a strictly positive magnitude."""
+    require_boxes(layout, cs)
     out: list[Violation] = []
     for c in cs:
         out.extend(c.violations(layout, entities))

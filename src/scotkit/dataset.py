@@ -115,6 +115,8 @@ _ADJS = ["red", "blue", "green", "yellow", "wooden", "small", "shiny", "striped"
 def synth_generate(seed: int, n: int, max_entities: int = 12) -> list[GroundedRecord]:
     """Deterministic synthetic corpus: template captions over a fixed
     noun vocabulary with guaranteed-locatable phrases and valid boxes."""
+    if n < 0:
+        raise ValueError(f"n must be >= 0, got {n}")
     if max_entities < 1:
         raise ValueError("max_entities must be >= 1")
     if max_entities > len(_NOUNS):

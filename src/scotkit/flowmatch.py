@@ -162,12 +162,6 @@ class VelocityModel:
         if offset != flat.size:
             raise DimensionMismatch(f"expected {offset} parameters, got {flat.size}")
 
-    def copy(self) -> "VelocityModel":
-        return VelocityModel(
-            self.d, self.m, self.width,
-            *(getattr(self, n).copy() for n in _PARAM_NAMES),
-        )
-
 
 def loss_and_grad_at(
     model: VelocityModel,
@@ -201,37 +195,6 @@ def loss_and_grad_at(
     grads["w1"] = da1.T @ z
     grads["b1"] = da1.sum(axis=0)
     return loss, grads
-
-
-def gradient_check(m: int, width: int, seed: int) -> float:
-    """Worst relative error between loss_and_grad_at's gradient and a
-    central finite difference, over 20 seeded parameter indices (all of
-    them when the model has fewer) of a seeded random model and batch of 4."""
-    model = VelocityModel.init(d=2, m=m, width=width, seed=seed)
-    rng = np.random.default_rng(seed + 1)
-    model.set_flat_params(rng.standard_normal(model.flat_params().size) * 0.5)
-    x0 = rng.uniform(0.2, 0.8, size=(4, 2))
-    x1 = rng.standard_normal((4, 2))
-    t = rng.uniform(0.0, 1.0, size=4)
-    e = rng.standard_normal((4, m))
-    _, grads = loss_and_grad_at(model, x0, x1, t, e)
-    flat_grad = np.concatenate([grads[n].ravel() for n in _PARAM_NAMES])
-    flat = model.flat_params()
-    h = 1e-5
-    worst = 0.0
-    probe = model.copy()
-    for idx in rng.choice(flat.size, size=min(20, flat.size), replace=False):
-        bumped = flat.copy()
-        bumped[idx] += h
-        probe.set_flat_params(bumped)
-        up, _ = loss_and_grad_at(probe, x0, x1, t, e)
-        bumped[idx] -= 2 * h
-        probe.set_flat_params(bumped)
-        down, _ = loss_and_grad_at(probe, x0, x1, t, e)
-        numeric = (up - down) / (2 * h)
-        denom = max(abs(numeric), abs(flat_grad[idx]), 1e-8)
-        worst = max(worst, abs(numeric - flat_grad[idx]) / denom)
-    return worst
 
 
 # --- training ------------------------------------------------------------
@@ -394,10 +357,18 @@ def load_checkpoint(path) -> tuple[VelocityModel, dict]:
         header = json.loads(f.readline().decode("utf-8"))
         blob = f.read()
     header = wire.read(Mapping[str, object], header, "checkpoint header")
-    shape = (wire.read(int, header.get(k), f"checkpoint {k}") for k in ("d", "m", "width"))
-    model = VelocityModel.init(*shape, seed=0)
-    flat = np.frombuffer(blob, dtype="<f8")
-    model.set_flat_params(flat.astype(np.float64))
+    d, m, width = (wire.read(int, header.get(k), f"checkpoint {k}") for k in ("d", "m", "width"))
+    if min(d, m, width) < 1:
+        raise ValueError(f"checkpoint d, m and width must be >= 1, got {d}, {m} and {width}")
+    # the blob is checked against the header before the header sizes any array
+    expected = 8 * (width * (d + 1 + m) + width + width * width + width + d * width + d)
+    if len(blob) != expected:
+        raise DimensionMismatch(
+            f"checkpoint holds {len(blob)} parameter bytes, expected {expected} "
+            f"for d={d}, m={m}, width={width}"
+        )
+    model = VelocityModel.init(d, m, width, seed=0)
+    model.set_flat_params(np.frombuffer(blob, dtype="<f8").astype(np.float64))
     return model, header.get("meta", {})
 
 

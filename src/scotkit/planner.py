@@ -245,9 +245,12 @@ def repair(
     unchanged. Once a sweep at the floor step accepts nothing, every
     later sweep would repeat it exactly, so repair stops there and
     reports ``iterations == max_iters``, as running them out would."""
+    if max_iters < 0:
+        raise ValueError(f"max_iters must be >= 0, got {max_iters}")
     current = dict(boxes)
     cats = spec.categories
     cs = spec.constraints
+    constraints.require_boxes(current, cs)
     watchers: dict[str, list[int]] = {}
     for i, con in enumerate(cs):
         for eid in con.entity_ids():

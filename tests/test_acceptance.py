@@ -207,7 +207,7 @@ class TestCriterion7FlowMatching:
                 [grads[n].ravel() for n in ("w1", "b1", "w2", "b2", "w3", "b3")]
             )
             flat = model.flat_params()
-            probe = model.copy()
+            probe = flowmatch.VelocityModel.init(d=d, m=m, width=width)
             h = 1e-5
             for idx in rng.choice(flat.size, size=20, replace=False):
                 bumped = flat.copy()

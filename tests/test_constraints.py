@@ -159,8 +159,14 @@ class TestCheckExamples:
         assert bad and bad[0].magnitude == 2.0
 
     def test_unknown_id(self):
-        with pytest.raises(UnknownEntityId):
-            check({"a": BBox(0, 0, 10, 10)}, {}, [LeftOf("a", "ghost")])
+        layout = {"a": BBox(0, 0, 10, 10)}
+        with pytest.raises(UnknownEntityId) as exc:
+            check(layout, {}, [LeftOf("a", "ghost")])
+        assert str(exc.value) == "constraint references unknown entity id 'ghost'"
+        # with two ids missing, the first constraint's is reported
+        with pytest.raises(UnknownEntityId) as exc:
+            check(layout, {}, [LeftOf("a", "zed"), NonOverlap("abe", "a")])
+        assert exc.value.entity_id == "zed"
 
 
 class TestTotalMagnitude:

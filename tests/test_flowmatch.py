@@ -128,7 +128,7 @@ class TestLossAndGrad:
         flat = model.flat_params()
         h = 1e-5
         indices = rng.choice(flat.size, size=20, replace=False)
-        probe = model.copy()
+        probe = VelocityModel.init(d=d, m=m, width=width)  # set_flat_params overwrites it
         for idx in indices:
             bumped = flat.copy()
             bumped[idx] += h
