@@ -16,7 +16,7 @@ from pathlib import Path
 from typing import TYPE_CHECKING, Mapping
 
 if TYPE_CHECKING:
-    from . import codec, planner
+    from . import codec, dataset, planner
     from .client import ClientConfig
     from .geometry import BBox
 
@@ -52,7 +52,14 @@ def _load_scene(path: str) -> tuple[planner.SceneSpec, dict[str, BBox] | None]:
 
     doc = wire.read(Mapping[str, object], _read_json(path), "scene")
     spec = planner.spec_from_dict({k: v for k, v in doc.items() if k != "boxes"})
-    return spec, _read_boxes(doc) if "boxes" in doc else None
+    if "boxes" not in doc:
+        return spec, None
+    boxes = _read_boxes(doc)
+    ids = {e.id for e in spec.entities}
+    for eid in boxes:
+        if eid not in ids:
+            raise ValueError(f"boxes names {eid!r}, which is not a scene entity")
+    return spec, boxes
 
 
 def cmd_encode(args) -> int:
@@ -73,10 +80,7 @@ def cmd_decode(args) -> int:
         record = dataset.GroundedRecord(
             id=f"decoded-{i:05d}",
             caption=caption,
-            entities=tuple(
-                dataset.RecordEntity(e.phrase, attrs=dict(e.attributes), box=e.box)
-                for e in entities
-            ),
+            entities=tuple(dataset.RecordEntity(e.phrase, box=e.box) for e in entities),
             source="decoded",
         )
         print(json.dumps(dataset.record_to_dict(record), ensure_ascii=False,
@@ -162,12 +166,22 @@ def cmd_repair(args) -> int:
     return EXIT_OK
 
 
-def cmd_eval(args) -> int:
-    from . import dataset, metrics
+def _records_by_id(path: str) -> dict[str, dataset.GroundedRecord]:
+    from . import dataset
 
-    refs = dataset.load_records(args.refs)
-    preds = dataset.load_records(args.preds)
-    pred_by_id = {r.id: r for r in preds}
+    by_id = {}
+    for record in dataset.load_records(path):
+        if record.id in by_id:
+            raise ValueError(f"record id {record.id!r} appears twice in {path}")
+        by_id[record.id] = record
+    return by_id
+
+
+def cmd_eval(args) -> int:
+    from . import metrics
+
+    refs = _records_by_id(args.refs).values()
+    pred_by_id = _records_by_id(args.preds)
 
     def instances(record):
         return tuple(

@@ -18,7 +18,6 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass
-from enum import Enum
 from typing import Callable, Iterable, Mapping, Sequence
 
 from .geometry import CANVAS, BBox
@@ -83,26 +82,11 @@ class CoordCountNot4(CodecError):
         self.payload = payload
 
 
-class TokenKind(Enum):
-    WORD = "word"
-    BOX_OPEN = "box_open"
-    COORD = "coord"
-    BOX_CLOSE = "box_close"
-
-
-@dataclass(frozen=True)
-class Token:
-    kind: TokenKind
-    text: str
-    index: int
-
-
 @dataclass(frozen=True)
 class GroundedEntity:
-    """A caption phrase with attributes, box, and inclusive token span."""
+    """A caption phrase with its box and inclusive token span."""
 
     phrase: str
-    attributes: Mapping[str, str]
     box: BBox
     span: tuple[int, int]  # 1-based inclusive caption token indices
 
@@ -114,8 +98,8 @@ class GroundedEntity:
 
 @dataclass(frozen=True)
 class InterleavedInstruction:
-    """Caption words plus entities in appearance order. The token stream
-    is derived: each entity's coordinate block follows word span[1].
+    """Caption words plus entities in appearance order. The serialized
+    text places each entity's coordinate block after word span[1].
 
     Span ends are non-decreasing and at most len(words); ties only arise
     from placeholder substitution, where several boxes may follow the
@@ -129,27 +113,6 @@ class InterleavedInstruction:
         ends = [e.span[1] for e in self.entities]
         if ends != sorted(ends) or (ends and ends[-1] > len(self.words)):
             raise CodecError("entity span ends exceed the caption length")
-
-    def _chunks(self) -> list[str | BBox]:
-        """The words with each entity's box inserted right after its span end."""
-        chunks: list[str | BBox] = list(self.words)
-        for e in reversed(self.entities):
-            chunks.insert(e.span[1], e.box)
-        return chunks
-
-    @property
-    def tokens(self) -> tuple[Token, ...]:
-        """One WORD per word and, for each box, BOX_OPEN, four COORDs
-        and BOX_CLOSE."""
-        pairs: list[tuple[TokenKind, str]] = []
-        for chunk in self._chunks():
-            if isinstance(chunk, str):
-                pairs.append((TokenKind.WORD, chunk))
-            else:
-                pairs.append((TokenKind.BOX_OPEN, BOX_OPEN))
-                pairs.extend((TokenKind.COORD, str(c)) for c in chunk.as_list())
-                pairs.append((TokenKind.BOX_CLOSE, BOX_CLOSE))
-        return tuple(Token(kind, text, i) for i, (kind, text) in enumerate(pairs))
 
     @property
     def caption(self) -> str:
@@ -243,7 +206,7 @@ def interleave(
     words = caption_words(caption)
     spans = locate_spans(words, [p for p, _ in pairs])
     grounded = [
-        GroundedEntity(phrase=p, attributes={}, box=b, span=s)
+        GroundedEntity(phrase=p, box=b, span=s)
         for (p, b), s in zip(pairs, spans)
     ]
     grounded.sort(key=lambda e: e.span[1])
@@ -296,7 +259,7 @@ def _bind_blocks(
         if not caption_tokens:
             raise orphan(m)
         pos = len(caption_tokens)
-        entities.append(GroundedEntity(caption_tokens[-1], {}, box_for(m), (pos, pos)))
+        entities.append(GroundedEntity(caption_tokens[-1], box_for(m), (pos, pos)))
     caption_tokens.extend(caption_words(text[cursor:]))
     return InterleavedInstruction(tuple(caption_tokens), tuple(entities))
 
@@ -334,9 +297,10 @@ def parse(text: str) -> tuple[str, list[GroundedEntity]]:
 
 
 def serialize(instruction: InterleavedInstruction) -> str:
-    """Canonical text form: single-space-joined words, each coordinate
-    block rendered as one chunk with no interior spaces."""
-    return " ".join(
-        c if isinstance(c, str) else BOX_OPEN + ",".join(map(str, c.as_list())) + BOX_CLOSE
-        for c in instruction._chunks()
-    )
+    """Canonical text form: single-space-joined words, each entity's
+    coordinate block rendered as one chunk with no interior spaces right
+    after its span end."""
+    chunks = list(instruction.words)
+    for e in reversed(instruction.entities):
+        chunks.insert(e.span[1], BOX_OPEN + ",".join(map(str, e.box.as_list())) + BOX_CLOSE)
+    return " ".join(chunks)

@@ -300,6 +300,8 @@ def sample(
 ) -> np.ndarray:
     """Euler-integrate dx/dt = v(x, t, e) from t = 1 (standard-normal
     noise) down to t = 0; returns (n_samples, d) latents."""
+    if n_samples < 0:
+        raise ValueError(f"n_samples must be >= 0, got {n_samples}")
     if n_steps < 1:
         raise ValueError("n_steps must be >= 1")
     rng = np.random.default_rng(seed)
@@ -360,6 +362,9 @@ def load_checkpoint(path) -> tuple[VelocityModel, dict]:
     d, m, width = (wire.read(int, header.get(k), f"checkpoint {k}") for k in ("d", "m", "width"))
     if min(d, m, width) < 1:
         raise ValueError(f"checkpoint d, m and width must be >= 1, got {d}, {m} and {width}")
+    # box_union_sampler trains and in_box_fraction scores 2-D latents only
+    if d != DEFAULT_DIM:
+        raise ValueError(f"checkpoint d must be {DEFAULT_DIM}, got {d}")
     # the blob is checked against the header before the header sizes any array
     expected = 8 * (width * (d + 1 + m) + width + width * width + width + d * width + d)
     if len(blob) != expected:

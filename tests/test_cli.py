@@ -293,8 +293,17 @@ class TestPlanCheckRepair:
         code, _, err = run(capsys, "check", str(scene_file))
         assert code == 1 and "boxes" in err
 
+    @pytest.mark.parametrize("command", ["check", "repair"])
+    def test_a_box_for_no_entity_is_named(self, command, tmp_path, capsys):
+        scene_file = tmp_path / "scene.json"
+        scene_file.write_text(json.dumps({**SCENE, "boxes": _STRAY_BOXES}))
+        assert run(capsys, command, str(scene_file)) == (
+            1, "", "error: boxes names 'zzz', which is not a scene entity\n")
+
 
 _ENTITY = {"id": "a", "phrase": "cat"}
+# every entity of SCENE has a box, and one more box names no entity
+_STRAY_BOXES = {"a": [0, 0, 9, 9], "b": [20, 0, 29, 9], "zzz": [5, 5, 50, 50]}
 _RECORD = {"v": 1, "id": "r1", "caption": "a cat", "source": "",
            "entities": [{"phrase": "cat", "attrs": {}, "box": [1, 2, 30, 40]}]}
 _BAD_RECORD = {**_RECORD, "entities": [{"phrase": ["cat"], "attrs": {}, "box": [1, 2, 30, 40]}]}
@@ -312,6 +321,8 @@ MALFORMED_INPUTS = {
     "repair boxes list": ("repair", {**SCENE, "boxes": [1, 2]}),
     "check box missing": ("check", {**SCENE, "boxes": {"a": [0, 0, 9, 9]}}),
     "repair box missing": ("repair", {**SCENE, "boxes": {"a": [0, 0, 9, 9]}}),
+    "check stray box id": ("check", {**SCENE, "boxes": _STRAY_BOXES}),
+    "repair stray box id": ("repair", {**SCENE, "boxes": _STRAY_BOXES}),
     "render boxes list": ("render", {"boxes": [1, 2]}),
     "render input number": ("render", 5),
     "config list": ("mllm", [1]),
@@ -361,7 +372,7 @@ def test_malformed_json_input_exits_1_with_one_error_line(case, tmp_path):
     assert line.startswith("error: line 2: " if command == "encode" else "error: ")
 
 
-# (argv after `scot`, with {scene}, {corpus}, {instr} and {out} filled in)
+# (argv after `scot`, with {scene}, {corpus}, {instr}, {ckpt} and {out} filled in)
 # that name a value outside the option's domain: exit 1, nothing on stdout
 REJECTED_OPTION_VALUES = {
     "eval threshold 0": ["eval", "--refs", "{corpus}", "--preds", "{corpus}", "--iou-threshold", "0"],
@@ -377,15 +388,21 @@ REJECTED_OPTION_VALUES = {
     "plan max iters -3": ["plan", "{scene}", "--max-iters", "-3"],
     "repair max iters -1": ["repair", "{scene}", "--max-iters", "-1"],
     "synth n -4": ["dataset", "synth", "--n", "-4", "--output", "{out}"],
+    "toy sample n -1": ["toy", "sample", "--model", "{ckpt}", "--instruction", "{instr}",
+                        "--n", "-1", "--output", "{out}"],
 }
 
 
 @pytest.mark.parametrize("case", sorted(REJECTED_OPTION_VALUES))
 def test_option_value_outside_its_domain_exits_1_and_writes_nothing(case, tmp_path, corpus, capsys):
+    from scotkit import flowmatch
+
     scene, instr, out = tmp_path / "scene.json", tmp_path / "instr.txt", tmp_path / "out"
-    scene.write_text(json.dumps({"boxes": {"a": [0, 0, 90, 90]}}))
+    ckpt = tmp_path / "model.ckpt"
+    scene.write_text(json.dumps({"entities": [_ENTITY], "boxes": {"a": [0, 0, 90, 90]}}))
     instr.write_text("a red box <|box|>400,400,600,600<|/box|>\n")
-    paths = {"scene": scene, "corpus": corpus, "instr": instr, "out": out}
+    flowmatch.save_checkpoint(ckpt, flowmatch.VelocityModel.init(m=8, width=4))
+    paths = {"scene": scene, "corpus": corpus, "instr": instr, "out": out, "ckpt": ckpt}
     code, stdout, stderr = run(capsys, *(arg.format(**paths) for arg in REJECTED_OPTION_VALUES[case]))
     assert (code, stdout) == (1, "")
     [line] = stderr.splitlines()
@@ -415,6 +432,15 @@ class TestEval:
         assert "SR:    100.00" in out
         assert "I-SR:  100.00" in out
         assert "mIoU:  100.00" in out
+
+    @pytest.mark.parametrize("side", ["refs", "preds"])
+    def test_a_repeated_record_id_is_rejected(self, side, tmp_path, corpus, capsys):
+        doubled = tmp_path / "doubled.jsonl"
+        doubled.write_text(corpus.read_text() * 2)
+        files = {"refs": corpus, "preds": corpus, side: doubled}
+        code, out, err = run(capsys, "eval", "--refs", str(files["refs"]), "--preds", str(files["preds"]))
+        assert (code, out) == (1, "")
+        assert err == f"error: record id {load_records(corpus)[0].id!r} appears twice in {doubled}\n"
 
 
 class TestRender:
@@ -500,6 +526,7 @@ class TestToy:
         errors = {
             b'{"m": 3, "width": 4}\n': "checkpoint d must be an integer, got None",
             b'{"d": 0, "m": 3, "width": 4}\n': "checkpoint d, m and width must be >= 1, got 0, 3 and 4",
+            b'{"d": 1, "m": 3, "width": 4}\n': "checkpoint d must be 2, got 1",
             b'{"d": 2, "m": 64, "width": 3000000}\n':
                 "checkpoint holds 0 parameter bytes, expected 72001704000016 for d=2, m=64, width=3000000",
         }

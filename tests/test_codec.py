@@ -14,7 +14,6 @@ from scotkit.codec import (
     MissingObject,
     OverlappingSpans,
     PhraseNotFound,
-    TokenKind,
     UnbalancedBlock,
     UnusedObject,
     detokenize,
@@ -116,8 +115,9 @@ EXAMPLE3_SERIALIZED = (
 class TestInterleave:
     def test_no_entities(self):
         instr = interleave("a cat", [])
-        assert [t.text for t in instr.tokens] == ["a", "cat"]
+        assert instr.words == ("a", "cat")
         assert instr.entities == ()
+        assert serialize(instr) == "a cat"
 
     def test_example3_structure(self):
         instr = interleave(EXAMPLE3_CAPTION, EXAMPLE3_ENTITIES)
@@ -198,12 +198,12 @@ class TestSubstitutePlaceholders:
 class TestInstruction:
     @pytest.mark.parametrize("ends", [(2, 1), (3,), (1, 3)])
     def test_span_ends_checked_at_construction(self, ends):
-        entities = tuple(GroundedEntity("w", {}, BBox(0, 0, 5, 5), (e, e)) for e in ends)
+        entities = tuple(GroundedEntity("w", BBox(0, 0, 5, 5), (e, e)) for e in ends)
         with pytest.raises(CodecError, match="span ends exceed the caption length"):
             InterleavedInstruction(("a", "cat"), entities)
 
     def test_equal_span_ends_allowed(self):
-        entity = GroundedEntity("cat", {}, BBox(0, 0, 5, 5), (2, 2))
+        entity = GroundedEntity("cat", BBox(0, 0, 5, 5), (2, 2))
         instr = InterleavedInstruction(("a", "cat"), (entity, entity))
         assert serialize(instr) == "a cat <|box|>0,0,5,5<|/box|> <|box|>0,0,5,5<|/box|>"
 
@@ -275,14 +275,5 @@ class TestRoundTrip:
 
     def test_block_token_kinds(self):
         instr = interleave("a cat", [("cat", BBox(1, 2, 3, 4))])
-        kinds = [t.kind for t in instr.tokens]
-        assert kinds == [
-            TokenKind.WORD,
-            TokenKind.WORD,
-            TokenKind.BOX_OPEN,
-            TokenKind.COORD,
-            TokenKind.COORD,
-            TokenKind.COORD,
-            TokenKind.COORD,
-            TokenKind.BOX_CLOSE,
-        ]
+        assert instr.words == ("a", "cat")
+        assert serialize(instr).split(" ") == ["a", "cat", "<|box|>1,2,3,4<|/box|>"]

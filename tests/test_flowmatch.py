@@ -199,6 +199,10 @@ class TestSample:
         with pytest.raises(ValueError):
             sample(randomized_model(), np.zeros(5), 1, n_steps=0)
 
+    def test_n_samples_validation(self):
+        with pytest.raises(ValueError, match="n_samples must be >= 0, got -1"):
+            sample(randomized_model(), np.zeros(5), -1)
+
 
 class TestInBoxFraction:
     def test_all_at_center(self):

@@ -265,9 +265,18 @@ def test_check_stdout_matches_pinned_digest(tmp_path, capsys):
 
 
 def _instruction_record(instr: codec.InterleavedInstruction) -> list:
+    # (kind, text, index) per word and per block part, each entity's block
+    # (open marker, four coordinates, close marker) after its span end; the
+    # {} is the empty attribute map the entities once carried
+    parts = [("word", w) for w in instr.words]
+    for e in reversed(instr.entities):
+        end = e.span[1]
+        parts[end:end] = [("box_open", codec.BOX_OPEN),
+                          *(("coord", str(c)) for c in e.box.as_list()),
+                          ("box_close", codec.BOX_CLOSE)]
     return [
-        [(t.kind.value, t.text, t.index) for t in instr.tokens],
-        [(e.phrase, dict(e.attributes), e.box.as_list(), list(e.span)) for e in instr.entities],
+        [(kind, text, i) for i, (kind, text) in enumerate(parts)],
+        [(e.phrase, {}, e.box.as_list(), list(e.span)) for e in instr.entities],
     ]
 
 

@@ -5,6 +5,7 @@ that keeps each format rule in one place, for runtime checks that
 import ast
 import re
 import sys
+from collections import Counter
 from pathlib import Path
 from typing import Mapping
 
@@ -149,21 +150,35 @@ def _names_read(node: ast.AST) -> set[str]:
     return names
 
 
+def _attributes_read(node: ast.AST) -> Counter:
+    """How often node reads each attribute name, as in `x.name`."""
+    return Counter(sub.attr for sub in ast.walk(node)
+                   if isinstance(sub, ast.Attribute) and isinstance(sub.ctx, ast.Load))
+
+
 def test_every_public_definition_is_used_outside_its_own_body():
-    # a function or class that only its own unit tests call is code no
-    # command, benchmark workload or acceptance criterion runs
+    # a function, class, method or property that only its own unit tests
+    # reach is code no command, benchmark workload or acceptance criterion runs
     bench = SRC.parents[1] / "bench"
     trees = {path: ast.parse(path.read_text(encoding="utf-8"))
              for path in sorted(SRC.glob("*.py")) + sorted(bench.glob("*.py"))}
+    reads = sum((_attributes_read(tree) for tree in trees.values()), Counter())
     unused = set()
     for path in sorted(SRC.glob("*.py")):
         for node in trees[path].body:
-            if (isinstance(node, (ast.FunctionDef, ast.ClassDef))
-                    and not node.name.startswith("_")
-                    and not any(node.name in _names_read(other)
-                                for tree in trees.values() for other in tree.body
-                                if other is not node)):
+            if (not isinstance(node, (ast.FunctionDef, ast.ClassDef))
+                    or node.name.startswith("_")):
+                continue
+            if not any(node.name in _names_read(other)
+                       for tree in trees.values() for other in tree.body
+                       if other is not node):
                 unused.add(node.name)
+            members = node.body if isinstance(node, ast.ClassDef) else []
+            unused.update(
+                f"{node.name}.{member.name}" for member in members
+                if isinstance(member, ast.FunctionDef) and not member.name.startswith("_")
+                and reads[member.name] == _attributes_read(member)[member.name]
+            )
     assert unused == set(CALLED_ONLY_BY_ACCEPTANCE)
     acceptance = (Path(__file__).parent / "test_acceptance.py").read_text(encoding="utf-8")
     for name, criterion in CALLED_ONLY_BY_ACCEPTANCE.items():
