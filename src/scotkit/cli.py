@@ -203,14 +203,26 @@ def cmd_eval(args) -> int:
     return EXIT_OK
 
 
+def _reject_unread_keys(doc: Mapping[str, object], read: tuple[str, ...]) -> None:
+    """A render input key its form does not read is a misspelling, not
+    a default."""
+    unknown = next((key for key in doc if key not in read), None)
+    if unknown is not None:
+        raise ValueError(f"unknown field {unknown!r} in render input")
+
+
 def cmd_render(args) -> int:
     from . import planner, render, wire
 
     doc = wire.read(Mapping[str, object], _read_json(args.input), "render input")
     if "objects" in doc:
+        _reject_unread_keys(doc, ("reasoning", "prompt", "objects"))
         output = planner.parse_planner_output(json.dumps(doc))
         svg = render.render_svg(output, args.canvas)
     elif "boxes" in doc:
+        # the form `scot repair` prints; its residual messages are checked, not drawn
+        _reject_unread_keys(doc, ("boxes", "iterations", "residual"))
+        wire.read(tuple[str, ...], doc.get("residual", []), "residual")
         lp = planner.LayoutPlan(
             boxes=_read_boxes(doc),
             iterations=wire.read(int, doc.get("iterations", 0), "iterations"),

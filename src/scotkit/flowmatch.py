@@ -130,25 +130,6 @@ class VelocityModel:
             b3=np.zeros(d),
         )
 
-    def _activations(
-        self, x: np.ndarray, t: np.ndarray, e: np.ndarray
-    ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-        """The input z, both hidden layers and the output, for x (B,d),
-        t (B,) and e (B,m)."""
-        z = np.concatenate([x, t[:, None], e], axis=1)
-        h1 = np.tanh(z @ self.w1.T + self.b1)
-        h2 = np.tanh(h1 @ self.w2.T + self.b2)
-        return z, h1, h2, h2 @ self.w3.T + self.b3
-
-    def forward(self, x: np.ndarray, t: np.ndarray, e: np.ndarray) -> np.ndarray:
-        """Batched velocity prediction; x (B,d), t (B,), e (B,m) or (m,)."""
-        x = np.atleast_2d(_as_vec(x))
-        t = np.atleast_1d(_as_vec(t))
-        e = _as_vec(e)
-        if e.ndim == 1:
-            e = np.broadcast_to(e, (x.shape[0], e.shape[0]))
-        return self._activations(x, t, e)[3]
-
     def flat_params(self) -> np.ndarray:
         return np.concatenate([getattr(self, n).ravel() for n in _PARAM_NAMES])
 
@@ -163,38 +144,82 @@ class VelocityModel:
             raise DimensionMismatch(f"expected {offset} parameters, got {flat.size}")
 
 
+class StepBuffers:
+    """The arrays one `train` or `sample` call overwrites at every step,
+    so no step allocates anything of size (batch, width): the input z,
+    both hidden layers, the output and, with `backward`, the backward
+    scratch and one gradient per parameter. Sampling runs tanh in place
+    and needs no backward pass, so it holds z and only two hidden-size
+    arrays."""
+
+    def __init__(self, model: VelocityModel, batch: int, backward: bool):
+        self.z = np.empty((batch, model.d + 1 + model.m))
+        self.h1 = np.empty((batch, model.width))
+        self.h2 = np.empty((batch, model.width))
+        self.out = np.empty((batch, model.d))
+        if backward:
+            self.delta = np.empty((batch, model.width))
+            self.grads = {name: np.empty_like(getattr(model, name)) for name in _PARAM_NAMES}
+
+
+def _forward(model: VelocityModel, buf: StepBuffers) -> np.ndarray:
+    """Velocity prediction for the inputs in buf.z, left in buf.out with
+    the hidden layers in buf.h1 and buf.h2."""
+    np.matmul(buf.z, model.w1.T, out=buf.h1)
+    np.add(buf.h1, model.b1, out=buf.h1)
+    np.tanh(buf.h1, out=buf.h1)
+    np.matmul(buf.h1, model.w2.T, out=buf.h2)
+    np.add(buf.h2, model.b2, out=buf.h2)
+    np.tanh(buf.h2, out=buf.h2)
+    np.matmul(buf.h2, model.w3.T, out=buf.out)
+    np.add(buf.out, model.b3, out=buf.out)
+    return buf.out
+
+
 def loss_and_grad_at(
     model: VelocityModel,
     x0: np.ndarray,
     x1: np.ndarray,
     t: np.ndarray,
     e: np.ndarray,
+    buf: StepBuffers,
 ) -> tuple[float, dict[str, np.ndarray]]:
     """Velocity-matching loss and exact gradient at given draws:
-    mean over the batch of ||v(x_t, t, e) - (x1 - x0)||^2."""
+    mean over the batch of ||v(x_t, t, e) - (x1 - x0)||^2. buf must be
+    made with `backward=True` for this model's shapes and x0's batch
+    size; the returned gradients are buf's arrays, valid until the next
+    call with buf."""
     batch = x0.shape[0]
-    xt = interpolate(x0, x1, t[:, None])
-    u = target_velocity(x0, x1)
-
-    z, h1, h2, out = model._activations(xt, t, e)
-
-    diff = out - u
+    if batch != buf.z.shape[0]:
+        raise DimensionMismatch(f"batch of {batch} for buffers of {buf.z.shape[0]}")
+    d = model.d
+    buf.z[:, :d] = interpolate(x0, x1, t[:, None])
+    buf.z[:, d] = t
+    buf.z[:, d + 1 :] = e
+    diff = _forward(model, buf)
+    np.subtract(diff, target_velocity(x0, x1), out=diff)
     loss = float(np.mean(np.sum(diff * diff, axis=1)))
 
-    dout = 2.0 * diff / batch
-    grads = {
-        "w3": dout.T @ h2,
-        "b3": dout.sum(axis=0),
-    }
-    dh2 = dout @ model.w3
-    da2 = dh2 * (1.0 - h2 * h2)
-    grads["w2"] = da2.T @ h1
-    grads["b2"] = da2.sum(axis=0)
-    dh1 = da2 @ model.w2
-    da1 = dh1 * (1.0 - h1 * h1)
-    grads["w1"] = da1.T @ z
-    grads["b1"] = da1.sum(axis=0)
-    return loss, grads
+    # each hidden layer is read for the last time before its slot is
+    # reused: h2 becomes 1 - h2^2, then dh1 and da1; h1 becomes 1 - h1^2
+    dout = np.multiply(2.0, diff, out=diff)
+    np.divide(dout, batch, out=dout)
+    g, h1, h2, delta = buf.grads, buf.h1, buf.h2, buf.delta
+    np.matmul(dout.T, h2, out=g["w3"])
+    np.sum(dout, axis=0, out=g["b3"])
+    np.matmul(dout, model.w3, out=delta)
+    np.multiply(h2, h2, out=h2)
+    np.subtract(1.0, h2, out=h2)
+    np.multiply(delta, h2, out=delta)
+    np.matmul(delta.T, h1, out=g["w2"])
+    np.sum(delta, axis=0, out=g["b2"])
+    np.matmul(delta, model.w2, out=h2)
+    np.multiply(h1, h1, out=h1)
+    np.subtract(1.0, h1, out=h1)
+    np.multiply(h2, h1, out=h2)
+    np.matmul(h2.T, buf.z, out=g["w1"])
+    np.sum(h2, axis=0, out=g["b1"])
+    return loss, g
 
 
 # --- training ------------------------------------------------------------
@@ -245,8 +270,7 @@ def box_union_sampler(
         x = chosen[:, 0] + u[:, 0] * (chosen[:, 2] - chosen[:, 0])
         y = chosen[:, 1] + u[:, 1] * (chosen[:, 3] - chosen[:, 1])
         x0 = np.stack([x, y], axis=1)
-        e = np.broadcast_to(embedding, (n, embedding.shape[0])).copy()
-        return x0, e
+        return x0, np.broadcast_to(embedding, (n, embedding.shape[0]))
 
     return sample_data
 
@@ -272,6 +296,7 @@ def train(
     model and the per-step loss curve. Raises ValueError at the first
     step whose loss is not finite."""
     model = VelocityModel.init(m=config.m, width=config.width, seed=config.init_seed)
+    buf = StepBuffers(model, config.batch_size, backward=True)
     data_rng = np.random.default_rng(config.data_seed)
     curve: list[float] = []
     # a diverging run overflows before its loss turns non-finite, and the
@@ -282,12 +307,14 @@ def train(
             rng = np.random.default_rng([config.noise_seed, step])
             x1 = rng.standard_normal(x0.shape)
             t = rng.uniform(0.0, 1.0, size=x0.shape[0])
-            loss, grads = loss_and_grad_at(model, x0, x1, t, e)
+            loss, grads = loss_and_grad_at(model, x0, x1, t, e, buf)
             if not math.isfinite(loss):
                 raise ValueError(f"training diverged at step {step}: loss is {loss}")
             curve.append(loss)
             for name, grad in grads.items():
-                setattr(model, name, getattr(model, name) - config.learning_rate * grad)
+                param = getattr(model, name)
+                np.multiply(config.learning_rate, grad, out=grad)
+                np.subtract(param, grad, out=param)
     return model, curve
 
 
@@ -306,11 +333,15 @@ def sample(
         raise ValueError("n_steps must be >= 1")
     rng = np.random.default_rng(seed)
     x = rng.standard_normal((n_samples, model.d))
+    buf = StepBuffers(model, n_samples, backward=False)
+    buf.z[:, model.d + 1 :] = _as_vec(e)
     dt = 1.0 / n_steps
     for k in range(n_steps):
-        t = 1.0 - k * dt
-        ts = np.full(n_samples, t)
-        x = x - dt * model.forward(x, ts, e)
+        buf.z[:, : model.d] = x
+        buf.z[:, model.d] = 1.0 - k * dt
+        step = _forward(model, buf)
+        np.multiply(dt, step, out=step)
+        np.subtract(x, step, out=x)
     return x
 
 

@@ -202,7 +202,8 @@ class TestCriterion7FlowMatching:
             x1 = rng.standard_normal((4, d))
             t = rng.uniform(0, 1, size=4)
             e = rng.standard_normal((4, m))
-            _, grads = flowmatch.loss_and_grad_at(model, x0, x1, t, e)
+            buf = flowmatch.StepBuffers(model, 4, backward=True)
+            _, grads = flowmatch.loss_and_grad_at(model, x0, x1, t, e, buf)
             flat_grad = np.concatenate(
                 [grads[n].ravel() for n in ("w1", "b1", "w2", "b2", "w3", "b3")]
             )
@@ -213,10 +214,10 @@ class TestCriterion7FlowMatching:
                 bumped = flat.copy()
                 bumped[idx] += h
                 probe.set_flat_params(bumped)
-                up, _ = flowmatch.loss_and_grad_at(probe, x0, x1, t, e)
+                up, _ = flowmatch.loss_and_grad_at(probe, x0, x1, t, e, buf)
                 bumped[idx] -= 2 * h
                 probe.set_flat_params(bumped)
-                down, _ = flowmatch.loss_and_grad_at(probe, x0, x1, t, e)
+                down, _ = flowmatch.loss_and_grad_at(probe, x0, x1, t, e, buf)
                 numeric = (up - down) / (2 * h)
                 denom = max(abs(numeric), abs(flat_grad[idx]), 1e-8)
                 worst = max(worst, abs(numeric - flat_grad[idx]) / denom)

@@ -105,6 +105,8 @@ def test_each_command_loads_only_the_modules_it_runs(tmp_path, mock_endpoint, go
     monkeypatch.setenv("SCOT_API_KEY", "test-key")
     scene, corpus = tmp_path / "scene.json", tmp_path / "corpus.jsonl"
     scene.write_text(json.dumps({**SCENE, "boxes": {"a": [0, 0, 90, 90], "b": [50, 0, 300, 90]}}))
+    layout = tmp_path / "layout.json"
+    layout.write_text(json.dumps({"boxes": {"a": [0, 0, 90, 90]}}))
     instr, ckpt = tmp_path / "instr.txt", tmp_path / "model.ckpt"
     instr.write_text("a red box <|box|>400,400,600,600<|/box|>\n")
     steps = {
@@ -118,7 +120,7 @@ def test_each_command_loads_only_the_modules_it_runs(tmp_path, mock_endpoint, go
         "plan": ["plan", str(scene), "--max-iters", "5"],
         "check": ["check", str(scene)],
         "repair": ["repair", str(scene), "--max-iters", "5"],
-        "render": ["render", str(scene), str(tmp_path / "out.svg")],
+        "render": ["render", str(layout), str(tmp_path / "out.svg")],
         "plan --mllm": ["plan", str(scene), "--mllm", "--base-url", base_url, "--model", "mock"],
         "toy train": ["toy", "train", "--instruction", str(instr), "--output", str(ckpt),
                       "--steps", "2", "--batch-size", "4"],
@@ -308,6 +310,8 @@ _RECORD = {"v": 1, "id": "r1", "caption": "a cat", "source": "",
            "entities": [{"phrase": "cat", "attrs": {}, "box": [1, 2, 30, 40]}]}
 _BAD_RECORD = {**_RECORD, "entities": [{"phrase": ["cat"], "attrs": {}, "box": [1, 2, 30, 40]}]}
 
+_PLAN_DOC = {"reasoning": "r", "prompt": "a cat<|bbox_1|>", "objects": {"1. cat": [0, 0, 9, 9]}}
+
 # (command, JSON document); an "encode" document is the second records
 # line, and an "mllm" one the --config file, which fails before any
 # request is sent
@@ -324,6 +328,12 @@ MALFORMED_INPUTS = {
     "check stray box id": ("check", {**SCENE, "boxes": _STRAY_BOXES}),
     "repair stray box id": ("repair", {**SCENE, "boxes": _STRAY_BOXES}),
     "render boxes list": ("render", {"boxes": [1, 2]}),
+    "render layout unknown key": ("render", {"boxes": {"a": [0, 0, 9, 9]}, "junk": 1}),
+    "render layout misspelt iterations": ("render", {"boxes": {"a": [0, 0, 9, 9]}, "iteration": 3}),
+    "render planner output unknown key": ("render", {**_PLAN_DOC, "junk": 1}),
+    "render planner output with boxes": ("render", {**_PLAN_DOC, "boxes": {"a": [0, 0, 9, 9]}}),
+    "render scene with boxes": ("render", {**SCENE, "boxes": {"a": [0, 0, 9, 9], "b": [20, 0, 29, 9]}}),
+    "render residual number": ("render", {"boxes": {"a": [0, 0, 9, 9]}, "residual": 5}),
     "render input number": ("render", 5),
     "config list": ("mllm", [1]),
     "config timeout string": ("mllm", {"base_url": "http://localhost:9", "timeout": "abc"}),
@@ -383,8 +393,8 @@ REJECTED_OPTION_VALUES = {
                          "--steps", "3", "--batch-size", "0"],
     "toy learning rate nan": ["toy", "train", "--instruction", "{instr}", "--output", "{out}",
                               "--steps", "3", "--learning-rate", "nan"],
-    "render canvas 0": ["render", "{scene}", "{out}", "--canvas", "0"],
-    "render canvas -10": ["render", "{scene}", "{out}", "--canvas", "-10"],
+    "render canvas 0": ["render", "{layout}", "{out}", "--canvas", "0"],
+    "render canvas -10": ["render", "{layout}", "{out}", "--canvas", "-10"],
     "plan max iters -3": ["plan", "{scene}", "--max-iters", "-3"],
     "repair max iters -1": ["repair", "{scene}", "--max-iters", "-1"],
     "synth n -4": ["dataset", "synth", "--n", "-4", "--output", "{out}"],
@@ -399,10 +409,13 @@ def test_option_value_outside_its_domain_exits_1_and_writes_nothing(case, tmp_pa
 
     scene, instr, out = tmp_path / "scene.json", tmp_path / "instr.txt", tmp_path / "out"
     ckpt = tmp_path / "model.ckpt"
+    layout = tmp_path / "layout.json"
     scene.write_text(json.dumps({"entities": [_ENTITY], "boxes": {"a": [0, 0, 90, 90]}}))
+    layout.write_text(json.dumps({"boxes": {"a": [0, 0, 90, 90]}}))
     instr.write_text("a red box <|box|>400,400,600,600<|/box|>\n")
     flowmatch.save_checkpoint(ckpt, flowmatch.VelocityModel.init(m=8, width=4))
-    paths = {"scene": scene, "corpus": corpus, "instr": instr, "out": out, "ckpt": ckpt}
+    paths = {"scene": scene, "layout": layout, "corpus": corpus, "instr": instr, "out": out,
+             "ckpt": ckpt}
     code, stdout, stderr = run(capsys, *(arg.format(**paths) for arg in REJECTED_OPTION_VALUES[case]))
     assert (code, stdout) == (1, "")
     [line] = stderr.splitlines()
@@ -457,6 +470,15 @@ class TestRender:
         assert code == 0
         svg = out_file.read_text()
         assert "1. cat" in svg
+
+    def test_render_repair_output(self, tmp_path, capsys):
+        scene_file, layout_file = tmp_path / "scene.json", tmp_path / "layout.json"
+        scene_file.write_text(json.dumps({**SCENE, "boxes": {"a": [500, 0, 590, 90], "b": [0, 0, 90, 90]}}))
+        code, out, _ = run(capsys, "repair", str(scene_file), "--max-iters", "5")
+        assert code == 0 and set(json.loads(out)) == {"boxes", "iterations", "residual"}
+        layout_file.write_text(out)
+        out_file = tmp_path / "layout.svg"
+        assert run(capsys, "render", str(layout_file), str(out_file)) == (0, f"{out_file}\n", "")
 
     def test_render_determinism(self, tmp_path, capsys):
         doc = {"boxes": {"a": [0, 0, 500, 500], "b": [500, 500, 1000, 1000]}}

@@ -3,12 +3,15 @@ exact gradients vs finite differences, sampler conventions, and file
 round trips. The long default-config training runs live in the
 acceptance suite."""
 
+import resource
+
 import numpy as np
 import pytest
 
 from scotkit.codec import interleave
 from scotkit.flowmatch import (
     DimensionMismatch,
+    StepBuffers,
     TrainConfig,
     VelocityModel,
     box_union_sampler,
@@ -89,7 +92,8 @@ class TestLossAndGrad:
         x0 = np.array([[0.2, 0.4], [0.6, 0.1]])
         e = np.zeros((2, 4))
         t = np.array([0.3, 0.9])
-        loss, _ = loss_and_grad_at(model, x0, x0.copy(), t, e)  # x1 = x0 -> u = 0
+        buf = StepBuffers(model, 2, backward=True)
+        loss, _ = loss_and_grad_at(model, x0, x0.copy(), t, e, buf)  # x1 = x0 -> u = 0
         assert loss == 0.0
 
     def test_batch_duplication_invariance(self):
@@ -101,7 +105,7 @@ class TestLossAndGrad:
         rng = np.random.default_rng(8)
         x1 = rng.standard_normal(x0.shape)
         t = rng.uniform(0.0, 1.0, size=2)
-        loss_once, _ = loss_and_grad_at(model, x0, x1, t, es)
+        loss_once, _ = loss_and_grad_at(model, x0, x1, t, es, StepBuffers(model, 2, backward=True))
         # duplicating the batch with the same per-element draws keeps the mean
         loss_dup, _ = loss_and_grad_at(
             model,
@@ -109,8 +113,16 @@ class TestLossAndGrad:
             np.concatenate([x1, x1]),
             np.concatenate([t, t]),
             np.concatenate([es, es]),
+            StepBuffers(model, 4, backward=True),
         )
         assert loss_dup == pytest.approx(loss_once, rel=1e-12)
+
+    def test_batch_other_than_the_buffers_is_rejected(self):
+        # a batch of 1 would broadcast into buffers of 4 and scale the gradient wrongly
+        model = randomized_model()
+        x0, t, e = np.zeros((1, 2)), np.zeros(1), np.zeros((1, 5))
+        with pytest.raises(DimensionMismatch, match="batch of 1 for buffers of 4"):
+            loss_and_grad_at(model, x0, x0, t, e, StepBuffers(model, 4, backward=True))
 
     @pytest.mark.parametrize("d,m,width", [(2, 5, 8), (2, 16, 12), (3, 4, 6)])
     def test_gradient_matches_finite_differences(self, d, m, width):
@@ -121,7 +133,8 @@ class TestLossAndGrad:
         x1 = rng.standard_normal((batch_size, d))
         t = rng.uniform(0.0, 1.0, size=batch_size)
         e = rng.standard_normal((batch_size, m))
-        _, grads = loss_and_grad_at(model, x0, x1, t, e)
+        buf = StepBuffers(model, batch_size, backward=True)
+        _, grads = loss_and_grad_at(model, x0, x1, t, e, buf)
         flat_grad = np.concatenate(
             [grads[n].ravel() for n in ("w1", "b1", "w2", "b2", "w3", "b3")]
         )
@@ -133,10 +146,10 @@ class TestLossAndGrad:
             bumped = flat.copy()
             bumped[idx] += h
             probe.set_flat_params(bumped)
-            up, _ = loss_and_grad_at(probe, x0, x1, t, e)
+            up, _ = loss_and_grad_at(probe, x0, x1, t, e, buf)
             bumped[idx] -= 2 * h
             probe.set_flat_params(bumped)
-            down, _ = loss_and_grad_at(probe, x0, x1, t, e)
+            down, _ = loss_and_grad_at(probe, x0, x1, t, e, buf)
             numeric = (up - down) / (2 * h)
             denom = max(abs(numeric), abs(flat_grad[idx]), 1e-8)
             assert abs(numeric - flat_grad[idx]) / denom <= 1e-4
@@ -202,6 +215,44 @@ class TestSample:
     def test_n_samples_validation(self):
         with pytest.raises(ValueError, match="n_samples must be >= 0, got -1"):
             sample(randomized_model(), np.zeros(5), -1)
+
+
+def _minor_faults(call) -> int:
+    before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+    call()
+    return resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before
+
+
+class TestStepsReuseBuffers:
+    """A step that allocates fresh (batch, width) arrays lets the heap be
+    trimmed and faulted in again every step, hundreds of minor page
+    faults a step at these sizes; a step that reuses one call's buffers
+    takes none. Faults are compared between two step counts after a
+    warm-up call, so the per-call set-up cancels."""
+
+    MAX_FAULTS_PER_EXTRA_STEP = 20
+
+    def faults_per_extra_step(self, run, few, many):
+        run(few)
+        extra = _minor_faults(lambda: run(many)) - _minor_faults(lambda: run(few))
+        return extra / (many - few)
+
+    def test_train(self):
+        sampler = box_union_sampler(single_box_instruction())
+
+        def run(steps):
+            train(TrainConfig(steps=steps, batch_size=256), sampler)
+
+        assert self.faults_per_extra_step(run, 10, 50) <= self.MAX_FAULTS_PER_EXTRA_STEP
+
+    def test_sample(self):
+        model = randomized_model(m=64, width=128)
+        e = embed_instruction(single_box_instruction())
+
+        def run(n_steps):
+            sample(model, e, 4000, n_steps=n_steps, seed=0)
+
+        assert self.faults_per_extra_step(run, 2, 12) <= self.MAX_FAULTS_PER_EXTRA_STEP
 
 
 class TestInBoxFraction:

@@ -1,7 +1,8 @@
 """Behaviour lock: SHA-256 digests of everything `plan` and `repair`
 emit over fixed scene families, of the constraint wire records and
 `scot check` output, of the codec's outputs and first errors, and of a
-`toy train` checkpoint, one plan's SVG and a synthetic corpus file.
+`toy train` checkpoint and loss curve, a `toy sample` points file, one
+plan's SVG and a synthetic corpus file.
 
 Each planner digest covers, per scene and planner seed: the sorted boxes, the
 iteration count, the residual messages with `repr` of each magnitude,
@@ -9,9 +10,10 @@ the repair objective trace, the `plan_to_output` JSON, and a second
 repair with a short budget and a small starting step. Any changed byte
 changes a digest. The planner values were recorded before repair became
 incremental, the wire and codec values before each constraint kind
-became one class, and the checkpoint, SVG and corpus values before an
-instruction stopped storing its token stream; a deliberate behaviour
-change must update them and say so.
+became one class, the checkpoint, SVG and corpus values before an
+instruction stopped storing its token stream, and the loss-curve and
+points values before the flow-matching steps reused their buffers; a
+deliberate behaviour change must update them and say so.
 """
 
 import hashlib
@@ -361,6 +363,8 @@ def test_substitute_raises_pinned_first_error(text, objects, expected):
 
 FILE_GOLDEN = {
     "checkpoint": "00c73eca53203def17aafcc242fd9fce3184422586e5f5ad88d3025d0cb80df2",
+    "curve": "91b39fc94f4d3f402f7f665d2909e3e006809f7e43def1d713480ebd6da303b5",
+    "points": "822cceebf6c346c55a47286dd8b03ac21b09a093a5da9d64747a79a55e373731",
     "svg": "b088dd6d1a9a5aa5be857fe3239dc600615866a46930e7f2df30414ef5373180",
     "synth": "20a52682c2d2347a57a314b1691fd3eaac76a192b9eccab23e07a3cff66f9004",
 }
@@ -375,13 +379,29 @@ def _file_sha(path) -> str:
     return hashlib.sha256(path.read_bytes()).hexdigest()
 
 
-def test_toy_checkpoint_matches_pinned_digest(tmp_path, capsys):
+def _toy_train(tmp_path, capsys, *extra):
     instr, ckpt = tmp_path / "instr.txt", tmp_path / "model.ckpt"
     instr.write_text(TOY_INSTRUCTION)
     argv = ["toy", "train", "--instruction", str(instr), "--output", str(ckpt), "--steps", "25"]
-    assert main(argv) == 0
+    assert main(argv + list(extra)) == 0
     capsys.readouterr()
     assert _file_sha(ckpt) == FILE_GOLDEN["checkpoint"]
+    return instr, ckpt
+
+
+def test_toy_checkpoint_matches_pinned_digest(tmp_path, capsys):
+    curve = tmp_path / "curve.txt"
+    _toy_train(tmp_path, capsys, "--curve", str(curve))
+    assert _file_sha(curve) == FILE_GOLDEN["curve"]
+
+
+def test_toy_sample_points_match_pinned_digest(tmp_path, capsys):
+    instr, ckpt = _toy_train(tmp_path, capsys)
+    points = tmp_path / "points.txt"
+    argv = ["toy", "sample", "--model", str(ckpt), "--instruction", str(instr), "--output", str(points)]
+    assert main(argv) == 0
+    capsys.readouterr()
+    assert _file_sha(points) == FILE_GOLDEN["points"]
 
 
 def test_plan_svg_matches_pinned_digest():
