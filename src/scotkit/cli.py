@@ -93,9 +93,7 @@ def cmd_plan(args) -> int:
     if args.mllm:
         from .client import request_plan
 
-        config = _client_config(args)
-        prompt = args.prompt or _spec_prompt(spec)
-        output = request_plan(config, prompt)
+        output = request_plan(_client_config(args), _spec_prompt(spec))
     else:
         from . import planner
 
@@ -199,7 +197,7 @@ def cmd_eval(args) -> int:
             )
         )
     report = metrics.evaluate(samples, iou_threshold=args.iou_threshold)
-    print(metrics.format_report(report, per_sample=args.per_sample))
+    print(metrics.format_report(report))
     return EXIT_OK
 
 
@@ -269,9 +267,6 @@ def cmd_toy_train(args) -> int:
         steps=args.steps,
         batch_size=args.batch_size,
         learning_rate=args.learning_rate,
-        init_seed=args.init_seed,
-        data_seed=args.data_seed,
-        noise_seed=args.noise_seed,
     )
     sampler = flowmatch.box_union_sampler(instruction, m=config.m)
     model, curve = flowmatch.train(config, sampler)
@@ -335,7 +330,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--config", help="client config file (JSON)")
     p.add_argument("--base-url")
     p.add_argument("--model")
-    p.add_argument("--prompt", help="raw prompt for --mllm (defaults to the spec phrases)")
     p.set_defaults(func=cmd_plan)
 
     p = sub.add_parser("check", help="layout + constraints -> violations")
@@ -351,7 +345,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--refs", required=True)
     p.add_argument("--preds", required=True)
     p.add_argument("--iou-threshold", type=float, default=0.5)
-    p.add_argument("--per-sample", action="store_true")
     p.set_defaults(func=cmd_eval)
 
     p = sub.add_parser("render", help="plan -> SVG")
@@ -384,9 +377,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--steps", type=int, default=2000)
     p.add_argument("--batch-size", type=int, default=256)
     p.add_argument("--learning-rate", type=float, default=1e-2)
-    p.add_argument("--init-seed", type=int, default=0)
-    p.add_argument("--data-seed", type=int, default=1)
-    p.add_argument("--noise-seed", type=int, default=2)
     p.set_defaults(func=cmd_toy_train)
 
     p = tsub.add_parser("sample", help="sample latents from a checkpoint")

@@ -25,7 +25,7 @@ from .geometry import CANVAS, BBox
 BOX_OPEN = "<|box|>"
 BOX_CLOSE = "<|/box|>"
 # The planner prompt's placeholder for object N (group 1 is N).
-PLACEHOLDER_RE = re.compile(r"<\|bbox_(\d+)\|>")
+_PLACEHOLDER_RE = re.compile(r"<\|bbox_(\d+)\|>")
 
 _TRAILING_PUNCT = '.,;:!?"'
 _BLOCK_RE = re.compile(r"<\|box\|>(.*?)<\|/box\|>", re.DOTALL)
@@ -221,10 +221,10 @@ def substitute_placeholders(
     of objects[N]. The token immediately preceding a placeholder becomes
     the entity's span end; consecutive placeholders share it."""
     for m in _PLACEHOLDER_PREFIX_RE.finditer(prompt_text):
-        if not PLACEHOLDER_RE.fullmatch(m.group(0)):
+        if not _PLACEHOLDER_RE.fullmatch(m.group(0)):
             raise MalformedPlaceholder(m.group(0))
 
-    matches = list(PLACEHOLDER_RE.finditer(prompt_text))
+    matches = list(_PLACEHOLDER_RE.finditer(prompt_text))
     seen: list[int] = []
     for m in matches:
         n = int(m.group(1))

@@ -280,10 +280,9 @@ def mixture_sampler(samplers: Sequence[DataSampler]) -> DataSampler:
 
     def sample_data(rng: np.random.Generator, n: int) -> tuple[np.ndarray, np.ndarray]:
         picks = rng.integers(0, len(samplers), size=n)
-        parts = [s(rng, n) for s in samplers]
-        x0 = np.stack([parts[k][0][i] for i, k in enumerate(picks)])
-        e = np.stack([parts[k][1][i] for i, k in enumerate(picks)])
-        return x0, e
+        xs, es = zip(*(s(rng, n) for s in samplers))
+        rows = np.arange(n)
+        return np.stack(xs)[picks, rows], np.stack(es)[picks, rows]
 
     return sample_data
 

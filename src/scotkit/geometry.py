@@ -108,8 +108,4 @@ def place(cx: float, cy: float, w: float, h: float) -> BBox:
     ymin = int(math.floor(y1 + 0.5))
     xmax = min(CANVAS, xmin + max(1, int(math.floor(w + 0.5))))
     ymax = min(CANVAS, ymin + max(1, int(math.floor(h + 0.5))))
-    if xmin >= xmax:
-        xmin = xmax - 1
-    if ymin >= ymax:
-        ymin = ymax - 1
     return BBox(xmin, ymin, xmax, ymax)

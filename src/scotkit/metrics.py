@@ -43,21 +43,13 @@ class InstanceMatch:
 
 
 @dataclass(frozen=True)
-class SampleResult:
-    id: str
-    matches: tuple[InstanceMatch, ...]
-    successful: int
-    all_successful: bool
-    mean_iou: float
-
-
-@dataclass(frozen=True)
 class EvalReport:
     miou: float
     sr: float
     isr: float
     iou_threshold: float
-    per_sample: tuple[SampleResult, ...]
+    samples: int
+    instances: int
 
 
 def greedy_match(pairs: Sequence[tuple[int, int, float]], n_refs: int) -> list[InstanceMatch]:
@@ -108,29 +100,17 @@ def evaluate(
         raise EmptyCorpus("evaluate needs at least one sample")
     if not 0 < iou_threshold <= 1:
         raise MetricsError(f"iou_threshold must be in (0, 1], got {iou_threshold}")
-    per_sample = []
     total_instances = 0
     total_successful = 0
     iou_sum = 0.0
     full_samples = 0
     for sample in samples:
-        matches = tuple(match_instances(sample))
+        matches = match_instances(sample)
         successes = sum(1 for m in matches if m.iou >= iou_threshold)
-        sample_iou = sum(m.iou for m in matches)
-        all_ok = successes == len(matches)
-        per_sample.append(
-            SampleResult(
-                id=sample.id,
-                matches=matches,
-                successful=successes,
-                all_successful=all_ok,
-                mean_iou=sample_iou / len(matches) if matches else 1.0,
-            )
-        )
         total_instances += len(matches)
         total_successful += successes
-        iou_sum += sample_iou
-        full_samples += all_ok
+        iou_sum += sum(m.iou for m in matches)
+        full_samples += successes == len(matches)
     sr = 100.0 * full_samples / len(samples)
     isr = 100.0 * total_successful / total_instances if total_instances else 100.0
     miou = 100.0 * iou_sum / total_instances if total_instances else 100.0
@@ -139,25 +119,17 @@ def evaluate(
         sr=_round2(sr),
         isr=_round2(isr),
         iou_threshold=iou_threshold,
-        per_sample=tuple(per_sample),
+        samples=len(samples),
+        instances=total_instances,
     )
 
 
-def format_report(report: EvalReport, per_sample: bool = False) -> str:
-    lines = [
-        f"samples:   {len(report.per_sample)}",
-        f"instances: {sum(len(s.matches) for s in report.per_sample)}",
+def format_report(report: EvalReport) -> str:
+    return "\n".join([
+        f"samples:   {report.samples}",
+        f"instances: {report.instances}",
         f"threshold: {report.iou_threshold}",
         f"SR:    {report.sr:.2f}",
         f"I-SR:  {report.isr:.2f}",
         f"mIoU:  {report.miou:.2f}",
-    ]
-    if per_sample:
-        lines.append("")
-        lines.append(f"{'id':<24} {'refs':>5} {'ok':>4} {'mIoU':>7} {'all':>4}")
-        for s in report.per_sample:
-            lines.append(
-                f"{s.id:<24} {len(s.matches):>5} {s.successful:>4} "
-                f"{100 * s.mean_iou:>7.2f} {str(s.all_successful):>4}"
-            )
-    return "\n".join(lines)
+    ])

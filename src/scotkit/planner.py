@@ -125,7 +125,8 @@ _OBJECT_KEY_RE = re.compile(r"^(\d+)\.\s+(.+)$")
 
 
 def parse_planner_output(raw: str) -> PlannerOutput:
-    """Parse and validate raw planner text against the wire schema."""
+    """Parse and validate raw planner text against the wire schema; its
+    prompt must turn into an instruction, as `to_instruction` builds it."""
     m = _FENCE_RE.search(raw)
     payload = m.group(1) if m else raw
     try:
@@ -154,13 +155,12 @@ def parse_planner_output(raw: str) -> PlannerOutput:
             raise InvalidBox(key, str(exc)) from exc
         entries.append((key, box))
 
-    placeholder_indices = [int(n) for n in codec.PLACEHOLDER_RE.findall(prompt)]
-    if sorted(placeholder_indices) != list(range(1, len(entries) + 1)):
-        raise PlaceholderMismatch(
-            f"prompt placeholders {sorted(placeholder_indices)} do not match "
-            f"object indices 1..{len(entries)}"
-        )
-    return PlannerOutput(reasoning=reasoning, prompt=prompt, objects=tuple(entries))
+    out = PlannerOutput(reasoning=reasoning, prompt=prompt, objects=tuple(entries))
+    try:
+        codec.substitute_placeholders(prompt, out.index_map())
+    except codec.CodecError as exc:
+        raise PlaceholderMismatch(str(exc)) from exc
+    return out
 
 
 def to_instruction(out: PlannerOutput) -> codec.InterleavedInstruction:

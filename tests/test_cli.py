@@ -1,6 +1,7 @@
 """End-to-end CLI tests (in-process main() invocations)."""
 
 import argparse
+import io
 import json
 import os
 import socket
@@ -192,6 +193,25 @@ def test_readme_command_block_lists_every_command_and_no_other():
     assert listed == commands
 
 
+def _long_options(parser: argparse.ArgumentParser):
+    """Every long option of parser and of each command under it."""
+    for action in parser._actions:
+        if isinstance(action, argparse._SubParsersAction):
+            for sub in action.choices.values():
+                yield from _long_options(sub)
+        yield from (opt for opt in action.option_strings if opt.startswith("--"))
+
+
+def test_every_long_option_is_passed_by_some_test_or_workload():
+    # an option nothing passes is a constant with untested code behind it
+    root = Path(__file__).resolve().parents[1]
+    text = "".join(path.read_text(encoding="utf-8")
+                   for folder in ("tests", "bench") for path in sorted((root / folder).rglob("*.py")))
+    unpassed = {opt for opt in _long_options(build_parser())
+                if opt != "--help" and f'"{opt}"' not in text and f"'{opt}'" not in text}
+    assert unpassed == set()
+
+
 class TestEncodeDecode:
     def test_encode_then_decode_round_trip(self, tmp_path, corpus, capsys):
         code, out, _ = run(capsys, "encode", str(corpus))
@@ -208,6 +228,22 @@ class TestEncodeDecode:
             assert [e["box"] for e in doc["entities"]] == [
                 e.box.as_list() for e in original.entities
             ]
+
+    def test_decode_dash_reads_stdin(self, tmp_path, capsys, monkeypatch):
+        text = "a cat <|box|>1,2,30,40<|/box|>\n\na dog <|box|>5,5,9,9<|/box|>\n"
+        instr_file = tmp_path / "instr.txt"
+        instr_file.write_text(text)
+        from_file = run(capsys, "decode", str(instr_file))
+        monkeypatch.setattr("sys.stdin", io.StringIO(text))
+        assert run(capsys, "decode", "-") == from_file
+        assert from_file[0] == 0 and len(from_file[1].splitlines()) == 2
+
+    def test_blank_record_lines_are_skipped_but_counted(self, tmp_path, capsys):
+        data = tmp_path / "records.jsonl"
+        data.write_text(json.dumps(_RECORD) + "\n\n" + json.dumps({**_RECORD, "id": 7}) + "\n")
+        code, out, err = run(capsys, "encode", str(data))
+        assert (code, out) == (1, "")
+        assert err.startswith("error: line 3: ")
 
     def test_encode_missing_file(self, capsys, tmp_path):
         code, _, err = run(capsys, "encode", str(tmp_path / "nope.jsonl"))
@@ -246,6 +282,15 @@ class TestPlanCheckRepair:
         _, out1, _ = run(capsys, "plan", str(spec_file), "--seed", "4")
         _, out2, _ = run(capsys, "plan", str(spec_file), "--seed", "4")
         assert out1 == out2
+
+    def test_plan_prints_each_residual_violation_to_stderr(self, tmp_path, capsys):
+        # the first proposal packs a left of b, and no sweep may move it
+        spec_file = tmp_path / "scene.json"
+        spec_file.write_text(json.dumps({**SCENE, "constraints": [{"kind": "left_of", "a": "b", "b": "a"}]}))
+        code, out, err = run(capsys, "plan", str(spec_file), "--max-iters", "0")
+        assert code == 0 and set(json.loads(out)) == {"reasoning", "prompt", "objects"}
+        [line] = err.splitlines()
+        assert line.startswith("residual: b left of a: centers off by ")
 
     def test_check_and_repair(self, tmp_path, capsys):
         scene = dict(SCENE)
@@ -357,6 +402,13 @@ MALFORMED_INPUTS = {
     "config misspelt key": ("mllm", {"base_url": "http://localhost:9", "max_retry": 0}),
     "record misspelt key": ("encode", {**_RECORD, "images": None}),
     "record caption block marker": ("encode", {**_RECORD, "caption": "a <|box|> cat"}),
+    "record caption empty": ("encode", {**_RECORD, "caption": "", "entities": []}),
+    "entity size unknown": ("plan", {"entities": [{**_ENTITY, "size": "huge"}]}),
+    "entity id repeated": ("plan", {"entities": [_ENTITY, {**_ENTITY, "phrase": "dog"}]}),
+    "check box ymin at ymax": ("check", {**SCENE, "boxes": {"a": [0, 9, 9, 9], "b": [20, 0, 29, 9]}}),
+    "repair without boxes": ("repair", SCENE),
+    "render neither form": ("render", {"iterations": 3}),
+    "config without base url": ("mllm", {"model_name": "mock"}),
 }
 
 
@@ -398,6 +450,7 @@ REJECTED_OPTION_VALUES = {
     "plan max iters -3": ["plan", "{scene}", "--max-iters", "-3"],
     "repair max iters -1": ["repair", "{scene}", "--max-iters", "-1"],
     "synth n -4": ["dataset", "synth", "--n", "-4", "--output", "{out}"],
+    "synth max entities 25": ["dataset", "synth", "--n", "3", "--max-entities", "25", "--output", "{out}"],
     "toy sample n -1": ["toy", "sample", "--model", "{ckpt}", "--instruction", "{instr}",
                         "--n", "-1", "--output", "{out}"],
 }
@@ -479,6 +532,15 @@ class TestRender:
         layout_file.write_text(out)
         out_file = tmp_path / "layout.svg"
         assert run(capsys, "render", str(layout_file), str(out_file)) == (0, f"{out_file}\n", "")
+
+    def test_render_on_a_canvas_that_does_not_divide_1000(self, tmp_path, capsys):
+        in_file, out_file = tmp_path / "layout.json", tmp_path / "layout.svg"
+        in_file.write_text(json.dumps({"boxes": {"a": [0, 0, 100, 100], "b": [10, 20, 30, 40]}}))
+        assert run(capsys, "render", str(in_file), str(out_file), "--canvas", "333") == (
+            0, f"{out_file}\n", "")
+        svg = out_file.read_text()
+        assert '<rect x="0" y="0" width="33.30" height="33.30"' in svg
+        assert '<rect x="3.33" y="6.66" width="6.66" height="6.66"' in svg
 
     def test_render_determinism(self, tmp_path, capsys):
         doc = {"boxes": {"a": [0, 0, 500, 500], "b": [500, 500, 1000, 1000]}}

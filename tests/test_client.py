@@ -2,6 +2,7 @@
 (`mock_endpoint` in conftest)."""
 
 import hashlib
+import json
 from concurrent.futures import ThreadPoolExecutor
 from types import SimpleNamespace
 
@@ -105,6 +106,16 @@ class TestRequestPlan:
         assert retry_messages[-1]["role"] == "user"
         assert "Your previous output was invalid" in retry_messages[-1]["content"]
         assert "re-emit the JSON only" in retry_messages[-1]["content"]
+
+    def test_a_placeholder_the_codec_rejects_is_fed_back(self, config, mock_endpoint,
+                                                         golden_examples):
+        _, state = mock_endpoint
+        bad = {"reasoning": "r", "prompt": "a cat<|bbox_1|> and a dog<|bbox_x|>",
+               "objects": {"1. cat": [0, 0, 10, 10]}}
+        state.replies = [json.dumps(bad), golden_examples[1]]
+        request_plan(config, "a park")
+        assert len(state.requests) == 2
+        assert "malformed placeholder: '<|bbox_x|>'" in state.requests[1]["messages"][-1]["content"]
 
     def test_invalid_after_retries(self, config, mock_endpoint):
         _, state = mock_endpoint

@@ -196,6 +196,11 @@ class TestSubstitutePlaceholders:
 
 
 class TestInstruction:
+    @pytest.mark.parametrize("span", [(0, 1), (3, 2)])
+    def test_entity_span_must_be_ordered_and_one_based(self, span):
+        with pytest.raises(CodecError, match="invalid span"):
+            GroundedEntity("cat", BBox(0, 0, 5, 5), span)
+
     @pytest.mark.parametrize("ends", [(2, 1), (3,), (1, 3)])
     def test_span_ends_checked_at_construction(self, ends):
         entities = tuple(GroundedEntity("w", BBox(0, 0, 5, 5), (e, e)) for e in ends)

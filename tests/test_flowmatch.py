@@ -20,6 +20,7 @@ from scotkit.flowmatch import (
     interpolate,
     load_checkpoint,
     loss_and_grad_at,
+    mixture_sampler,
     sample,
     save_checkpoint,
     save_loss_curve,
@@ -84,6 +85,22 @@ class TestEmbedding:
         a = embed_instruction(single_box_instruction(BBox(100, 100, 400, 400)), m=16)
         b = embed_instruction(single_box_instruction(BBox(600, 600, 900, 900)), m=16)
         assert not np.allclose(a, b)
+
+
+class TestDataSamplers:
+    def test_an_instruction_without_boxes_is_rejected(self):
+        with pytest.raises(ValueError, match="instruction has no boxes"):
+            box_union_sampler(interleave("an empty scene", []))
+
+    def test_mixture_rows_keep_each_point_with_its_own_embedding(self):
+        left, right = BBox(0, 0, 400, 1000), BBox(600, 0, 1000, 1000)
+        instrs = [single_box_instruction(left), single_box_instruction(right)]
+        x0, e = mixture_sampler([box_union_sampler(i, m=8) for i in instrs])(
+            np.random.default_rng(0), 200)
+        on_left = x0[:, 0] <= 0.4
+        assert 0 < on_left.sum() < 200 and np.all(on_left | (x0[:, 0] >= 0.6))
+        for rows, instr in ((on_left, instrs[0]), (~on_left, instrs[1])):
+            assert np.array_equal(e[rows], np.broadcast_to(embed_instruction(instr, m=8), e[rows].shape))
 
 
 class TestLossAndGrad:
@@ -153,6 +170,14 @@ class TestLossAndGrad:
             numeric = (up - down) / (2 * h)
             denom = max(abs(numeric), abs(flat_grad[idx]), 1e-8)
             assert abs(numeric - flat_grad[idx]) / denom <= 1e-4
+
+
+class TestModel:
+    def test_flat_params_of_the_wrong_size_are_rejected(self):
+        model = VelocityModel.init(d=2, m=4, width=8, seed=0)
+        flat = np.zeros(model.flat_params().size + 1)
+        with pytest.raises(DimensionMismatch, match=f"expected {flat.size - 1} parameters, got {flat.size}"):
+            model.set_flat_params(flat)
 
 
 class TestTrain:

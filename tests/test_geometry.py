@@ -38,10 +38,14 @@ class TestBBox:
     def test_rejects_zero_area(self):
         with pytest.raises(BoxError):
             BBox(10, 10, 10, 20)
+        with pytest.raises(BoxError, match="ymin < ymax"):
+            BBox(10, 10, 20, 10)
 
     def test_rejects_inverted(self):
         with pytest.raises(BoxError):
             BBox(20, 10, 10, 30)
+        with pytest.raises(BoxError, match="ymin < ymax"):
+            BBox(10, 30, 30, 10)
 
     def test_rejects_out_of_canvas(self):
         with pytest.raises(BoxError):

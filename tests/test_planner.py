@@ -61,6 +61,10 @@ class TestParsePlannerOutput:
         with pytest.raises(NotJson):
             parse_planner_output("garbage {{{")
 
+    def test_json_list_is_not_an_object(self):
+        with pytest.raises(NotJson, match="expected a JSON object, got list"):
+            parse_planner_output('[{"prompt": "a cat<|bbox_1|>"}]')
+
     def test_missing_field(self):
         with pytest.raises(MissingField):
             parse_planner_output('{"prompt": "x", "objects": {}}')
@@ -82,6 +86,19 @@ class TestParsePlannerOutput:
         }
         with pytest.raises(PlaceholderMismatch):
             parse_planner_output(json.dumps(doc))
+
+    # each prompt numbers its placeholders 1..N and still names no
+    # instruction, so the parser rejects it with the codec's message
+    @pytest.mark.parametrize("prompt, message", [
+        ("a cat<|bbox_1|> and a dog<|bbox_x|>", "malformed placeholder: '<|bbox_x|>'"),
+        ("<|bbox_1|> a cat", "malformed placeholder: '<|bbox_1|>'"),
+        ("a cat<|bbox_1|> <|bbox_1 |>", "malformed placeholder: '<|bbox_1 |>'"),
+    ])
+    def test_placeholders_naming_no_instruction_are_rejected(self, prompt, message):
+        doc = {"reasoning": "", "prompt": prompt, "objects": {"1. cat": [0, 0, 1, 1]}}
+        with pytest.raises(PlaceholderMismatch) as info:
+            parse_planner_output(json.dumps(doc))
+        assert str(info.value) == message
 
     def test_invalid_box(self):
         doc = {

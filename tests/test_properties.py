@@ -5,6 +5,8 @@ unless it watches_all). Also the codec round trip: whatever
 `interleave` or `substitute_placeholders` builds parses back from its
 serialized text; repair never raises the objective; IoU is a
 symmetric similarity in [0, 1] that is 1 for a box with itself;
+`place` turns any finite centre and size into a canvas box of that size
+to within half a unit;
 `tokenize` and `locate_spans` return what their loop versions return,
 or raise the same error; scene specs and grounded records read back
 from what they write; and a JSON input with one field of the wrong
@@ -38,7 +40,7 @@ from scotkit.constraints import (
     check,
     total_magnitude,
 )
-from scotkit.geometry import BBox, iou
+from scotkit.geometry import CANVAS, BBox, iou, place
 
 PROPERTY = settings(derandomize=True, deadline=None)
 
@@ -139,6 +141,17 @@ def test_repair_never_raises_total_magnitude(layout, cats, cs, max_iters):
 def test_iou_is_symmetric_and_in_unit_interval(a, b):
     assert iou(a, b) == iou(b, a)
     assert 0.0 <= iou(a, b) <= 1.0
+
+
+finite = st.floats(allow_nan=False, allow_infinity=False)
+
+
+@PROPERTY
+@given(finite, finite, finite, finite)
+def test_place_returns_a_canvas_box_within_half_a_unit_of_the_clamped_size(cx, cy, w, h):
+    b = place(cx, cy, w, h)
+    assert abs(b.width - min(max(w, 1.0), CANVAS)) <= 0.5
+    assert abs(b.height - min(max(h, 1.0), CANVAS)) <= 0.5
 
 
 @PROPERTY
