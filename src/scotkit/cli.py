@@ -74,15 +74,25 @@ def cmd_encode(args) -> int:
 def cmd_decode(args) -> int:
     from . import codec, dataset
 
-    lines = [ln for ln in _read_text(args.input).splitlines() if ln.strip()]
-    for i, line in enumerate(lines, start=1):
-        caption, entities = codec.parse(line)
-        record = dataset.GroundedRecord(
-            id=f"decoded-{i:05d}",
-            caption=caption,
-            entities=tuple(dataset.RecordEntity(e.phrase, box=e.box) for e in entities),
-            source="decoded",
-        )
+    # nothing is printed until every line has become a record that
+    # load_records would read back
+    records = []
+    for lineno, line in enumerate(_read_text(args.input).splitlines(), start=1):
+        if not line.strip():
+            continue
+        try:
+            caption, entities = codec.parse(line)
+            record = dataset.GroundedRecord(
+                id=f"decoded-{len(records) + 1:05d}",
+                caption=caption,
+                entities=tuple(dataset.RecordEntity(e.phrase, box=e.box) for e in entities),
+                source="decoded",
+            )
+            record.validate()
+        except ValueError as exc:
+            raise ValueError(f"line {lineno}: {exc}") from exc
+        records.append(record)
+    for record in records:
         print(json.dumps(dataset.record_to_dict(record), ensure_ascii=False,
                          separators=(",", ":")))
     return EXIT_OK
@@ -394,8 +404,6 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
-    # OSError first: a client TransportError is both an OSError and a
-    # ValueError, and a transport fault exits 2
     try:
         return args.func(args)
     except OSError as exc:

@@ -29,21 +29,7 @@ SYSTEM_PROMPT_RESOURCE = "planner_system_prompt.txt"
 SYSTEM_PROMPT_SHA256 = "ca2418d0873776d3e0c596c589ebc9a85b33c558a24f48662aa7583fc4710ec6"
 
 
-class ClientError(ValueError):
-    pass
-
-
-class EmptyPrompt(ClientError):
-    pass
-
-
-class MissingApiKey(ClientError):
-    def __init__(self, env_var: str):
-        super().__init__(f"environment variable {env_var} is not set")
-        self.env_var = env_var
-
-
-class TransportError(ClientError, OSError):
+class TransportError(OSError):
     """The endpoint could not be reached or did not answer with a
     completion; an OSError, so the CLI exits 2 for it."""
 
@@ -51,15 +37,6 @@ class TransportError(ClientError, OSError):
         super().__init__(f"transport failure ({status}): {detail}" if status else detail)
         self.status = status
         self.detail = detail
-
-
-class InvalidAfterRetries(ClientError):
-    def __init__(self, last_error: Exception, attempts: int):
-        super().__init__(
-            f"planner output still invalid after {attempts} attempts: {last_error}"
-        )
-        self.last_error = last_error
-        self.attempts = attempts
 
 
 @dataclass(frozen=True)
@@ -91,7 +68,7 @@ def load_system_prompt() -> str:
     )
     digest = hashlib.sha256(text.encode("utf-8")).hexdigest()
     if digest != SYSTEM_PROMPT_SHA256:
-        raise ClientError(f"system prompt resource drifted: sha256 {digest} != pinned")
+        raise ValueError(f"system prompt resource drifted: sha256 {digest} != pinned")
     return text
 
 
@@ -99,7 +76,7 @@ def build_request(user_prompt: str) -> list[dict[str, str]]:
     """Two chat messages: the packaged system prompt (which closes with
     the input-text marker line) and the raw user prompt."""
     if not user_prompt:
-        raise EmptyPrompt("user prompt must be non-empty")
+        raise ValueError("user prompt must be non-empty")
     return [
         {"role": "system", "content": load_system_prompt()},
         {"role": "user", "content": user_prompt},
@@ -175,7 +152,7 @@ def request_plan(config: ClientConfig, user_prompt: str) -> PlannerOutput:
     """
     api_key = os.environ.get(config.api_key_env_var)
     if not api_key:
-        raise MissingApiKey(config.api_key_env_var)
+        raise ValueError(f"environment variable {config.api_key_env_var} is not set")
     messages = build_request(user_prompt)
     last_error: PlannerOutputError | None = None
     for _ in range(config.max_retries + 1):
@@ -194,4 +171,6 @@ def request_plan(config: ClientConfig, user_prompt: str) -> PlannerOutput:
                     ),
                 },
             ]
-    raise InvalidAfterRetries(last_error, config.max_retries + 1)
+    raise ValueError(
+        f"planner output still invalid after {config.max_retries + 1} attempts: {last_error}"
+    )

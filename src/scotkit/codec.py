@@ -33,53 +33,11 @@ _PLACEHOLDER_PREFIX_RE = re.compile(r"<\|bbox_[^|>]*\|?>?")
 
 
 class CodecError(ValueError):
-    """Base class for instruction encoding/decoding failures."""
+    """An instruction that cannot be encoded or decoded."""
 
 
-class PhraseNotFound(CodecError):
-    def __init__(self, phrase: str):
-        super().__init__(f"phrase not found in caption: {phrase!r}")
-        self.phrase = phrase
-
-
-class OverlappingSpans(CodecError):
-    def __init__(self, phrase: str):
-        super().__init__(f"every occurrence of {phrase!r} is already claimed")
-        self.phrase = phrase
-
-
-class MissingObject(CodecError):
-    def __init__(self, index: int):
-        super().__init__(f"placeholder <|bbox_{index}|> has no matching object")
-        self.index = index
-
-
-class UnusedObject(CodecError):
-    def __init__(self, index: int):
-        super().__init__(f"object {index} has no matching placeholder")
-        self.index = index
-
-
-class MalformedPlaceholder(CodecError):
-    def __init__(self, text: str):
-        super().__init__(f"malformed placeholder: {text!r}")
-        self.text = text
-
-
-class UnbalancedBlock(CodecError):
-    pass
-
-
-class CoordOutOfRange(CodecError):
-    def __init__(self, value: str):
-        super().__init__(f"coordinate out of [0, {CANVAS}]: {value!r}")
-        self.value = value
-
-
-class CoordCountNot4(CodecError):
-    def __init__(self, payload: str):
-        super().__init__(f"coordinate block must hold exactly 4 values: {payload!r}")
-        self.payload = payload
+_MALFORMED = "malformed placeholder: {!r}"
+_NOT_FOUND = "phrase not found in caption: {!r}"
 
 
 @dataclass(frozen=True)
@@ -150,9 +108,9 @@ def detokenize(tokens: Sequence[str]) -> str:
 
 
 def caption_words(segment: str) -> list[str]:
-    """tokenize(segment), raising UnbalancedBlock if it holds a block marker."""
+    """tokenize(segment), raising CodecError if it holds a block marker."""
     if BOX_OPEN in segment or BOX_CLOSE in segment:
-        raise UnbalancedBlock(f"stray block marker near: {segment!r}")
+        raise CodecError(f"stray block marker near: {segment!r}")
     return tokenize(segment)
 
 
@@ -170,7 +128,7 @@ def locate_spans(tokens: Sequence[str], phrases: Sequence[str]) -> list[tuple[in
     for phrase in phrases:
         needle = tokenize(phrase)
         if not needle:
-            raise PhraseNotFound(phrase)
+            raise CodecError(_NOT_FOUND.format(phrase))
         k = len(needle)
         stop = max(0, len(tokens) - k + 1)  # clamped: a negative stop counts from the end
         found = None
@@ -186,8 +144,10 @@ def locate_spans(tokens: Sequence[str], phrases: Sequence[str]) -> list[tuple[in
                 if not any(claimed[i : i + k]):
                     found = i
             i += 1
+        if occurred and found is None:
+            raise CodecError(f"every occurrence of {phrase!r} is already claimed")
         if found is None:
-            raise OverlappingSpans(phrase) if occurred else PhraseNotFound(phrase)
+            raise CodecError(_NOT_FOUND.format(phrase))
         claimed[found : found + k] = [True] * k
         spans.append((found + 1, found + k))
     return spans
@@ -222,33 +182,33 @@ def substitute_placeholders(
     the entity's span end; consecutive placeholders share it."""
     for m in _PLACEHOLDER_PREFIX_RE.finditer(prompt_text):
         if not _PLACEHOLDER_RE.fullmatch(m.group(0)):
-            raise MalformedPlaceholder(m.group(0))
+            raise CodecError(_MALFORMED.format(m.group(0)))
 
     matches = list(_PLACEHOLDER_RE.finditer(prompt_text))
     seen: list[int] = []
     for m in matches:
         n = int(m.group(1))
         if n not in objects:
-            raise MissingObject(n)
+            raise CodecError(f"placeholder <|bbox_{n}|> has no matching object")
         if n in seen:
-            raise MalformedPlaceholder(m.group(0))
+            raise CodecError(_MALFORMED.format(m.group(0)))
         seen.append(n)
     for n in objects:
         if n not in seen:
-            raise UnusedObject(n)
+            raise CodecError(f"object {n} has no matching placeholder")
 
     return _bind_blocks(prompt_text, matches, lambda m: objects[int(m.group(1))],
-                        lambda m: MalformedPlaceholder(m.group(0)))
+                        lambda m: _MALFORMED.format(m.group(0)))
 
 
 def _bind_blocks(
     text: str,
     matches: Iterable[re.Match],
     box_for: Callable[[re.Match], BBox],
-    orphan: Callable[[re.Match], CodecError],
+    orphan: Callable[[re.Match], str],
 ) -> InterleavedInstruction:
     """Bind the box of each match in text to the caption token just before
-    it, raising orphan(match) when there is none. The text between
+    it, raising CodecError(orphan(match)) when there is none. The text between
     matches must hold no block marker."""
     caption_tokens: list[str] = []
     entities: list[GroundedEntity] = []
@@ -257,7 +217,7 @@ def _bind_blocks(
         caption_tokens.extend(caption_words(text[cursor : m.start()]))
         cursor = m.end()
         if not caption_tokens:
-            raise orphan(m)
+            raise CodecError(orphan(m))
         pos = len(caption_tokens)
         entities.append(GroundedEntity(caption_tokens[-1], box_for(m), (pos, pos)))
     caption_tokens.extend(caption_words(text[cursor:]))
@@ -266,19 +226,17 @@ def _bind_blocks(
 
 def _parse_block_payload(payload: str) -> BBox:
     if BOX_OPEN in payload or BOX_CLOSE in payload:
-        raise UnbalancedBlock(f"nested block marker in payload: {payload!r}")
+        raise CodecError(f"nested block marker in payload: {payload!r}")
     parts = payload.split(",")
     if len(parts) != 4:
-        raise CoordCountNot4(payload)
+        raise CodecError(f"coordinate block must hold exactly 4 values: {payload!r}")
     coords = []
     for part in parts:
         part = part.strip()
         digits = part[1:] if part[:1] == "-" else part
-        if not (part.isascii() and digits.isdigit()):
-            raise CoordOutOfRange(part)
-        value = int(part)
+        value = int(part) if part.isascii() and digits.isdigit() else -1
         if not 0 <= value <= CANVAS:
-            raise CoordOutOfRange(part)
+            raise CodecError(f"coordinate out of [0, {CANVAS}]: {part!r}")
         coords.append(value)
     return BBox.from_list(coords)
 
@@ -287,7 +245,7 @@ def parse_instruction(text: str) -> InterleavedInstruction:
     """Decode serialized instruction text back into an instruction."""
     return _bind_blocks(text, _BLOCK_RE.finditer(text),
                         lambda m: _parse_block_payload(m.group(1)),
-                        lambda m: UnbalancedBlock("coordinate block with no preceding token"))
+                        lambda m: "coordinate block with no preceding token")
 
 
 def parse(text: str) -> tuple[str, list[GroundedEntity]]:

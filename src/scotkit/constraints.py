@@ -18,7 +18,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field, fields
-from typing import ClassVar, Mapping, NamedTuple, Sequence
+from typing import ClassVar, Container, Mapping, NamedTuple, Sequence
 
 from . import wire
 from .geometry import CANVAS, BBox, area, center, intersection_area, place
@@ -29,12 +29,6 @@ Categories = Mapping[str, str]
 
 class ConstraintError(wire.InputError):
     pass
-
-
-class UnknownEntityId(ConstraintError):
-    def __init__(self, entity_id: str):
-        super().__init__(f"constraint references unknown entity id {entity_id!r}")
-        self.entity_id = entity_id
 
 
 @dataclass(frozen=True)
@@ -109,13 +103,14 @@ class Cell(NamedTuple):
         return list(self)
 
 
-def require_boxes(layout: Layout, cs: Sequence[Constraint]) -> None:
-    """Raise UnknownEntityId for the first id, in constraint order and then
-    entity_ids() order, that layout holds no box for."""
+def require_boxes(layout: Container[str], cs: Sequence[Constraint]) -> None:
+    """Raise ConstraintError for the first id, in constraint order and then
+    entity_ids() order, that layout holds no box for; a scene passes its
+    set of entity ids."""
     for c in cs:
         for entity_id in c.entity_ids():
             if entity_id not in layout:
-                raise UnknownEntityId(entity_id)
+                raise ConstraintError(f"constraint references unknown entity id {entity_id!r}")
 
 
 # --- repair move primitives ---------------------------------------------

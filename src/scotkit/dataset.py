@@ -25,21 +25,6 @@ from .geometry import CANVAS, BBox
 SCHEMA_VERSION = 1
 
 
-class DatasetError(ValueError):
-    pass
-
-
-class InvalidRecord(DatasetError):
-    def __init__(self, line: int, detail: str):
-        super().__init__(f"line {line}: {detail}")
-        self.line = line
-        self.detail = detail
-
-
-class RecordParseError(InvalidRecord):
-    """A line that is not JSON."""
-
-
 @dataclass(frozen=True)
 class RecordEntity:
     phrase: str
@@ -72,7 +57,7 @@ def record_from_dict(d: Mapping) -> GroundedRecord:
     version = fields.pop("v", None)
     record = wire.read(GroundedRecord, fields, "record")
     if isinstance(version, bool) or version != SCHEMA_VERSION:
-        raise DatasetError(f"unsupported schema version {version!r}")
+        raise ValueError(f"unsupported schema version {version!r}")
     record.validate()
     return record
 
@@ -87,13 +72,9 @@ def load_records(path: str | Path) -> list[GroundedRecord]:
             if not line:
                 continue
             try:
-                doc = json.loads(line)
-            except json.JSONDecodeError as exc:
-                raise RecordParseError(lineno, str(exc)) from exc
-            try:
-                records.append(record_from_dict(doc))
+                records.append(record_from_dict(json.loads(line)))
             except ValueError as exc:
-                raise InvalidRecord(lineno, str(exc)) from exc
+                raise ValueError(f"line {lineno}: {exc}") from exc
     return records
 
 

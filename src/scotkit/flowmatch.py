@@ -31,10 +31,6 @@ DEFAULT_EMBED_DIM = 64
 DEFAULT_WIDTH = 128
 
 
-class DimensionMismatch(ValueError):
-    pass
-
-
 def _as_vec(x) -> np.ndarray:
     return np.asarray(x, dtype=np.float64)
 
@@ -43,7 +39,7 @@ def interpolate(x0, x1, t: float | np.ndarray) -> np.ndarray:
     """Linear path point x_t = (1 - t) x0 + t x1; an array t broadcasts against x0."""
     a, b = _as_vec(x0), _as_vec(x1)
     if a.shape != b.shape:
-        raise DimensionMismatch(f"{a.shape} vs {b.shape}")
+        raise ValueError(f"{a.shape} vs {b.shape}")
     return (1.0 - t) * a + t * b
 
 
@@ -51,7 +47,7 @@ def target_velocity(x0, x1) -> np.ndarray:
     """Coupling velocity u = x1 - x0, constant along the path."""
     a, b = _as_vec(x0), _as_vec(x1)
     if a.shape != b.shape:
-        raise DimensionMismatch(f"{a.shape} vs {b.shape}")
+        raise ValueError(f"{a.shape} vs {b.shape}")
     return b - a
 
 
@@ -134,14 +130,14 @@ class VelocityModel:
         return np.concatenate([getattr(self, n).ravel() for n in _PARAM_NAMES])
 
     def set_flat_params(self, flat: np.ndarray) -> None:
+        expected = sum(getattr(self, name).size for name in _PARAM_NAMES)
+        if flat.size != expected:
+            raise ValueError(f"expected {expected} parameters, got {flat.size}")
         offset = 0
         for name in _PARAM_NAMES:
             current = getattr(self, name)
-            size = current.size
-            setattr(self, name, flat[offset : offset + size].reshape(current.shape).copy())
-            offset += size
-        if offset != flat.size:
-            raise DimensionMismatch(f"expected {offset} parameters, got {flat.size}")
+            setattr(self, name, flat[offset : offset + current.size].reshape(current.shape).copy())
+            offset += current.size
 
 
 class StepBuffers:
@@ -191,7 +187,7 @@ def loss_and_grad_at(
     call with buf."""
     batch = x0.shape[0]
     if batch != buf.z.shape[0]:
-        raise DimensionMismatch(f"batch of {batch} for buffers of {buf.z.shape[0]}")
+        raise ValueError(f"batch of {batch} for buffers of {buf.z.shape[0]}")
     d = model.d
     buf.z[:, :d] = interpolate(x0, x1, t[:, None])
     buf.z[:, d] = t
@@ -398,7 +394,7 @@ def load_checkpoint(path) -> tuple[VelocityModel, dict]:
     # the blob is checked against the header before the header sizes any array
     expected = 8 * (width * (d + 1 + m) + width + width * width + width + d * width + d)
     if len(blob) != expected:
-        raise DimensionMismatch(
+        raise ValueError(
             f"checkpoint holds {len(blob)} parameter bytes, expected {expected} "
             f"for d={d}, m={m}, width={width}"
         )

@@ -20,14 +20,6 @@ from .geometry import BBox, iou
 DEFAULT_IOU_THRESHOLD = 0.5
 
 
-class MetricsError(ValueError):
-    pass
-
-
-class EmptyCorpus(MetricsError):
-    pass
-
-
 @dataclass(frozen=True)
 class EvalSample:
     id: str
@@ -97,9 +89,9 @@ def evaluate(
     vacuously (so SR <= I-SR always holds). The threshold lies in (0, 1]:
     at 0 an unmatched reference would count as a success."""
     if not samples:
-        raise EmptyCorpus("evaluate needs at least one sample")
+        raise ValueError("evaluate needs at least one sample")
     if not 0 < iou_threshold <= 1:
-        raise MetricsError(f"iou_threshold must be in (0, 1], got {iou_threshold}")
+        raise ValueError(f"iou_threshold must be in (0, 1], got {iou_threshold}")
     total_instances = 0
     total_successful = 0
     iou_sum = 0.0

@@ -25,40 +25,8 @@ _SIZE_SIDE = {"large": 400.0, "medium": 250.0, "small": 120.0}
 
 
 class PlannerOutputError(ValueError):
-    """Base class for planner wire-schema validation failures."""
-
-
-class NotJson(PlannerOutputError):
-    pass
-
-
-class MissingField(PlannerOutputError):
-    def __init__(self, name: str):
-        super().__init__(f"planner output is missing field {name!r}")
-        self.name = name
-
-
-class MalformedObjectKey(PlannerOutputError):
-    def __init__(self, key: str):
-        super().__init__(f'object key must look like "N. name", got {key!r}')
-        self.key = key
-
-
-class IndexGap(PlannerOutputError):
-    def __init__(self, expected: int, got: int):
-        super().__init__(f"object indices must run 1..N, expected {expected} got {got}")
-        self.expected = expected
-        self.got = got
-
-
-class PlaceholderMismatch(PlannerOutputError):
-    pass
-
-
-class InvalidBox(PlannerOutputError):
-    def __init__(self, key: str, detail: str):
-        super().__init__(f"invalid box for {key!r}: {detail}")
-        self.key = key
+    """Planner text that does not follow the wire schema; its message is
+    what the client feeds back to the model."""
 
 
 @dataclass(frozen=True)
@@ -87,10 +55,7 @@ class SceneSpec:
         ids = {e.id for e in self.entities}
         if len(ids) != len(self.entities):
             raise ValueError("entity ids must be unique")
-        for c in self.constraints:
-            for eid in c.entity_ids():
-                if eid not in ids:
-                    raise constraints.UnknownEntityId(eid)
+        constraints.require_boxes(ids, self.constraints)
 
     @property
     def categories(self) -> dict[str, str]:
@@ -132,34 +97,35 @@ def parse_planner_output(raw: str) -> PlannerOutput:
     try:
         doc = json.loads(payload)
     except json.JSONDecodeError as exc:
-        raise NotJson(f"not valid JSON: {exc}") from exc
+        raise PlannerOutputError(f"not valid JSON: {exc}") from exc
     if not isinstance(doc, dict):
-        raise NotJson(f"expected a JSON object, got {type(doc).__name__}")
+        raise PlannerOutputError(f"expected a JSON object, got {type(doc).__name__}")
 
     for name, kind in (("reasoning", str), ("prompt", str), ("objects", dict)):
         if not isinstance(doc.get(name), kind):
-            raise MissingField(name)
+            raise PlannerOutputError(f"planner output is missing field {name!r}")
     reasoning, prompt, objects = doc["reasoning"], doc["prompt"], doc["objects"]
 
     entries: list[tuple[str, BBox]] = []
     for expected, (key, value) in enumerate(objects.items(), start=1):
         km = _OBJECT_KEY_RE.match(key)
         if not km:
-            raise MalformedObjectKey(key)
+            raise PlannerOutputError(f'object key must look like "N. name", got {key!r}')
         index = int(km.group(1))
         if index != expected:
-            raise IndexGap(expected, index)
+            raise PlannerOutputError(
+                f"object indices must run 1..N, expected {expected} got {index}")
         try:
             box = BBox.from_wire(value, "box")
         except BoxError as exc:
-            raise InvalidBox(key, str(exc)) from exc
+            raise PlannerOutputError(f"invalid box for {key!r}: {exc}") from exc
         entries.append((key, box))
 
     out = PlannerOutput(reasoning=reasoning, prompt=prompt, objects=tuple(entries))
     try:
         codec.substitute_placeholders(prompt, out.index_map())
     except codec.CodecError as exc:
-        raise PlaceholderMismatch(str(exc)) from exc
+        raise PlannerOutputError(str(exc)) from exc
     return out
 
 

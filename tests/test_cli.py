@@ -256,6 +256,21 @@ class TestEncodeDecode:
         code, _, err = run(capsys, "decode", str(bad))
         assert code == 1
 
+    def test_decode_prints_nothing_when_a_later_line_fails_and_names_it(self, tmp_path, capsys):
+        # the blank line 2 is skipped but counted, as encode counts it
+        instr = tmp_path / "instr.txt"
+        instr.write_text("a cat <|box|>1,2,30,40<|/box|>\n\nbad <|box|>1,2<|/box|>\n")
+        assert run(capsys, "decode", str(instr)) == (
+            1, "", "error: line 3: coordinate block must hold exactly 4 values: '1,2'\n")
+
+    def test_decode_rejects_a_record_that_encode_would_reject(self, tmp_path, capsys):
+        # two blocks after one word decode to the phrase "cat" twice in a
+        # caption that holds it once
+        instr = tmp_path / "instr.txt"
+        instr.write_text("a cat <|box|>1,2,30,40<|/box|> <|box|>5,6,70,80<|/box|>\n")
+        assert run(capsys, "decode", str(instr)) == (
+            1, "", "error: line 1: every occurrence of 'cat' is already claimed\n")
+
     def test_decode_rejects_non_ascii_digits(self, tmp_path):
         bad = tmp_path / "bad.txt"
         bad.write_text("a cat <|box|>١,٢,٣٠,٤٠<|/box|>\n", encoding="utf-8")

@@ -20,7 +20,6 @@ from scotkit.constraints import (
     LeftOf,
     NonOverlap,
     RightOf,
-    UnknownEntityId,
     check,
     total_magnitude,
 )
@@ -160,13 +159,13 @@ class TestCheckExamples:
 
     def test_unknown_id(self):
         layout = {"a": BBox(0, 0, 10, 10)}
-        with pytest.raises(UnknownEntityId) as exc:
+        with pytest.raises(ConstraintError) as exc:
             check(layout, {}, [LeftOf("a", "ghost")])
         assert str(exc.value) == "constraint references unknown entity id 'ghost'"
         # with two ids missing, the first constraint's is reported
-        with pytest.raises(UnknownEntityId) as exc:
+        with pytest.raises(ConstraintError) as exc:
             check(layout, {}, [LeftOf("a", "zed"), NonOverlap("abe", "a")])
-        assert exc.value.entity_id == "zed"
+        assert str(exc.value) == "constraint references unknown entity id 'zed'"
 
 
 class TestTotalMagnitude:

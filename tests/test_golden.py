@@ -312,51 +312,63 @@ def test_system_prompt_examples_match_pinned_digest(golden_examples):
 
 _B = BBox(10, 20, 30, 40)
 
-# (input, class of the first error raised, or None when it decodes)
+# (input, kind, message of the first error raised); the kind names the
+# row in test ids, and both are None for input that decodes
 PARSE_ERRORS = [
-    ("x <|box|>1,2<|/box|>", "CoordCountNot4"),
-    ("cat <|box|>0,0,1500,10<|/box|>", "CoordOutOfRange"),
-    ("cat <|box|>1,2,3,4", "UnbalancedBlock"),
-    ("<|box|>1,2,3,4<|/box|> cat", "UnbalancedBlock"),
-    ("cat <|box|>a,b<|/box|> dog <|/box|>", "CoordCountNot4"),
-    ("cat <|/box|> <|box|>1,2,3,4<|/box|>", "UnbalancedBlock"),
-    ("<|box|>1,2,3<|/box|> cat", "UnbalancedBlock"),
-    ("cat <|box|><|box|>1,2,3,4<|/box|>", "UnbalancedBlock"),
-    ("cat <|box|>5,5,5,9<|/box|>", "BoxError"),
-    ("cat <|box|>1,2,3,-4<|/box|> <|box|>", "CoordOutOfRange"),
-    ("cat <|box|>1,2,3,4<|/box|> dog <|box|>1,2,3<|/box|> <|/box|>", "CoordCountNot4"),
-    ("cat <|box|>1,2,3,4<|/box|><|box|>5,6,7,8<|/box|> <|box|>", "UnbalancedBlock"),
-    ("a <|box|>1,2,3,4<|/box|> <|box|>1,2,3,4<|/box|>", None),
-    ("", None),
+    ("x <|box|>1,2<|/box|>", "CoordCountNot4", "coordinate block must hold exactly 4 values: '1,2'"),
+    ("cat <|box|>0,0,1500,10<|/box|>", "CoordOutOfRange", "coordinate out of [0, 1000]: '1500'"),
+    ("cat <|box|>1,2,3,4", "UnbalancedBlock", "stray block marker near: 'cat <|box|>1,2,3,4'"),
+    ("<|box|>1,2,3,4<|/box|> cat", "UnbalancedBlock", "coordinate block with no preceding token"),
+    ("cat <|box|>a,b<|/box|> dog <|/box|>", "CoordCountNot4",
+     "coordinate block must hold exactly 4 values: 'a,b'"),
+    ("cat <|/box|> <|box|>1,2,3,4<|/box|>", "UnbalancedBlock", "stray block marker near: 'cat <|/box|> '"),
+    ("<|box|>1,2,3<|/box|> cat", "UnbalancedBlock", "coordinate block with no preceding token"),
+    ("cat <|box|><|box|>1,2,3,4<|/box|>", "UnbalancedBlock",
+     "nested block marker in payload: '<|box|>1,2,3,4'"),
+    ("cat <|box|>5,5,5,9<|/box|>", "BoxError", "need 0 <= xmin < xmax <= 1000, got [5, 5, 5, 9]"),
+    ("cat <|box|>1,2,3,-4<|/box|> <|box|>", "CoordOutOfRange", "coordinate out of [0, 1000]: '-4'"),
+    ("cat <|box|>1,2,3,4<|/box|> dog <|box|>1,2,3<|/box|> <|/box|>", "CoordCountNot4",
+     "coordinate block must hold exactly 4 values: '1,2,3'"),
+    ("cat <|box|>1,2,3,4<|/box|><|box|>5,6,7,8<|/box|> <|box|>", "UnbalancedBlock",
+     "stray block marker near: ' <|box|>'"),
+    ("a <|box|>1,2,3,4<|/box|> <|box|>1,2,3,4<|/box|>", None, None),
+    ("", None, None),
 ]
 
 SUBSTITUTE_ERRORS = [
-    ("cat <|bbox_1|>", {}, "MissingObject"),
-    ("cat <|bbox_1|>", {1: _B, 2: _B}, "UnusedObject"),
-    ("cat <|bbox_x|>", {1: _B}, "MalformedPlaceholder"),
-    ("<|bbox_1|> cat", {1: _B}, "MalformedPlaceholder"),
-    ("cat <|bbox_1|> <|bbox_1|>", {1: _B}, "MalformedPlaceholder"),
-    ("<|bbox_1|> dog <|bbox_3|>", {1: _B, 2: _B}, "MissingObject"),
-    ("<|bbox_1|> dog <|bbox_2|> <|bbox_", {1: _B, 2: _B}, "MalformedPlaceholder"),
-    ("<|bbox_2|> dog <|bbox_1|>", {1: _B, 2: _B}, "MalformedPlaceholder"),
-    ("dog <|bbox_2|><|bbox_1|> cat", {1: _B, 2: _B}, None),
+    ("cat <|bbox_1|>", {}, "MissingObject", "placeholder <|bbox_1|> has no matching object"),
+    ("cat <|bbox_1|>", {1: _B, 2: _B}, "UnusedObject", "object 2 has no matching placeholder"),
+    ("cat <|bbox_x|>", {1: _B}, "MalformedPlaceholder", "malformed placeholder: '<|bbox_x|>'"),
+    ("<|bbox_1|> cat", {1: _B}, "MalformedPlaceholder", "malformed placeholder: '<|bbox_1|>'"),
+    ("cat <|bbox_1|> <|bbox_1|>", {1: _B}, "MalformedPlaceholder", "malformed placeholder: '<|bbox_1|>'"),
+    ("<|bbox_1|> dog <|bbox_3|>", {1: _B, 2: _B}, "MissingObject",
+     "placeholder <|bbox_3|> has no matching object"),
+    ("<|bbox_1|> dog <|bbox_2|> <|bbox_", {1: _B, 2: _B}, "MalformedPlaceholder",
+     "malformed placeholder: '<|bbox_'"),
+    ("<|bbox_2|> dog <|bbox_1|>", {1: _B, 2: _B}, "MalformedPlaceholder",
+     "malformed placeholder: '<|bbox_2|>'"),
+    ("dog <|bbox_2|><|bbox_1|> cat", {1: _B, 2: _B}, None, None),
 ]
 
 
 def _first_error(call, *args):
     try:
         call(*args)
-    except Exception as exc:  # the class is what the table pins
-        return type(exc).__name__
+    except ValueError as exc:  # the message is what the table pins
+        return str(exc)
     return None
 
 
-@pytest.mark.parametrize("text, expected", PARSE_ERRORS)
+@pytest.mark.parametrize("text, expected", [(text, message) for text, _, message in PARSE_ERRORS],
+                         ids=[f"{text}-{kind}" for text, kind, _ in PARSE_ERRORS])
 def test_parse_raises_pinned_first_error(text, expected):
     assert _first_error(codec.parse, text) == expected
 
 
-@pytest.mark.parametrize("text, objects, expected", SUBSTITUTE_ERRORS)
+@pytest.mark.parametrize("text, objects, expected",
+                         [(text, objects, message) for text, objects, _, message in SUBSTITUTE_ERRORS],
+                         ids=[f"{text}-objects{i}-{kind}"
+                              for i, (text, _, kind, _) in enumerate(SUBSTITUTE_ERRORS)])
 def test_substitute_raises_pinned_first_error(text, objects, expected):
     assert _first_error(codec.substitute_placeholders, text, objects) == expected
 

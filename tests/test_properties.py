@@ -233,7 +233,7 @@ def oracle_locate_spans(tokens, phrases):
     for phrase in phrases:
         needle = oracle_tokenize(phrase)
         if not needle:
-            raise codec.PhraseNotFound(phrase)
+            raise codec.CodecError(f"phrase not found in caption: {phrase!r}")
         k = len(needle)
         found = None
         occurred = False
@@ -245,7 +245,8 @@ def oracle_locate_spans(tokens, phrases):
                 found = i
                 break
         if found is None:
-            raise codec.OverlappingSpans(phrase) if occurred else codec.PhraseNotFound(phrase)
+            raise codec.CodecError(f"every occurrence of {phrase!r} is already claimed" if occurred
+                                   else f"phrase not found in caption: {phrase!r}")
         for j in range(found, found + k):
             claimed[j] = True
         spans.append((found + 1, found + k))

@@ -3,6 +3,7 @@ that keeps each format rule in one place, for runtime checks that
 `python -O` cannot strip, and for the declared dependencies."""
 
 import ast
+import importlib
 import re
 import sys
 from collections import Counter
@@ -183,3 +184,28 @@ def test_every_public_definition_is_used_outside_its_own_body():
     acceptance = (Path(__file__).parent / "test_acceptance.py").read_text(encoding="utf-8")
     for name, criterion in CALLED_ONLY_BY_ACCEPTANCE.items():
         assert f".{name}(" in acceptance and f'"{criterion}"' in acceptance
+
+
+# exception classes that no code catches by name, each kept for its reason
+UNCAUGHT_BY_NAME = {
+    "TransportError": "an OSError, so the CLI exits 2 for it, not 1",
+}
+
+
+def test_every_exception_class_is_caught_by_name_somewhere():
+    # an error's contract is its message and whether it is a ValueError
+    # (exit 1) or an OSError (exit 2); a class that no except clause names
+    # distinguishes nothing but a unit test
+    modules = [importlib.import_module(f"scotkit.{path.stem}") for path in sorted(SRC.glob("*.py"))]
+    defined = {name for module in modules for name, value in vars(module).items()
+               if isinstance(value, type) and issubclass(value, BaseException)
+               and value.__module__ == module.__name__}
+    bench = SRC.parents[1] / "bench"
+    caught = set()
+    for path in sorted(SRC.glob("*.py")) + sorted(bench.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.ExceptHandler) and node.type is not None:
+                caught |= _names_read(node.type)
+    assert defined - caught == set(UNCAUGHT_BY_NAME)
+    assert defined == {"InputError", "ConstraintError", "BoxError", "CodecError",
+                       "PlannerOutputError", "TransportError"}
