@@ -16,7 +16,7 @@ from pathlib import Path
 from typing import TYPE_CHECKING, Mapping
 
 if TYPE_CHECKING:
-    from . import codec, dataset, planner
+    from . import codec, planner
     from .client import ClientConfig
     from .geometry import BBox
 
@@ -65,9 +65,11 @@ def _load_scene(path: str) -> tuple[planner.SceneSpec, dict[str, BBox] | None]:
 def cmd_encode(args) -> int:
     from . import codec, dataset
 
-    records = dataset.load_records(args.input)
-    for record in records:
-        print(codec.serialize(dataset.record_to_instruction(record)))
+    def encode(record):
+        return codec.serialize(dataset.record_to_instruction(record))
+
+    for line in dataset.map_records(encode, args.input):
+        print(line)
     return EXIT_OK
 
 
@@ -76,25 +78,25 @@ def cmd_decode(args) -> int:
 
     # nothing is printed until every line has become a record that
     # load_records would read back
-    records = []
-    for lineno, line in enumerate(_read_text(args.input).splitlines(), start=1):
-        if not line.strip():
-            continue
-        try:
-            caption, entities = codec.parse(line)
-            record = dataset.GroundedRecord(
-                id=f"decoded-{len(records) + 1:05d}",
-                caption=caption,
-                entities=tuple(dataset.RecordEntity(e.phrase, box=e.box) for e in entities),
-                source="decoded",
-            )
-            record.validate()
-        except ValueError as exc:
-            raise ValueError(f"line {lineno}: {exc}") from exc
-        records.append(record)
-    for record in records:
-        print(json.dumps(dataset.record_to_dict(record), ensure_ascii=False,
-                         separators=(",", ":")))
+    def decode(start, lines):
+        records = []
+        for index, (lineno, line) in enumerate(lines, start=start + 1):
+            try:
+                caption, entities = codec.parse(line)
+                record = dataset.GroundedRecord(
+                    id=f"decoded-{index:05d}",
+                    caption=caption,
+                    entities=tuple(dataset.RecordEntity(e.phrase, box=e.box) for e in entities),
+                    source="decoded",
+                )
+                record.validate()
+            except ValueError as exc:
+                raise ValueError(f"line {lineno}: {exc}") from exc
+            records.append(dataset.record_json(record))
+        return records
+
+    for line in dataset.fan_out(decode, dataset.numbered_lines(_read_text(args.input).split("\n"))):
+        print(line)
     return EXIT_OK
 
 
@@ -174,39 +176,44 @@ def cmd_repair(args) -> int:
     return EXIT_OK
 
 
-def _records_by_id(path: str) -> dict[str, dataset.GroundedRecord]:
+def _instances_by_id(path: str) -> dict[str, tuple[tuple[str, int, int, int, int], ...]]:
+    """Each record's entities as (category, x1, y1, x2, y2), by record id."""
     from . import dataset
 
+    def instances(r):
+        return r.id, tuple((e.attrs.get("category", e.phrase), *e.box.as_list())
+                           for e in r.entities)
+
     by_id = {}
-    for record in dataset.load_records(path):
-        if record.id in by_id:
-            raise ValueError(f"record id {record.id!r} appears twice in {path}")
-        by_id[record.id] = record
+    for record_id, boxes in dataset.map_records(instances, path):
+        if record_id in by_id:
+            raise ValueError(f"record id {record_id!r} appears twice in {path}")
+        by_id[record_id] = boxes
     return by_id
 
 
 def cmd_eval(args) -> int:
-    from . import metrics
+    from . import dataset, metrics
+    from .geometry import BBox
 
-    refs = _records_by_id(args.refs).values()
-    pred_by_id = _records_by_id(args.preds)
+    refs = _instances_by_id(args.refs)
+    preds = _instances_by_id(args.preds)
 
-    def instances(record):
-        return tuple(
-            (e.attrs.get("category", e.phrase), e.box) for e in record.entities
-        )
+    def boxes(instances):
+        return tuple((category, BBox(*xyxy)) for category, *xyxy in instances)
 
-    samples = []
-    for ref in refs:
-        pred = pred_by_id.get(ref.id)
-        samples.append(
-            metrics.EvalSample(
-                id=ref.id,
-                references=instances(ref),
-                predictions=instances(pred) if pred else (),
-            )
-        )
-    report = metrics.evaluate(samples, iou_threshold=args.iou_threshold)
+    def score(start, lines):
+        return [metrics.score(metrics.EvalSample(record_id, boxes(instances),
+                                                 boxes(preds.get(record_id, ()))),
+                              args.iou_threshold)
+                for _, (record_id, instances) in lines]
+
+    scores = dataset.fan_out(score, list(enumerate(refs.items(), start=1)))
+    report = metrics.aggregate(scores, args.iou_threshold)
+    for record_id in preds:
+        if record_id not in refs:
+            raise ValueError(f"prediction id {record_id!r} in {args.preds} matches no "
+                             f"reference in {args.refs}")
     print(metrics.format_report(report))
     return EXIT_OK
 
@@ -256,8 +263,8 @@ def cmd_dataset_synth(args) -> int:
 def cmd_dataset_stats(args) -> int:
     from . import dataset
 
-    records = dataset.load_records(args.input)
-    _print_json(dataset.stats(records).to_dict())
+    counts = dataset.map_records(dataset.record_counts, args.input)
+    _print_json(dataset.summarize(counts).to_dict())
     return EXIT_OK
 
 

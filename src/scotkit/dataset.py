@@ -14,10 +14,12 @@ Image references are opaque strings; pixel data is never loaded.
 from __future__ import annotations
 
 import json
+import os
+import pickle
 import random
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Iterable, Mapping, Sequence
+from typing import Callable, Iterable, Mapping, Sequence
 
 from . import codec, wire
 from .geometry import CANVAS, BBox
@@ -56,32 +58,108 @@ def record_from_dict(d: Mapping) -> GroundedRecord:
     fields = wire.read(Mapping[str, object], d, "record")
     version = fields.pop("v", None)
     record = wire.read(GroundedRecord, fields, "record")
-    if isinstance(version, bool) or version != SCHEMA_VERSION:
+    if type(version) is not int or version != SCHEMA_VERSION:
         raise ValueError(f"unsupported schema version {version!r}")
     record.validate()
     return record
 
 
+def record_json(r: GroundedRecord) -> str:
+    """The record's line in a records file, without its newline."""
+    return json.dumps(record_to_dict(r), ensure_ascii=False, separators=(",", ":"))
+
+
+def numbered_lines(lines: Iterable[str]) -> list[tuple[int, str]]:
+    """The non-blank lines with their 1-based line numbers."""
+    return [(n, line) for n, line in enumerate(lines, start=1) if line.strip()]
+
+
+def record_lines(path: str | Path) -> list[tuple[int, str]]:
+    """A records file's non-blank lines, split at "\n" only (a caption may hold U+2028)."""
+    with open(path, encoding="utf-8") as f:
+        return numbered_lines(f)
+
+
+def read_line(lineno: int, line: str) -> GroundedRecord:
+    """One validated record from one line; an error names the line."""
+    try:
+        return record_from_dict(json.loads(line.strip()))
+    except ValueError as exc:
+        raise ValueError(f"line {lineno}: {exc}") from exc
+
+
 def load_records(path: str | Path) -> list[GroundedRecord]:
     """Read one record per line, validating every record; failures carry
     the 1-based line number."""
-    records = []
-    with open(path, encoding="utf-8") as f:
-        for lineno, line in enumerate(f, start=1):
-            line = line.strip()
-            if not line:
-                continue
-            try:
-                records.append(record_from_dict(json.loads(line)))
-            except ValueError as exc:
-                raise ValueError(f"line {lineno}: {exc}") from exc
-    return records
+    return [read_line(n, line) for n, line in record_lines(path)]
+
+
+def map_records(fn: Callable[[GroundedRecord], object], path: str | Path) -> list:
+    """[fn(r) for r in load_records(path)], run by `fan_out`."""
+    return fan_out(lambda start, lines: [fn(read_line(n, line)) for n, line in lines],
+                   record_lines(path))
+
+
+def fan_out(work: Callable[[int, list], list], lines: list[tuple[int, object]]) -> list:
+    """work(start, lines[start:stop]) over one contiguous share of the numbered
+    `lines` per CPU this process may use, joined in order. Shares after the first
+    run in forked children, which pickle their results back. Each share stops at
+    its first error; the lowest share's is raised, as work(0, lines) would raise it."""
+    workers = min(len(os.sched_getaffinity(0)), len(lines))
+    if workers <= 1:
+        return work(0, lines)
+    bounds = [len(lines) * i // workers for i in range(workers + 1)]
+    children = []
+    try:
+        for start, stop in zip(bounds[1:], bounds[2:]):
+            read_fd, write_fd = os.pipe()
+            pid = os.fork()
+            if pid == 0:
+                _run_child(work, lines, start, stop, write_fd)
+            os.close(write_fd)
+            children.append((pid, read_fd, start, stop))
+        results = work(0, lines[:bounds[1]])
+        while children:
+            pid, read_fd, start, stop = children.pop(0)
+            data, status = _join(pid, read_fd)
+            if status:  # a child exits 0 only after it has sent its whole result
+                raise OSError(f"worker for lines {lines[start][0]}-{lines[stop - 1][0]} "
+                              f"ended without a result (wait status {status})")
+            share, error = pickle.loads(data)
+            if error is not None:
+                raise error
+            results += share
+        return results
+    finally:
+        for pid, read_fd, _, _ in children:
+            _join(pid, read_fd)
+
+
+def _run_child(work, lines, start: int, stop: int, write_fd: int) -> None:
+    """A forked child's body: it never returns or flushes inherited stdio."""
+    status = 1
+    try:
+        try:
+            result = (work(start, lines[start:stop]), None)
+        except Exception as exc:
+            result = (None, exc)
+        with open(write_fd, "wb") as f:
+            pickle.dump(result, f, pickle.HIGHEST_PROTOCOL)
+        status = 0
+    finally:
+        os._exit(status)
+
+
+def _join(pid: int, read_fd: int) -> tuple[bytes, int]:
+    """A child's output, read to EOF before it is reaped, and its wait status."""
+    with open(read_fd, "rb") as f:
+        return f.read(), os.waitpid(pid, 0)[1]
 
 
 def save_records(path: str | Path, records: Iterable[GroundedRecord]) -> None:
     with open(path, "w", encoding="utf-8") as f:
         for r in records:
-            f.write(json.dumps(record_to_dict(r), ensure_ascii=False, separators=(",", ":")))
+            f.write(record_json(r))
             f.write("\n")
 
 
@@ -160,17 +238,24 @@ class CorpusStats:
         }
 
 
+def record_counts(r: GroundedRecord) -> tuple[int, int]:
+    """(entities, caption tokens): what `summarize` reads of a record."""
+    return len(r.entities), len(codec.tokenize(r.caption))
+
+
 def stats(records: Sequence[GroundedRecord]) -> CorpusStats:
+    return summarize([record_counts(r) for r in records])
+
+
+def summarize(counts: Sequence[tuple[int, int]]) -> CorpusStats:
+    """Corpus statistics from each record's `record_counts`."""
     histogram: dict[int, int] = {}
-    token_total = 0
-    many = 0
-    for r in records:
-        k = len(r.entities)
+    token_total = many = 0
+    for k, tokens in counts:
         histogram[k] = histogram.get(k, 0) + 1
-        token_total += len(codec.tokenize(r.caption))
-        if k > 10:
-            many += 1
-    count = len(records)
+        token_total += tokens
+        many += k > 10
+    count = len(counts)
     return CorpusStats(
         count=count,
         entity_histogram=histogram,

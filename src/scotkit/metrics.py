@@ -80,30 +80,38 @@ def _round2(x: float) -> float:
     return math.floor(x * 100 + 0.5) / 100 if x >= 0 else -math.floor(-x * 100 + 0.5) / 100
 
 
+def score(sample: EvalSample, iou_threshold: float) -> tuple[int, int, float]:
+    """(instances, successes, IoU sum) of one sample, for `aggregate`."""
+    ious = [m.iou for m in match_instances(sample)]
+    return len(ious), sum(1 for v in ious if v >= iou_threshold), sum(ious)
+
+
 def evaluate(
     samples: Sequence[EvalSample],
     iou_threshold: float = DEFAULT_IOU_THRESHOLD,
 ) -> EvalReport:
-    """Aggregate SR / I-SR / mIoU over the corpus, as percentages with
-    two decimals. A corpus without any reference instance scores 100.00
-    vacuously (so SR <= I-SR always holds). The threshold lies in (0, 1]:
-    at 0 an unmatched reference would count as a success."""
-    if not samples:
+    """`aggregate` over each sample's `score`."""
+    return aggregate([score(s, iou_threshold) for s in samples], iou_threshold)
+
+
+def aggregate(scores: Sequence[tuple[int, int, float]], iou_threshold: float) -> EvalReport:
+    """SR / I-SR / mIoU over each sample's `score`, in sample order, as
+    percentages with two decimals. A corpus without any reference
+    instance scores 100.00 vacuously (so SR <= I-SR always holds). The
+    threshold lies in (0, 1]: at 0 an unmatched reference would count as
+    a success."""
+    if not scores:
         raise ValueError("evaluate needs at least one sample")
     if not 0 < iou_threshold <= 1:
         raise ValueError(f"iou_threshold must be in (0, 1], got {iou_threshold}")
-    total_instances = 0
-    total_successful = 0
+    total_instances = total_successful = full_samples = 0
     iou_sum = 0.0
-    full_samples = 0
-    for sample in samples:
-        matches = match_instances(sample)
-        successes = sum(1 for m in matches if m.iou >= iou_threshold)
-        total_instances += len(matches)
+    for instances, successes, sample_iou_sum in scores:
+        total_instances += instances
         total_successful += successes
-        iou_sum += sum(m.iou for m in matches)
-        full_samples += successes == len(matches)
-    sr = 100.0 * full_samples / len(samples)
+        iou_sum += sample_iou_sum
+        full_samples += successes == instances
+    sr = 100.0 * full_samples / len(scores)
     isr = 100.0 * total_successful / total_instances if total_instances else 100.0
     miou = 100.0 * iou_sum / total_instances if total_instances else 100.0
     return EvalReport(
@@ -111,7 +119,7 @@ def evaluate(
         sr=_round2(sr),
         isr=_round2(isr),
         iou_threshold=iou_threshold,
-        samples=len(samples),
+        samples=len(scores),
         instances=total_instances,
     )
 

@@ -1,6 +1,7 @@
 """End-to-end CLI tests (in-process main() invocations)."""
 
 import argparse
+import dataclasses
 import io
 import json
 import os
@@ -522,6 +523,15 @@ class TestEval:
         code, out, err = run(capsys, "eval", "--refs", str(files["refs"]), "--preds", str(files["preds"]))
         assert (code, out) == (1, "")
         assert err == f"error: record id {load_records(corpus)[0].id!r} appears twice in {doubled}\n"
+
+    def test_a_prediction_with_no_reference_is_rejected(self, tmp_path, corpus, capsys):
+        record = load_records(corpus)[1]
+        preds = tmp_path / "preds.jsonl"
+        save_records(preds, [record, dataclasses.replace(record, id="zzz"),
+                             dataclasses.replace(record, id="yyy")])
+        code, out, err = run(capsys, "eval", "--refs", str(corpus), "--preds", str(preds))
+        assert (code, out) == (1, "")
+        assert err == f"error: prediction id 'zzz' in {preds} matches no reference in {corpus}\n"
 
 
 class TestRender:

@@ -61,6 +61,7 @@ COMMANDS = [
     (["eval", "--refs", "{input}", "--preds", "{other}"], RECORDS),
     (["eval", "--refs", "{other}", "--preds", "{input}"], RECORDS),
     (["decode", "{input}"], INSTRUCTIONS),
+    (["dataset", "stats", "{input}"], RECORDS),
 ]
 
 SCALARS = st.one_of(

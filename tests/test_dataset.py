@@ -1,6 +1,7 @@
 """Tests for grounded-record I/O, synthesis, and corpus statistics."""
 
 import json
+import re
 
 import pytest
 
@@ -70,6 +71,17 @@ class TestIO:
         with pytest.raises(ValueError, match=r"^line 2: stray block marker") as exc:
             load_records(path)
         assert isinstance(exc.value.__cause__, codec.CodecError)
+
+    @pytest.mark.parametrize("version", [1.0, True, 2, "1", None])
+    def test_schema_version_must_be_the_integer_1(self, version, tmp_path):
+        doc = {"v": version, "id": "a", "caption": "a cat",
+               "entities": [{"phrase": "cat", "box": [0, 0, 10, 10]}]}
+        if version is None:
+            del doc["v"]
+        path = tmp_path / "version.jsonl"
+        path.write_text(json.dumps(doc) + "\n")
+        with pytest.raises(ValueError, match=rf"^line 1: unsupported schema version {re.escape(repr(version))}$"):
+            load_records(path)
 
     def test_unlocatable_phrase_rejected(self, tmp_path):
         doc = {

@@ -2,7 +2,9 @@
 emit over fixed scene families, of the constraint wire records and
 `scot check` output, of the codec's outputs and first errors, and of a
 `toy train` checkpoint and loss curve, a `toy sample` points file, one
-plan's SVG and a synthetic corpus file.
+plan's SVG and a synthetic corpus file, and of the stdout of the four
+record commands (`encode`, `decode`, `eval`, `dataset stats`) on a fixed
+corpus at one, two and three worker CPUs.
 
 Each planner digest covers, per scene and planner seed: the sorted boxes, the
 iteration count, the residual messages with `repr` of each magnitude,
@@ -12,12 +14,17 @@ changes a digest. The planner values were recorded before repair became
 incremental, the wire and codec values before each constraint kind
 became one class, the checkpoint, SVG and corpus values before an
 instruction stopped storing its token stream, and the loss-curve and
-points values before the flow-matching steps reused their buffers; a
+points values before the flow-matching steps reused their buffers, and
+the record-command values before those commands ran on forked workers; a
 deliberate behaviour change must update them and say so.
 """
 
+import contextlib
+import dataclasses
 import hashlib
+import io
 import json
+import os
 import random
 
 import pytest
@@ -427,3 +434,60 @@ def test_synth_corpus_file_matches_pinned_digest(tmp_path):
     path = tmp_path / "corpus.jsonl"
     save_records(path, synth_generate(0, 200))
     assert _file_sha(path) == FILE_GOLDEN["synth"]
+
+
+CORPUS_GOLDEN = {
+    "encode": "031e21ee212b56c2335b820bb57cc4f9c88576b17c5f12c24410176a90d7b75a",
+    "decode": "d162de2ba0ab940170d063467e5a0f20a3791b460d2eec9e1e136310e0af66d1",
+    "eval": "20d9388924756e237879c3fec64008cec8bd66249b4d481ffbe59a4c6b8f17a4",
+    "stats": "5b9b203f0a7461fcfb4f6252c7a6f89476f1403eacbace0744101b6dc2eac9cd",
+}
+
+
+def _perturbed(records, rng):
+    """Predictions: about one record in ten dropped, and each kept
+    entity shifted by up to 80 units, dropped or relabelled now and then."""
+    preds = []
+    for r in records:
+        if rng.random() < 0.1:
+            continue
+        entities = []
+        for e in r.entities:
+            if rng.random() < 0.05:
+                continue
+            b = e.box
+            dx = max(-b.xmin, min(1000 - b.xmax, rng.randint(-80, 80)))
+            dy = max(-b.ymin, min(1000 - b.ymax, rng.randint(-80, 80)))
+            attrs = {**e.attrs, "category": rng.choice(NOUNS)} if rng.random() < 0.05 else e.attrs
+            box = BBox(b.xmin + dx, b.ymin + dy, b.xmax + dx, b.ymax + dy)
+            entities.append(dataclasses.replace(e, attrs=attrs, box=box))
+        preds.append(dataclasses.replace(r, entities=tuple(entities)))
+    return preds
+
+
+def corpus_command_stdout(tmp_path) -> dict[str, str]:
+    """SHA-256 of each record command's stdout on a fixed synthetic
+    corpus and its perturbed predictions."""
+    refs, preds, instr = tmp_path / "refs.jsonl", tmp_path / "preds.jsonl", tmp_path / "instr.txt"
+    records = synth_generate(11, 300, 12)
+    save_records(refs, records)
+    save_records(preds, _perturbed(records, random.Random("golden-corpus-preds")))
+
+    def scot(*argv) -> str:
+        out = io.StringIO()
+        with contextlib.redirect_stdout(out):
+            assert main(list(argv)) == 0
+        return out.getvalue()
+
+    stdout = {"encode": scot("encode", str(refs))}
+    instr.write_text(stdout["encode"], encoding="utf-8")
+    stdout["decode"] = scot("decode", str(instr))
+    stdout["eval"] = scot("eval", "--refs", str(refs), "--preds", str(preds))
+    stdout["stats"] = scot("dataset", "stats", str(refs))
+    return {name: hashlib.sha256(out.encode("utf-8")).hexdigest() for name, out in stdout.items()}
+
+
+@pytest.mark.parametrize("cpus", [1, 2, 3])
+def test_record_command_stdout_matches_pinned_digest(cpus, tmp_path, monkeypatch):
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(cpus)))
+    assert corpus_command_stdout(tmp_path) == CORPUS_GOLDEN
