@@ -32,7 +32,9 @@ def _read_text(path: str) -> str:
 
 
 def _read_json(path: str) -> dict:
-    return json.loads(_read_text(path))
+    from . import wire
+
+    return wire.loads(_read_text(path))
 
 
 def _print_json(doc) -> None:
@@ -264,7 +266,7 @@ def cmd_dataset_stats(args) -> int:
     from . import dataset
 
     counts = dataset.map_records(dataset.record_counts, args.input)
-    _print_json(dataset.summarize(counts).to_dict())
+    _print_json(dataset.summarize(counts))
     return EXIT_OK
 
 

@@ -23,6 +23,7 @@ import urllib.request
 from dataclasses import dataclass
 from importlib import resources
 
+from . import wire
 from .planner import PlannerOutput, PlannerOutputError, parse_planner_output
 
 SYSTEM_PROMPT_RESOURCE = "planner_system_prompt.txt"
@@ -32,11 +33,6 @@ SYSTEM_PROMPT_SHA256 = "ca2418d0873776d3e0c596c589ebc9a85b33c558a24f48662aa7583f
 class TransportError(OSError):
     """The endpoint could not be reached or did not answer with a
     completion; an OSError, so the CLI exits 2 for it."""
-
-    def __init__(self, detail: str, status: int | None = None):
-        super().__init__(f"transport failure ({status}): {detail}" if status else detail)
-        self.status = status
-        self.detail = detail
 
 
 @dataclass(frozen=True)
@@ -134,9 +130,10 @@ def _post_chat(config: ClientConfig, api_key: str, messages: list[dict[str, str]
     finally:
         _GATE.release()
     if status != 200:
-        raise TransportError(payload.decode("utf-8", "replace")[:500], status=status)
+        raise TransportError(f"transport failure ({status}): "
+                             f"{payload.decode('utf-8', 'replace')[:500]}")
     try:
-        content = json.loads(payload)["choices"][0]["message"]["content"]
+        content = wire.loads(payload)["choices"][0]["message"]["content"]
     except (KeyError, IndexError, TypeError, ValueError) as exc:
         raise TransportError(f"malformed completion payload: {exc}") from exc
     if not isinstance(content, str):

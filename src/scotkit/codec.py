@@ -32,10 +32,6 @@ _BLOCK_RE = re.compile(r"<\|box\|>(.*?)<\|/box\|>", re.DOTALL)
 _PLACEHOLDER_PREFIX_RE = re.compile(r"<\|bbox_[^|>]*\|?>?")
 
 
-class CodecError(ValueError):
-    """An instruction that cannot be encoded or decoded."""
-
-
 _MALFORMED = "malformed placeholder: {!r}"
 _NOT_FOUND = "phrase not found in caption: {!r}"
 
@@ -51,7 +47,7 @@ class GroundedEntity:
     def __post_init__(self):
         lo, hi = self.span
         if not (1 <= lo <= hi):
-            raise CodecError(f"invalid span {self.span} for {self.phrase!r}")
+            raise ValueError(f"invalid span {self.span} for {self.phrase!r}")
 
 
 @dataclass(frozen=True)
@@ -70,7 +66,7 @@ class InterleavedInstruction:
     def __post_init__(self):
         ends = [e.span[1] for e in self.entities]
         if ends != sorted(ends) or (ends and ends[-1] > len(self.words)):
-            raise CodecError("entity span ends exceed the caption length")
+            raise ValueError("entity span ends exceed the caption length")
 
     @property
     def caption(self) -> str:
@@ -108,9 +104,9 @@ def detokenize(tokens: Sequence[str]) -> str:
 
 
 def caption_words(segment: str) -> list[str]:
-    """tokenize(segment), raising CodecError if it holds a block marker."""
+    """tokenize(segment), raising ValueError if it holds a block marker."""
     if BOX_OPEN in segment or BOX_CLOSE in segment:
-        raise CodecError(f"stray block marker near: {segment!r}")
+        raise ValueError(f"stray block marker near: {segment!r}")
     return tokenize(segment)
 
 
@@ -128,7 +124,7 @@ def locate_spans(tokens: Sequence[str], phrases: Sequence[str]) -> list[tuple[in
     for phrase in phrases:
         needle = tokenize(phrase)
         if not needle:
-            raise CodecError(_NOT_FOUND.format(phrase))
+            raise ValueError(_NOT_FOUND.format(phrase))
         k = len(needle)
         stop = max(0, len(tokens) - k + 1)  # clamped: a negative stop counts from the end
         found = None
@@ -145,9 +141,9 @@ def locate_spans(tokens: Sequence[str], phrases: Sequence[str]) -> list[tuple[in
                     found = i
             i += 1
         if occurred and found is None:
-            raise CodecError(f"every occurrence of {phrase!r} is already claimed")
+            raise ValueError(f"every occurrence of {phrase!r} is already claimed")
         if found is None:
-            raise CodecError(_NOT_FOUND.format(phrase))
+            raise ValueError(_NOT_FOUND.format(phrase))
         claimed[found : found + k] = [True] * k
         spans.append((found + 1, found + k))
     return spans
@@ -182,20 +178,20 @@ def substitute_placeholders(
     the entity's span end; consecutive placeholders share it."""
     for m in _PLACEHOLDER_PREFIX_RE.finditer(prompt_text):
         if not _PLACEHOLDER_RE.fullmatch(m.group(0)):
-            raise CodecError(_MALFORMED.format(m.group(0)))
+            raise ValueError(_MALFORMED.format(m.group(0)))
 
     matches = list(_PLACEHOLDER_RE.finditer(prompt_text))
     seen: list[int] = []
     for m in matches:
         n = int(m.group(1))
         if n not in objects:
-            raise CodecError(f"placeholder <|bbox_{n}|> has no matching object")
+            raise ValueError(f"placeholder <|bbox_{n}|> has no matching object")
         if n in seen:
-            raise CodecError(_MALFORMED.format(m.group(0)))
+            raise ValueError(_MALFORMED.format(m.group(0)))
         seen.append(n)
     for n in objects:
         if n not in seen:
-            raise CodecError(f"object {n} has no matching placeholder")
+            raise ValueError(f"object {n} has no matching placeholder")
 
     return _bind_blocks(prompt_text, matches, lambda m: objects[int(m.group(1))],
                         lambda m: _MALFORMED.format(m.group(0)))
@@ -208,7 +204,7 @@ def _bind_blocks(
     orphan: Callable[[re.Match], str],
 ) -> InterleavedInstruction:
     """Bind the box of each match in text to the caption token just before
-    it, raising CodecError(orphan(match)) when there is none. The text between
+    it, raising ValueError(orphan(match)) when there is none. The text between
     matches must hold no block marker."""
     caption_tokens: list[str] = []
     entities: list[GroundedEntity] = []
@@ -217,7 +213,7 @@ def _bind_blocks(
         caption_tokens.extend(caption_words(text[cursor : m.start()]))
         cursor = m.end()
         if not caption_tokens:
-            raise CodecError(orphan(m))
+            raise ValueError(orphan(m))
         pos = len(caption_tokens)
         entities.append(GroundedEntity(caption_tokens[-1], box_for(m), (pos, pos)))
     caption_tokens.extend(caption_words(text[cursor:]))
@@ -226,17 +222,17 @@ def _bind_blocks(
 
 def _parse_block_payload(payload: str) -> BBox:
     if BOX_OPEN in payload or BOX_CLOSE in payload:
-        raise CodecError(f"nested block marker in payload: {payload!r}")
+        raise ValueError(f"nested block marker in payload: {payload!r}")
     parts = payload.split(",")
     if len(parts) != 4:
-        raise CodecError(f"coordinate block must hold exactly 4 values: {payload!r}")
+        raise ValueError(f"coordinate block must hold exactly 4 values: {payload!r}")
     coords = []
     for part in parts:
         part = part.strip()
         digits = part[1:] if part[:1] == "-" else part
         value = int(part) if part.isascii() and digits.isdigit() else -1
         if not 0 <= value <= CANVAS:
-            raise CodecError(f"coordinate out of [0, {CANVAS}]: {part!r}")
+            raise ValueError(f"coordinate out of [0, {CANVAS}]: {part!r}")
         coords.append(value)
     return BBox.from_list(coords)
 

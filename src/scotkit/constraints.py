@@ -27,10 +27,6 @@ Layout = Mapping[str, BBox]
 Categories = Mapping[str, str]
 
 
-class ConstraintError(wire.InputError):
-    pass
-
-
 @dataclass(frozen=True)
 class Violation:
     constraint: Constraint
@@ -53,7 +49,7 @@ class Constraint:
         for f in fields(self):
             value = getattr(self, f.name)
             if f.type == "float" and not (math.isfinite(value) and value >= 0):
-                raise ConstraintError(f"{f.name} must be a finite number >= 0, got {value}")
+                raise ValueError(f"{f.name} must be a finite number >= 0, got {value}")
 
     def entity_ids(self) -> tuple[str, ...]:
         """Every id whose box the violations read, unless watches_all."""
@@ -70,18 +66,12 @@ class Constraint:
 
     @classmethod
     def from_wire(cls, value, name: str) -> Constraint:
-        """The kind that the record's "kind" names, read from its fields;
-        every input error is a ConstraintError."""
-        try:
-            record = wire.read(Mapping[str, object], value, name)
-            kind = record.pop("kind", None)
-            if not (isinstance(kind, str) and kind in KINDS):
-                raise ConstraintError(f"unknown constraint kind {kind!r}")
-            return wire.read(KINDS[kind], record, name)
-        except ConstraintError:
-            raise
-        except wire.InputError as exc:
-            raise ConstraintError(str(exc)) from exc
+        """The kind that the record's "kind" names, read from its fields."""
+        record = wire.read(Mapping[str, object], value, name)
+        kind = record.pop("kind", None)
+        if not (isinstance(kind, str) and kind in KINDS):
+            raise ValueError(f"unknown constraint kind {kind!r}")
+        return wire.read(KINDS[kind], record, name)
 
     def to_wire(self) -> dict:
         return {"kind": self.kind, **wire.write(self)}
@@ -96,7 +86,7 @@ class Cell(NamedTuple):
     @classmethod
     def from_wire(cls, value, name: str) -> Cell:
         if not (isinstance(value, (list, tuple)) and len(value) == 2):
-            raise ConstraintError(f"grid cell must be [row, col], got {value!r}")
+            raise ValueError(f"grid cell must be [row, col], got {value!r}")
         return cls(wire.read(int, value[0], "grid row"), wire.read(int, value[1], "grid col"))
 
     def to_wire(self) -> list[int]:
@@ -104,13 +94,13 @@ class Cell(NamedTuple):
 
 
 def require_boxes(layout: Container[str], cs: Sequence[Constraint]) -> None:
-    """Raise ConstraintError for the first id, in constraint order and then
+    """Raise ValueError for the first id, in constraint order and then
     entity_ids() order, that layout holds no box for; a scene passes its
     set of entity ids."""
     for c in cs:
         for entity_id in c.entity_ids():
             if entity_id not in layout:
-                raise ConstraintError(f"constraint references unknown entity id {entity_id!r}")
+                raise ValueError(f"constraint references unknown entity id {entity_id!r}")
 
 
 # --- repair move primitives ---------------------------------------------
@@ -153,7 +143,7 @@ class _Pair(Constraint):
     def __post_init__(self):
         super().__post_init__()
         if self.a == self.b:
-            raise ConstraintError(f"{self.kind} needs two different ids, got {self.a!r} twice")
+            raise ValueError(f"{self.kind} needs two different ids, got {self.a!r} twice")
 
     def entity_ids(self) -> tuple[str, ...]:
         return (self.a, self.b)
@@ -322,7 +312,7 @@ class _Aligned(Constraint):
     def __post_init__(self):
         super().__post_init__()
         if len(self.ids) < 2:
-            raise ConstraintError(f"alignment needs at least 2 ids, got {len(self.ids)}")
+            raise ValueError(f"alignment needs at least 2 ids, got {len(self.ids)}")
 
     def entity_ids(self) -> tuple[str, ...]:
         return self.ids
@@ -366,7 +356,7 @@ class CountEquals(Constraint):
 
     def __post_init__(self):
         if self.count < 0:
-            raise ConstraintError(f"count must be >= 0, got {self.count}")
+            raise ValueError(f"count must be >= 0, got {self.count}")
 
     def entity_ids(self) -> tuple[str, ...]:
         return ()
@@ -391,11 +381,11 @@ class Grid(Constraint):
 
     def __post_init__(self):
         if self.rows < 1 or self.cols < 1:
-            raise ConstraintError("grid needs rows >= 1 and cols >= 1")
+            raise ValueError("grid needs rows >= 1 and cols >= 1")
         cells = [cell for _, cell in self.assignments] + list(self.empty_cells)
         for row, col in cells:
             if not (0 <= row < self.rows and 0 <= col < self.cols):
-                raise ConstraintError(
+                raise ValueError(
                     f"grid cell ({row},{col}) is outside {self.rows} x {self.cols}"
                 )
 

@@ -83,7 +83,7 @@ def record_lines(path: str | Path) -> list[tuple[int, str]]:
 def read_line(lineno: int, line: str) -> GroundedRecord:
     """One validated record from one line; an error names the line."""
     try:
-        return record_from_dict(json.loads(line.strip()))
+        return record_from_dict(wire.loads(line.strip()))
     except ValueError as exc:
         raise ValueError(f"line {lineno}: {exc}") from exc
 
@@ -222,33 +222,19 @@ def record_to_instruction(r: GroundedRecord) -> codec.InterleavedInstruction:
     return codec.interleave(r.caption, [(e.phrase, e.box) for e in r.entities])
 
 
-@dataclass(frozen=True)
-class CorpusStats:
-    count: int
-    entity_histogram: dict[int, int]
-    mean_caption_tokens: float
-    many_entity_fraction: float  # records with more than 10 entities
-
-    def to_dict(self) -> dict:
-        return {
-            "count": self.count,
-            "entity_histogram": {str(k): v for k, v in sorted(self.entity_histogram.items())},
-            "mean_caption_tokens": self.mean_caption_tokens,
-            "many_entity_fraction": self.many_entity_fraction,
-        }
-
-
 def record_counts(r: GroundedRecord) -> tuple[int, int]:
     """(entities, caption tokens): what `summarize` reads of a record."""
     return len(r.entities), len(codec.tokenize(r.caption))
 
 
-def stats(records: Sequence[GroundedRecord]) -> CorpusStats:
+def stats(records: Sequence[GroundedRecord]) -> dict:
     return summarize([record_counts(r) for r in records])
 
 
-def summarize(counts: Sequence[tuple[int, int]]) -> CorpusStats:
-    """Corpus statistics from each record's `record_counts`."""
+def summarize(counts: Sequence[tuple[int, int]]) -> dict:
+    """The corpus statistics `scot dataset stats` prints, from each
+    record's `record_counts`; histogram keys are entity counts in
+    ascending order, as strings."""
     histogram: dict[int, int] = {}
     token_total = many = 0
     for k, tokens in counts:
@@ -256,9 +242,9 @@ def summarize(counts: Sequence[tuple[int, int]]) -> CorpusStats:
         token_total += tokens
         many += k > 10
     count = len(counts)
-    return CorpusStats(
-        count=count,
-        entity_histogram=histogram,
-        mean_caption_tokens=token_total / count if count else 0.0,
-        many_entity_fraction=many / count if count else 0.0,
-    )
+    return {
+        "count": count,
+        "entity_histogram": {str(k): v for k, v in sorted(histogram.items())},
+        "mean_caption_tokens": token_total / count if count else 0.0,
+        "many_entity_fraction": many / count if count else 0.0,  # records with > 10 entities
+    }

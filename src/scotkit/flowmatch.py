@@ -382,7 +382,7 @@ def save_checkpoint(path, model: VelocityModel, meta: dict | None = None) -> Non
 
 def load_checkpoint(path) -> tuple[VelocityModel, dict]:
     with open(path, "rb") as f:
-        header = json.loads(f.readline().decode("utf-8"))
+        header = wire.loads(f.readline().decode("utf-8"))
         blob = f.read()
     header = wire.read(Mapping[str, object], header, "checkpoint header")
     d, m, width = (wire.read(int, header.get(k), f"checkpoint {k}") for k in ("d", "m", "width"))

@@ -16,10 +16,6 @@ from typing import Iterable
 CANVAS = 1000
 
 
-class BoxError(ValueError):
-    """Raised when box coordinates violate the canvas invariants."""
-
-
 @dataclass(frozen=True)
 class BBox:
     """Axis-aligned integer box with strictly positive area."""
@@ -32,17 +28,17 @@ class BBox:
     def __post_init__(self) -> None:
         for v in (self.xmin, self.ymin, self.xmax, self.ymax):
             if not isinstance(v, int) or isinstance(v, bool):
-                raise BoxError(f"box coordinates must be integers, got {v!r}")
+                raise ValueError(f"box coordinates must be integers, got {v!r}")
         if not (0 <= self.xmin < self.xmax <= CANVAS):
-            raise BoxError(f"need 0 <= xmin < xmax <= {CANVAS}, got {self.as_list()}")
+            raise ValueError(f"need 0 <= xmin < xmax <= {CANVAS}, got {self.as_list()}")
         if not (0 <= self.ymin < self.ymax <= CANVAS):
-            raise BoxError(f"need 0 <= ymin < ymax <= {CANVAS}, got {self.as_list()}")
+            raise ValueError(f"need 0 <= ymin < ymax <= {CANVAS}, got {self.as_list()}")
 
     @classmethod
     def from_list(cls, coords: Iterable[int]) -> "BBox":
         vals = list(coords)
         if len(vals) != 4:
-            raise BoxError(f"box literal must have 4 coordinates, got {vals!r}")
+            raise ValueError(f"box literal must have 4 coordinates, got {vals!r}")
         return cls(*vals)
 
     def as_list(self) -> list[int]:
@@ -53,7 +49,7 @@ class BBox:
     def from_wire(cls, value, name: str) -> "BBox":
         """A JSON box literal; see `scotkit.wire`."""
         if not isinstance(value, (list, tuple)):
-            raise BoxError(f"{name} must be a list, got {value!r}")
+            raise ValueError(f"{name} must be a list, got {value!r}")
         return cls.from_list(value)
 
     to_wire = as_list

@@ -28,13 +28,6 @@ class EvalSample:
 
 
 @dataclass(frozen=True)
-class InstanceMatch:
-    ref_index: int
-    pred_index: int | None  # None when the reference went unmatched
-    iou: float
-
-
-@dataclass(frozen=True)
 class EvalReport:
     miou: float
     sr: float
@@ -44,28 +37,24 @@ class EvalReport:
     instances: int
 
 
-def greedy_match(pairs: Sequence[tuple[int, int, float]], n_refs: int) -> list[InstanceMatch]:
+def greedy_match(pairs: Sequence[tuple[int, int, float]], n_refs: int) -> list[float]:
     """One-to-one matching: walk candidate (ref, pred, iou) pairs in
     descending IoU order (ties broken by indices) and keep each side's
-    first appearance. Unmatched references pair with IoU 0."""
+    first appearance. Each reference's matched IoU, 0.0 when unmatched."""
     ordered = sorted(pairs, key=lambda p: (-p[2], p[0], p[1]))
-    used_refs: set[int] = set()
+    ious = [0.0] * n_refs
     used_preds: set[int] = set()
-    matched: dict[int, InstanceMatch] = {}
     for ref_i, pred_i, value in ordered:
-        if value <= 0 or ref_i in used_refs or pred_i in used_preds:
+        if value <= 0 or ious[ref_i] or pred_i in used_preds:
             continue
-        used_refs.add(ref_i)
+        ious[ref_i] = value  # > 0, so the reference is taken
         used_preds.add(pred_i)
-        matched[ref_i] = InstanceMatch(ref_i, pred_i, value)
-    return [
-        matched.get(i, InstanceMatch(i, None, 0.0)) for i in range(n_refs)
-    ]
+    return ious
 
 
-def match_instances(sample: EvalSample) -> list[InstanceMatch]:
-    """Match the sample's references against its predictions, greedy
-    per category; predictions of other categories never match."""
+def match_instances(sample: EvalSample) -> list[float]:
+    """Each reference's matched IoU against the sample's predictions,
+    greedy per category; predictions of other categories never match."""
     pairs: list[tuple[int, int, float]] = []
     for ri, (ref_cat, ref_box) in enumerate(sample.references):
         for pi, (pred_cat, pred_box) in enumerate(sample.predictions):
@@ -82,7 +71,7 @@ def _round2(x: float) -> float:
 
 def score(sample: EvalSample, iou_threshold: float) -> tuple[int, int, float]:
     """(instances, successes, IoU sum) of one sample, for `aggregate`."""
-    ious = [m.iou for m in match_instances(sample)]
+    ious = match_instances(sample)
     return len(ious), sum(1 for v in ious if v >= iou_threshold), sum(ious)
 
 

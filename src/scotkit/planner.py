@@ -9,7 +9,6 @@ multimodal planner; both emit the same wire schema (a JSON object with
 
 from __future__ import annotations
 
-import json
 import math
 import random
 import re
@@ -18,7 +17,7 @@ from typing import Mapping, Sequence
 
 from . import codec, constraints, wire
 from .constraints import Constraint, Grid, Violation
-from .geometry import CANVAS, BBox, BoxError, place
+from .geometry import CANVAS, BBox, place
 
 SIZE_CLASSES = ("background", "large", "medium", "small")
 _SIZE_SIDE = {"large": 400.0, "medium": 250.0, "small": 120.0}
@@ -95,8 +94,8 @@ def parse_planner_output(raw: str) -> PlannerOutput:
     m = _FENCE_RE.search(raw)
     payload = m.group(1) if m else raw
     try:
-        doc = json.loads(payload)
-    except json.JSONDecodeError as exc:
+        doc = wire.loads(payload)
+    except ValueError as exc:
         raise PlannerOutputError(f"not valid JSON: {exc}") from exc
     if not isinstance(doc, dict):
         raise PlannerOutputError(f"expected a JSON object, got {type(doc).__name__}")
@@ -117,14 +116,14 @@ def parse_planner_output(raw: str) -> PlannerOutput:
                 f"object indices must run 1..N, expected {expected} got {index}")
         try:
             box = BBox.from_wire(value, "box")
-        except BoxError as exc:
+        except ValueError as exc:
             raise PlannerOutputError(f"invalid box for {key!r}: {exc}") from exc
         entries.append((key, box))
 
     out = PlannerOutput(reasoning=reasoning, prompt=prompt, objects=tuple(entries))
     try:
         codec.substitute_placeholders(prompt, out.index_map())
-    except codec.CodecError as exc:
+    except ValueError as exc:
         raise PlannerOutputError(str(exc)) from exc
     return out
 

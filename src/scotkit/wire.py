@@ -2,7 +2,7 @@
 annotation from the type itself.
 
 `read(tp, value, name)` checks a decoded JSON value against `tp` and
-builds it, or raises InputError naming the field; `write(value)` is the
+builds it, or raises ValueError naming the field; `write(value)` is the
 JSON value that reads back as `value`. A float is an int or a finite
 float, and a bool is never a number. `X | None` allows null;
 `tuple[X, ...]` is a list, or an object when X is `tuple[str, Y]`;
@@ -17,14 +17,20 @@ from __future__ import annotations
 
 import dataclasses
 import functools
+import json
 import math
 import types
 import typing
 from collections.abc import Mapping
 
 
-class InputError(ValueError):
-    """A JSON input value whose type or shape its record does not allow."""
+def loads(text):
+    """json.loads(text), where a document nested too deeply to parse is
+    a ValueError like any other malformed JSON."""
+    try:
+        return json.loads(text)
+    except RecursionError:
+        raise ValueError("JSON nested too deeply to parse") from None
 
 
 def read(tp, value, name: str):
@@ -40,7 +46,7 @@ def write(value):
 def _expect(kinds, noun: str):
     def read(value, name):
         if isinstance(value, bool) or not isinstance(value, kinds):
-            raise InputError(f"{name} must be {noun}, got {value!r}")
+            raise ValueError(f"{name} must be {noun}, got {value!r}")
         return value
 
     return read
@@ -56,9 +62,9 @@ def _float(value, name: str) -> float:
     try:
         number = float(_number(value, name))
     except OverflowError:
-        raise InputError(f"{name} is out of range for a number") from None
+        raise ValueError(f"{name} is out of range for a number") from None
     if not math.isfinite(number):
-        raise InputError(f"{name} must be a finite number, got {value!r}")
+        raise ValueError(f"{name} must be a finite number, got {value!r}")
     return number
 
 
@@ -125,10 +131,10 @@ def _record(cls):
             if key in value:
                 kwargs[key] = read_field(value[key], key)
             elif required:
-                raise InputError(f"missing field {key!r} in {name}")
+                raise ValueError(f"missing field {key!r} in {name}")
         if len(kwargs) < len(value):
             unknown = next(key for key in value if key not in kwargs)
-            raise InputError(f"unknown field {unknown!r} in {name}")
+            raise ValueError(f"unknown field {unknown!r} in {name}")
         return cls(**kwargs)
 
     return read, lambda value: {key: w(getattr(value, key)) for key, _, w, _ in plan}

@@ -171,6 +171,66 @@ def test_plan_mllm_exit_codes(case, code, posts, tmp_path, mock_endpoint, monkey
     assert len(state.requests) == posts
 
 
+# a JSON document nested deeper than the parser's recursion limit
+DEEP_JSON = "[" * 200_000 + "]" * 200_000
+DEEP_ERROR = "JSON nested too deeply to parse"
+
+
+class TestDeeplyNestedJson:
+    """Each place `scot` parses JSON reports a document nested too deeply
+    for the parser as an input error, never a traceback."""
+
+    def test_scene_exits_1(self, tmp_path):
+        scene = tmp_path / "scene.json"
+        scene.write_text(DEEP_JSON)
+        proc = scot_subprocess("plan", str(scene))
+        assert (proc.returncode, proc.stdout, proc.stderr) == (1, "", f"error: {DEEP_ERROR}\n")
+
+    def test_records_line_exits_1_with_its_line_number(self, tmp_path):
+        # with two or more CPUs a forked child reads the last line
+        path = tmp_path / "records.jsonl"
+        save_records(path, synth_generate(seed=3, n=10, max_entities=4))
+        with open(path, "a", encoding="utf-8") as f:
+            f.write(DEEP_JSON + "\n")
+        proc = scot_subprocess("dataset", "stats", str(path))
+        assert (proc.returncode, proc.stdout, proc.stderr) == (
+            1, "", f"error: line 11: {DEEP_ERROR}\n")
+
+    def test_checkpoint_header_exits_1(self, tmp_path):
+        instr_file, ckpt = tmp_path / "instr.txt", tmp_path / "model.ckpt"
+        instr_file.write_text("a red box <|box|>400,400,600,600<|/box|>\n")
+        ckpt.write_bytes(DEEP_JSON.encode() + b"\n")
+        proc = scot_subprocess("toy", "sample", "--model", str(ckpt), "--instruction", str(instr_file))
+        assert (proc.returncode, proc.stdout, proc.stderr) == (1, "", f"error: {DEEP_ERROR}\n")
+
+    def _plan_mllm(self, tmp_path, base_url, max_retries):
+        scene, config_file = tmp_path / "scene.json", tmp_path / "config.json"
+        scene.write_text(json.dumps(SCENE))
+        config_file.write_text(json.dumps({"base_url": base_url, "model_name": "mock",
+                                           "timeout": 10, "max_retries": max_retries}))
+        return scot_subprocess("plan", str(scene), "--mllm", "--config", str(config_file))
+
+    def test_completion_payload_exits_2(self, tmp_path, mock_endpoint, monkeypatch):
+        base_url, state = mock_endpoint
+        state.payload = DEEP_JSON.encode()
+        monkeypatch.setenv("SCOT_API_KEY", "test-key")
+        proc = self._plan_mllm(tmp_path, base_url, max_retries=1)
+        assert (proc.returncode, proc.stdout, proc.stderr) == (
+            2, "", f"error: malformed completion payload: {DEEP_ERROR}\n")
+        assert len(state.requests) == 1
+
+    def test_planner_reply_is_retried(self, tmp_path, mock_endpoint, monkeypatch, golden_examples):
+        base_url, state = mock_endpoint
+        state.replies = [DEEP_JSON, golden_examples[0]]
+        monkeypatch.setenv("SCOT_API_KEY", "test-key")
+        proc = self._plan_mllm(tmp_path, base_url, max_retries=1)
+        assert (proc.returncode, proc.stderr) == (0, "")
+        assert json.loads(proc.stdout)["prompt"]
+        assert len(state.requests) == 2
+        assert state.requests[1]["messages"][-1]["content"] == (
+            f"Your previous output was invalid: not valid JSON: {DEEP_ERROR}; re-emit the JSON only")
+
+
 def _command_paths(parser: argparse.ArgumentParser, prefix: tuple[str, ...] = ()):
     """Every runnable command under parser, as its words after `scot`."""
     for action in parser._actions:
@@ -428,6 +488,58 @@ MALFORMED_INPUTS = {
 }
 
 
+# each case's whole stderr line
+MALFORMED_ERROR_LINES = {
+    "check box missing": "error: constraint references unknown entity id 'b'",
+    "check box ymin at ymax": "error: need 0 <= ymin < ymax <= 1000, got [0, 9, 9, 9]",
+    "check boxes list": "error: boxes must be an object, got [1, 2]",
+    "check stray box id": "error: boxes names 'zzz', which is not a scene entity",
+    "config list": "error: client config must be an object, got [1]",
+    "config misspelt key": "error: unknown field 'max_retry' in client config",
+    "config retries string": "error: max_retries must be an integer, got '2'",
+    "config timeout string": "error: timeout must be a finite number, got 'abc'",
+    "config without base url": "error: --mllm needs --base-url or a config file with base_url",
+    "constraint misspelt key": "error: unknown field 'margn' in constraints",
+    "entities string": "error: entities must be a list, got 'ab'",
+    "entity attrs list": "error: attrs must be an object, got [1]",
+    "entity attrs value number": "error: attrs 'n' must be a string, got 5",
+    "entity id list": "error: id must be a string, got ['x']",
+    "entity id repeated": "error: entity ids must be unique",
+    "entity size unknown":
+        "error: size must be one of ('background', 'large', 'medium', 'small'), got 'huge'",
+    "record attrs list value": "error: line 2: attrs 'category' must be a string, got ['x']",
+    "record caption block marker": "error: line 2: stray block marker near: 'a <|box|> cat'",
+    "record caption empty": "error: line 2: caption must be non-empty",
+    "record id integer": "error: line 2: id must be a string, got 7",
+    "record id list": "error: line 2: id must be a string, got [1]",
+    "record image list": "error: line 2: image must be a string, got [1]",
+    "record list": "error: line 2: record must be an object, got [1]",
+    "record misspelt key": "error: line 2: unknown field 'images' in record",
+    "record phrase list": "error: line 2: phrase must be a string, got ['cat']",
+    "record source number": "error: line 2: source must be a string, got 5",
+    "record version true": "error: line 2: unsupported schema version True",
+    "render boxes list": "error: boxes must be an object, got [1, 2]",
+    "render input number": "error: render input must be an object, got 5",
+    "render iterations fraction": "error: iterations must be an integer, got 2.9",
+    "render iterations list": "error: iterations must be an integer, got [1]",
+    "render layout misspelt iterations": "error: unknown field 'iteration' in render input",
+    "render layout unknown key": "error: unknown field 'junk' in render input",
+    "render neither form": 'error: render input needs "objects" or "boxes"',
+    "render planner output unknown key": "error: unknown field 'junk' in render input",
+    "render planner output with boxes": "error: unknown field 'boxes' in render input",
+    "render residual number": "error: residual must be a list, got 5",
+    "render scene with boxes": "error: unknown field 'entities' in render input",
+    "repair box missing": "error: constraint references unknown entity id 'b'",
+    "repair boxes list": "error: boxes must be an object, got [1, 2]",
+    "repair stray box id": "error: boxes names 'zzz', which is not a scene entity",
+    "repair without boxes": 'error: repair needs a "boxes" map in the scene file',
+    "scene list": "error: scene must be an object, got [1, 2]",
+    "scene misspelt key": "error: unknown field 'constraint' in scene",
+    "scene self pair": "error: left_of needs two different ids, got 'a' twice",
+    "scene tail number": "error: tail must be a string, got 5",
+}
+
+
 @pytest.mark.parametrize("case", sorted(MALFORMED_INPUTS))
 def test_malformed_json_input_exits_1_with_one_error_line(case, tmp_path):
     command, doc = MALFORMED_INPUTS[case]
@@ -446,8 +558,7 @@ def test_malformed_json_input_exits_1_with_one_error_line(case, tmp_path):
     proc = scot_subprocess(*argv)
     assert (proc.returncode, proc.stdout) == (1, "")
     assert "Traceback" not in proc.stderr
-    [line] = proc.stderr.splitlines()
-    assert line.startswith("error: line 2: " if command == "encode" else "error: ")
+    assert proc.stderr.splitlines() == [MALFORMED_ERROR_LINES[case]]
 
 
 # (argv after `scot`, with {scene}, {corpus}, {instr}, {ckpt} and {out} filled in)

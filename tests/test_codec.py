@@ -6,7 +6,6 @@ import re
 import pytest
 
 from scotkit.codec import (
-    CodecError,
     GroundedEntity,
     InterleavedInstruction,
     detokenize,
@@ -22,12 +21,12 @@ from scotkit.geometry import BBox
 
 
 def fails(message):
-    """Expect a CodecError whose message is exactly `message`."""
-    return pytest.raises(CodecError, match=f"^{re.escape(message)}$")
+    """Expect a ValueError whose message is exactly `message`."""
+    return pytest.raises(ValueError, match=f"^{re.escape(message)}$")
 
 
 def unless_colliding(exc):
-    """Re-raise a CodecError other than a caption that repeats a phrase."""
+    """Re-raise a ValueError other than a caption that repeats a phrase."""
     if not str(exc).startswith("every occurrence of"):
         raise exc
 
@@ -144,7 +143,7 @@ class TestInterleave:
             caption, entities = random_caption_and_entities(rng)
             try:
                 instr = interleave(caption, entities)
-            except CodecError as exc:
+            except ValueError as exc:
                 unless_colliding(exc)
                 continue
             assert list(instr.words) == tokenize(caption)
@@ -202,13 +201,13 @@ class TestSubstitutePlaceholders:
 class TestInstruction:
     @pytest.mark.parametrize("span", [(0, 1), (3, 2)])
     def test_entity_span_must_be_ordered_and_one_based(self, span):
-        with pytest.raises(CodecError, match="invalid span"):
+        with pytest.raises(ValueError, match="invalid span"):
             GroundedEntity("cat", BBox(0, 0, 5, 5), span)
 
     @pytest.mark.parametrize("ends", [(2, 1), (3,), (1, 3)])
     def test_span_ends_checked_at_construction(self, ends):
         entities = tuple(GroundedEntity("w", BBox(0, 0, 5, 5), (e, e)) for e in ends)
-        with pytest.raises(CodecError, match="span ends exceed the caption length"):
+        with pytest.raises(ValueError, match="span ends exceed the caption length"):
             InterleavedInstruction(("a", "cat"), entities)
 
     def test_equal_span_ends_allowed(self):
@@ -272,7 +271,7 @@ class TestRoundTrip:
             caption, entities = random_caption_and_entities(rng)
             try:
                 instr = interleave(caption, entities)
-            except CodecError as exc:
+            except ValueError as exc:
                 unless_colliding(exc)
                 continue
             done += 1

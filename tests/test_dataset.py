@@ -70,7 +70,8 @@ class TestIO:
         save_records(path, [good, bad])
         with pytest.raises(ValueError, match=r"^line 2: stray block marker") as exc:
             load_records(path)
-        assert isinstance(exc.value.__cause__, codec.CodecError)
+        cause = exc.value.__cause__
+        assert (type(cause), str(cause)) == (ValueError, "stray block marker near: 'a <|box|> apple'")
 
     @pytest.mark.parametrize("version", [1.0, True, 2, "1", None])
     def test_schema_version_must_be_the_integer_1(self, version, tmp_path):
@@ -150,17 +151,18 @@ class TestRecordToInstruction:
 
 class TestStats:
     def test_empty(self):
-        s = stats([])
-        assert s.count == 0 and s.entity_histogram == {}
-        assert s.mean_caption_tokens == 0.0 and s.many_entity_fraction == 0.0
+        assert stats([]) == {"count": 0, "entity_histogram": {},
+                             "mean_caption_tokens": 0.0, "many_entity_fraction": 0.0}
 
     def test_histogram_and_fraction(self):
         records = [make_record(1, "a"), make_record(1, "b"), make_record(11, "c")]
         s = stats(records)
-        assert s.entity_histogram == {1: 2, 11: 1}
-        assert s.many_entity_fraction == pytest.approx(1 / 3)
+        assert list(s) == ["count", "entity_histogram", "mean_caption_tokens", "many_entity_fraction"]
+        assert list(s["entity_histogram"].items()) == [("1", 2), ("11", 1)]
+        assert s["many_entity_fraction"] == pytest.approx(1 / 3)
 
     def test_synth_histogram_support(self):
         s = stats(synth_generate(seed=0, n=1000, max_entities=15))
-        assert set(s.entity_histogram) <= set(range(1, 16))
-        assert s.count == 1000
+        keys = [int(k) for k in s["entity_histogram"]]
+        assert keys == sorted(keys) and set(keys) <= set(range(1, 16))
+        assert s["count"] == 1000

@@ -97,7 +97,7 @@ def test_stdout_does_not_depend_on_the_worker_count(cpus, files, monkeypatch):
     assert all(code == 0 and err == "" for code, _, err in sequential.values())
     assert [out.count("\n") for _, out, _ in (sequential["encode"], sequential["decode"])] == [200, 200]
     records = load_records(files["refs"])
-    assert json.loads(sequential["stats"][1]) == dataset.stats(records).to_dict()
+    assert json.loads(sequential["stats"][1]) == dataset.stats(records)
 
 
 def _break_lines(path, numbers, text):

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from scotkit.constraints import Contains, total_magnitude
-from scotkit.geometry import BBox, BoxError, area, center, iou
+from scotkit.geometry import BBox, area, center, iou
 
 
 def raster_iou(a: BBox, b: BBox) -> float:
@@ -36,25 +36,25 @@ class TestBBox:
         assert b.width == 1000 and b.height == 1000
 
     def test_rejects_zero_area(self):
-        with pytest.raises(BoxError):
+        with pytest.raises(ValueError, match=r"^need 0 <= xmin < xmax <= 1000, got \[10, 10, 10, 20\]$"):
             BBox(10, 10, 10, 20)
-        with pytest.raises(BoxError, match="ymin < ymax"):
+        with pytest.raises(ValueError, match="ymin < ymax"):
             BBox(10, 10, 20, 10)
 
     def test_rejects_inverted(self):
-        with pytest.raises(BoxError):
+        with pytest.raises(ValueError, match=r"^need 0 <= xmin < xmax <= 1000, got \[20, 10, 10, 30\]$"):
             BBox(20, 10, 10, 30)
-        with pytest.raises(BoxError, match="ymin < ymax"):
+        with pytest.raises(ValueError, match="ymin < ymax"):
             BBox(10, 30, 30, 10)
 
     def test_rejects_out_of_canvas(self):
-        with pytest.raises(BoxError):
+        with pytest.raises(ValueError, match=r"^need 0 <= xmin < xmax <= 1000, got \[0, 0, 1500, 10\]$"):
             BBox(0, 0, 1500, 10)
-        with pytest.raises(BoxError):
+        with pytest.raises(ValueError, match=r"^need 0 <= xmin < xmax <= 1000, got \[-5, 0, 10, 10\]$"):
             BBox(-5, 0, 10, 10)
 
     def test_rejects_non_integer(self):
-        with pytest.raises(BoxError):
+        with pytest.raises(ValueError, match=r"^box coordinates must be integers, got 10\.5$"):
             BBox(0, 0, 10.5, 10)
 
     def test_list_round_trip(self):

@@ -34,11 +34,7 @@ class TestGreedyMatch:
     def test_stated_matrix(self):
         # cross IoUs: (r1,p1)=0.9 (r1,p2)=0.6 (r2,p1)=0.7 (r2,p2)=0.2
         pairs = [(0, 0, 0.9), (0, 1, 0.6), (1, 0, 0.7), (1, 1, 0.2)]
-        result = greedy_match(pairs, n_refs=2)
-        assert [(m.ref_index, m.pred_index, m.iou) for m in result] == [
-            (0, 0, 0.9),
-            (1, 1, 0.2),
-        ]
+        assert greedy_match(pairs, n_refs=2) == [0.9, 0.2]
 
     def test_agrees_with_exhaustive_greedy_oracle(self):
         rng = random.Random(13)
@@ -52,37 +48,33 @@ class TestGreedyMatch:
             got = greedy_match(pairs, n_r)
             # independent re-statement: repeatedly take the best remaining pair
             remaining = [p for p in pairs if p[2] > 0]
-            expect = {}
+            expect = [0.0] * n_r
             while remaining:
                 best = min(remaining, key=lambda p: (-p[2], p[0], p[1]))
-                expect[best[0]] = (best[1], best[2])
+                expect[best[0]] = best[2]
                 remaining = [
                     p for p in remaining if p[0] != best[0] and p[1] != best[1]
                 ]
-            for m in got:
-                if m.ref_index in expect:
-                    assert (m.pred_index, m.iou) == expect[m.ref_index]
-                else:
-                    assert m.pred_index is None and m.iou == 0.0
+            assert got == expect
 
 
 class TestMatchInstances:
     def test_identical_lists(self):
         refs = [("cat", box(0, 0, 100, 100)), ("dog", box(200, 0, 300, 100))]
         s = sample("s", refs, refs)
-        result = match_instances(s)
-        assert all(m.iou == 1.0 for m in result)
-        assert [m.pred_index for m in result] == [0, 1]
+        assert match_instances(s) == [1.0, 1.0]
 
     def test_unmatched_reference(self):
         s = sample("s", [("cat", FULL)], [])
-        result = match_instances(s)
-        assert result == [type(result[0])(0, None, 0.0)]
+        assert match_instances(s) == [0.0]
 
     def test_category_isolation(self):
         s = sample("s", [("cat", FULL)], [("dog", FULL)])
-        result = match_instances(s)
-        assert result[0].pred_index is None and result[0].iou == 0.0
+        assert match_instances(s) == [0.0]
+
+    def test_one_prediction_matches_one_reference(self):
+        s = sample("s", [("cat", FULL), ("cat", FULL)], [("cat", FULL)])
+        assert match_instances(s) == [1.0, 0.0]
 
 
 class TestEvaluate:

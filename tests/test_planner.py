@@ -7,7 +7,7 @@ import re
 import pytest
 
 from scotkit import codec, wire
-from scotkit.constraints import ConstraintError, Grid, LeftOf, NonOverlap, check
+from scotkit.constraints import Grid, LeftOf, NonOverlap, check
 from scotkit.geometry import BBox
 from scotkit.planner import (
     EntitySpec,
@@ -61,6 +61,19 @@ class TestParsePlannerOutput:
     def test_not_json(self):
         with fails("not valid JSON: Expecting value: line 1 column 1 (char 0)"):
             parse_planner_output("garbage {{{")
+
+    def test_json_nested_too_deeply(self):
+        with fails("not valid JSON: JSON nested too deeply to parse"):
+            parse_planner_output("[" * 200_000 + "]" * 200_000)
+
+    # Python refuses to convert an integer of more than 4300 digits; that
+    # ValueError is the reply's fault too, so it is fed back to the model
+    def test_an_integer_too_long_to_convert(self):
+        with pytest.raises(PlannerOutputError, match="^not valid JSON: Exceeds the limit"):
+            parse_planner_output('{"x": ' + "1" * 5000 + "}")
+        doc = {"reasoning": "", "prompt": "a<|bbox_" + "1" * 5000 + "|>", "objects": {}}
+        with pytest.raises(PlannerOutputError, match="^Exceeds the limit"):
+            parse_planner_output(json.dumps(doc))
 
     def test_json_list_is_not_an_object(self):
         with fails("expected a JSON object, got list"):
@@ -285,5 +298,5 @@ class TestSpecSerialization:
             "entities": [{"id": "a", "phrase": "cat"}],
             "constraints": [{"kind": "left_of", "a": "a", "b": "ghost"}],
         }
-        with pytest.raises(ConstraintError, match="^constraint references unknown entity id 'ghost'$"):
+        with pytest.raises(ValueError, match="^constraint references unknown entity id 'ghost'$"):
             spec_from_dict(doc)
