@@ -234,7 +234,7 @@ def cmd_render(args) -> int:
     doc = wire.read(Mapping[str, object], _read_json(args.input), "render input")
     if "objects" in doc:
         _reject_unread_keys(doc, ("reasoning", "prompt", "objects"))
-        output = planner.parse_planner_output(json.dumps(doc))
+        output = planner.planner_output_from_dict(doc)
         svg = render.render_svg(output, args.canvas)
     elif "boxes" in doc:
         # the form `scot repair` prints; its residual messages are checked, not drawn

@@ -60,6 +60,11 @@ class Constraint:
         layout holds a box for every id in entity_ids(); see require_boxes."""
         raise NotImplementedError
 
+    def magnitudes(self, layout: Layout, entities: Categories) -> list[float]:
+        """The magnitudes of violations(), in order, which repair scores by; a
+        kind whose messages cost more computes these and builds violations() on them."""
+        return [v.magnitude for v in self.violations(layout, entities)]
+
     def moves(self, magnitude: float, boxes: Layout, step: float) -> dict[str, BBox]:
         """Updated boxes that shrink a violation of this magnitude."""
         return {}
@@ -107,8 +112,8 @@ def require_boxes(layout: Container[str], cs: Sequence[Constraint]) -> None:
 
 
 def _shift(box: BBox, dx: float, dy: float) -> BBox:
-    cx, cy = center(box)
-    return place(cx + dx, cy + dy, box.width, box.height)
+    x1, y1, x2, y2 = box.xmin, box.ymin, box.xmax, box.ymax
+    return place((x1 + x2) / 2 + dx, (y1 + y2) / 2 + dy, x2 - x1, y2 - y1)
 
 
 def _nudge(box: BBox, axis: int, d: float) -> BBox:
@@ -164,14 +169,19 @@ class _Directional(_Pair):
     _axis: ClassVar[int]
     _sign: ClassVar[float]
 
+    def magnitudes(self, layout: Layout, entities: Categories) -> list[float]:
+        a, b = layout[self.a], layout[self.b]
+        if self._axis == 0:
+            ca, cb = (a.xmin + a.xmax) / 2, (b.xmin + b.xmax) / 2
+        else:
+            ca, cb = (a.ymin + a.ymax) / 2, (b.ymin + b.ymax) / 2
+        mag = ca + self.margin - cb if self._sign > 0 else cb + self.margin - ca
+        return [mag] if mag > 0 else []
+
     def violations(self, layout: Layout, entities: Categories) -> list[Violation]:
-        ca, cb = center(layout[self.a]), center(layout[self.b])
-        first, second = (ca, cb) if self._sign > 0 else (cb, ca)
-        mag = max(0.0, first[self._axis] + self.margin - second[self._axis])
-        if mag > 0:
-            desc = f"{self.a} {self.kind.replace('_', ' ')} {self.b}"
-            return [Violation(self, mag, f"{desc}: centers off by {mag:g}")]
-        return []
+        return [Violation(self, mag, f"{self.a} {self.kind.replace('_', ' ')} {self.b}: "
+                                     f"centers off by {mag:g}")
+                for mag in self.magnitudes(layout, entities)]
 
     def moves(self, magnitude: float, boxes: Layout, step: float) -> dict[str, BBox]:
         shift = _at_least_unit(step * magnitude / 2)
@@ -249,14 +259,17 @@ class NonOverlap(_Pair):
 
     kind = "non_overlap"
 
+    def magnitudes(self, layout: Layout, entities: Categories) -> list[float]:
+        a, b = layout[self.a], layout[self.b]
+        if a.xmax <= b.xmin or b.xmax <= a.xmin or a.ymax <= b.ymin or b.ymax <= a.ymin:
+            return []  # disjoint: no overlap to exceed epsilon
+        excess = intersection_area(a, b) - self.epsilon
+        return [excess / min(area(a), area(b))] if excess > 0 else []
+
     def violations(self, layout: Layout, entities: Categories) -> list[Violation]:
-        inter = intersection_area(layout[self.a], layout[self.b])
-        excess = inter - self.epsilon
-        if excess > 0:
-            smaller = min(area(layout[self.a]), area(layout[self.b]))
-            message = f"{self.a} overlaps {self.b} by {inter:g} area units"
-            return [Violation(self, excess / smaller, message)]
-        return []
+        return [Violation(self, mag, f"{self.a} overlaps {self.b} by "
+                          f"{intersection_area(layout[self.a], layout[self.b]):g} area units")
+                for mag in self.magnitudes(layout, entities)]
 
     def moves(self, magnitude: float, boxes: Layout, step: float) -> dict[str, BBox]:
         a, b = boxes[self.a], boxes[self.b]

@@ -26,9 +26,10 @@ class BBox:
     ymax: int
 
     def __post_init__(self) -> None:
-        for v in (self.xmin, self.ymin, self.xmax, self.ymax):
-            if not isinstance(v, int) or isinstance(v, bool):
-                raise ValueError(f"box coordinates must be integers, got {v!r}")
+        if not type(self.xmin) is type(self.ymin) is type(self.xmax) is type(self.ymax) is int:
+            for v in (self.xmin, self.ymin, self.xmax, self.ymax):
+                if not isinstance(v, int) or isinstance(v, bool):
+                    raise ValueError(f"box coordinates must be integers, got {v!r}")
         if not (0 <= self.xmin < self.xmax <= CANVAS):
             raise ValueError(f"need 0 <= xmin < xmax <= {CANVAS}, got {self.as_list()}")
         if not (0 <= self.ymin < self.ymax <= CANVAS):
@@ -65,7 +66,7 @@ class BBox:
 
 def area(b: BBox) -> int:
     """Area in square canvas units."""
-    return b.width * b.height
+    return (b.xmax - b.xmin) * (b.ymax - b.ymin)
 
 
 def intersection_area(a: BBox, b: BBox) -> int:
@@ -96,12 +97,10 @@ def place(cx: float, cy: float, w: float, h: float) -> BBox:
     """Integer box from a float center and size, clamped into the canvas."""
     w = min(max(w, 1.0), CANVAS)
     h = min(max(h, 1.0), CANVAS)
-    x1 = cx - w / 2
-    y1 = cy - h / 2
-    x1 = min(max(x1, 0.0), CANVAS - w)
-    y1 = min(max(y1, 0.0), CANVAS - h)
-    xmin = int(math.floor(x1 + 0.5))
-    ymin = int(math.floor(y1 + 0.5))
-    xmax = min(CANVAS, xmin + max(1, int(math.floor(w + 0.5))))
-    ymax = min(CANVAS, ymin + max(1, int(math.floor(h + 0.5))))
+    x1 = min(max(cx - w / 2, 0.0), CANVAS - w)
+    y1 = min(max(cy - h / 2, 0.0), CANVAS - h)
+    xmin = math.floor(x1 + 0.5)
+    ymin = math.floor(y1 + 0.5)
+    xmax = min(CANVAS, xmin + max(1, math.floor(w + 0.5)))
+    ymax = min(CANVAS, ymin + max(1, math.floor(h + 0.5)))
     return BBox(xmin, ymin, xmax, ymax)

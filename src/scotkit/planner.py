@@ -13,11 +13,14 @@ import math
 import random
 import re
 from dataclasses import dataclass, field
-from typing import Mapping, Sequence
+from typing import TYPE_CHECKING, Mapping
 
-from . import codec, constraints, wire
+from . import constraints, wire
 from .constraints import Constraint, Grid, Violation
 from .geometry import CANVAS, BBox, place
+
+if TYPE_CHECKING:
+    from . import codec
 
 SIZE_CLASSES = ("background", "large", "medium", "small")
 _SIZE_SIDE = {"large": 400.0, "medium": 250.0, "small": 120.0}
@@ -89,14 +92,21 @@ _OBJECT_KEY_RE = re.compile(r"^(\d+)\.\s+(.+)$")
 
 
 def parse_planner_output(raw: str) -> PlannerOutput:
-    """Parse and validate raw planner text against the wire schema; its
-    prompt must turn into an instruction, as `to_instruction` builds it."""
+    """`planner_output_from_dict` of raw planner text: JSON, or JSON in a code fence."""
     m = _FENCE_RE.search(raw)
     payload = m.group(1) if m else raw
     try:
         doc = wire.loads(payload)
     except ValueError as exc:
         raise PlannerOutputError(f"not valid JSON: {exc}") from exc
+    return planner_output_from_dict(doc)
+
+
+def planner_output_from_dict(doc) -> PlannerOutput:
+    """Validate a decoded JSON document against the wire schema; its
+    prompt must turn into an instruction, as `to_instruction` builds it."""
+    from . import codec
+
     if not isinstance(doc, dict):
         raise PlannerOutputError(f"expected a JSON object, got {type(doc).__name__}")
 
@@ -131,19 +141,12 @@ def parse_planner_output(raw: str) -> PlannerOutput:
 def to_instruction(out: PlannerOutput) -> codec.InterleavedInstruction:
     """Materialize the executable instruction; any text after the last
     placeholder remains as trailing context tokens."""
+    from . import codec
+
     return codec.substitute_placeholders(out.prompt, out.index_map())
 
 
 # --- the deterministic layout procedure -------------------------------
-
-
-def _grid_assignment(spec: SceneSpec) -> dict[str, tuple[Grid, tuple[int, int]]]:
-    out: dict[str, tuple[Grid, tuple[int, int]]] = {}
-    for c in spec.constraints:
-        if isinstance(c, Grid):
-            for eid, cell in c.assignments:
-                out[eid] = (c, cell)
-    return out
 
 
 def propose_initial(spec: SceneSpec, seed: int = 0) -> dict[str, BBox]:
@@ -153,7 +156,8 @@ def propose_initial(spec: SceneSpec, seed: int = 0) -> dict[str, BBox]:
     of its size class."""
     rng = random.Random(seed)
     boxes: dict[str, BBox] = {}
-    grid_cells = _grid_assignment(spec)
+    grid_cells = {eid: (c, cell) for c in spec.constraints if isinstance(c, Grid)
+                  for eid, cell in c.assignments}
 
     packed = [
         e for e in spec.entities
@@ -202,54 +206,63 @@ def repair(
     the objective never increases across accepted moves. Residual
     violations are reported, never dropped.
 
-    Each candidate move rescores only the constraints whose entity_ids()
-    hold a moved entity, plus those with watches_all set; the others
-    keep their cached violations. The total is re-summed over all
-    constraints in their original order, so it is the same float a full
-    `total_magnitude` would give and every accept/reject decision is
-    unchanged. Once a sweep at the floor step accepts nothing, every
-    later sweep would repeat it exactly, so repair stops there and
-    reports ``iterations == max_iters``, as running them out would."""
+    Each candidate rescores, by magnitudes(), only the constraints whose
+    entity_ids() hold a moved entity, plus those with watches_all set,
+    and sums the constraints that have violations in their original
+    order: the others add nothing, so the total is the float
+    `total_magnitude` gives. Until a move is accepted the layout stays
+    put, so moves equal to ones rejected since the last acceptance are
+    rejected again unscored. No accept/reject decision changes. Once a
+    sweep at the floor step accepts nothing, every later sweep would
+    repeat it exactly, so repair stops there and reports
+    ``iterations == max_iters``, as running them out would."""
     if max_iters < 0:
         raise ValueError(f"max_iters must be >= 0, got {max_iters}")
-    current = dict(boxes)
-    cats = spec.categories
-    cs = spec.constraints
+    current, cats, cs = dict(boxes), spec.categories, spec.constraints
     constraints.require_boxes(current, cs)
-    watchers: dict[str, list[int]] = {}
+    everywhere = {i for i, con in enumerate(cs) if con.watches_all}
+    touches = {eid: set(everywhere) for eid in current}  # what moving eid can change
     for i, con in enumerate(cs):
         for eid in con.entity_ids():
-            watchers.setdefault(eid, []).append(i)
-    everywhere = {i for i, con in enumerate(cs) if con.watches_all}
-    # found[i] == cs[i].violations(current, cats); an accepted move
-    # rebinds the lists it changed instead of mutating them
-    found = [con.violations(current, cats) for con in cs]
-    total = _total(found)
+            touches[eid].add(i)
+    # found[i] == cs[i].magnitudes(current, cats), and violated lists the
+    # i with a nonempty found[i] in order; an accepted move rebinds them
+    found = [con.magnitudes(current, cats) for con in cs]
+    violated = [i for i, ms in enumerate(found) if ms]
+    total = sum([m for i in violated for m in found[i]])
     if _trace is not None:
         _trace.append(total)
-    iterations = 0
-    step = step_start
+    touched_by: dict[tuple[str, ...], set[int]] = {}  # by the ids a move changes
+    rejected: set[tuple] = set()  # moves rejected since the last acceptance
+    iterations, step = 0, step_start
     while total > 0 and iterations < max_iters:
         iterations += 1
         sweep_start = total
         for i, con in enumerate(cs):
-            for violation in found[i]:
-                moves = con.moves(violation.magnitude, current, step)
-                if not moves:
+            for magnitude in found[i]:
+                moves = con.moves(magnitude, current, step)
+                key = tuple(moves.items())
+                if key in rejected:
                     continue
-                candidate = dict(current)
-                candidate.update(moves)
-                touched = set(everywhere)
-                for eid in moves:
-                    touched.update(watchers.get(eid, ()))
-                rescored = list(found)
+                touched = touched_by.get(ids := tuple(moves))
+                if touched is None:
+                    touched = touched_by[ids] = set().union(*[touches[eid] for eid in ids])
+                candidate = {**current, **moves}
+                rescored = found.copy()
+                order = [j for j in violated if j not in touched]
                 for j in touched:
-                    rescored[j] = cs[j].violations(candidate, cats)
-                new_total = _total(rescored)
+                    rescored[j] = ms = cs[j].magnitudes(candidate, cats)
+                    if ms:
+                        order.append(j)
+                order.sort()
+                new_total = sum([m for j in order for m in rescored[j]])
                 if new_total < total:
-                    current, found, total = candidate, rescored, new_total
+                    current, found, violated, total = candidate, rescored, order, new_total
+                    rejected.clear()
                     if _trace is not None:
                         _trace.append(total)
+                else:
+                    rejected.add(key)
         if total > sweep_start:
             raise RuntimeError("repair must never increase the objective")
         if total == 0:
@@ -259,13 +272,8 @@ def repair(
             iterations = max_iters
             break
         step = next_step
-    residual = tuple(v for vs in found for v in vs)
+    residual = tuple(v for con in cs for v in con.violations(current, cats))
     return LayoutPlan(boxes=current, iterations=iterations, residual=residual)
-
-
-def _total(found: Sequence[Sequence[Violation]]) -> float:
-    """The sum `constraints.total_magnitude` computes, in the same order."""
-    return sum(v.magnitude for vs in found for v in vs)
 
 
 def plan(spec: SceneSpec, seed: int = 0, max_iters: int = 200) -> LayoutPlan:

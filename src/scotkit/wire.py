@@ -19,18 +19,24 @@ import dataclasses
 import functools
 import json
 import math
+import sys
 import types
 import typing
 from collections.abc import Mapping
 
 
 def loads(text):
-    """json.loads(text), where a document nested too deeply to parse is
-    a ValueError like any other malformed JSON."""
+    """json.loads(text), where a document nested too deeply to parse or an
+    integer too long to convert is a ValueError like any malformed JSON."""
     try:
         return json.loads(text)
     except RecursionError:
         raise ValueError("JSON nested too deeply to parse") from None
+    except ValueError as exc:
+        if type(exc) is not ValueError:  # JSONDecodeError, UnicodeDecodeError
+            raise
+        limit = sys.get_int_max_str_digits()
+        raise ValueError(f"Exceeds the limit ({limit} digits) for a JSON integer") from None
 
 
 def read(tp, value, name: str):

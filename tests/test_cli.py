@@ -78,10 +78,11 @@ print(json.dumps([code, sorted(m for m in sys.modules if m.startswith("scotkit."
 
 _CODEC = ["scotkit.cli", "scotkit.codec", "scotkit.geometry", "scotkit.wire"]
 _DATA = _CODEC + ["scotkit.dataset"]
-_PLAN = _CODEC + ["scotkit.constraints", "scotkit.planner"]
+_PLAN = ["scotkit.cli", "scotkit.constraints", "scotkit.geometry", "scotkit.planner", "scotkit.wire"]
 _TOY = _CODEC + ["numpy", "scotkit.flowmatch"]
-# what each command loads: no command loads requests, and only
-# `plan --mllm` loads the client and urllib
+# what each command loads: no command loads requests, only `plan
+# --mllm` loads the client and urllib, and only it and `render` of
+# planner output load the codec (this `render` draws a layout)
 COMMAND_MODULES = {
     "import scotkit": [],
     "--help": ["scotkit.cli"],
@@ -94,7 +95,7 @@ COMMAND_MODULES = {
     "check": _PLAN,
     "repair": _PLAN,
     "render": _PLAN + ["scotkit.render"],
-    "plan --mllm": _PLAN + ["scotkit.client", "scotkit.resources", "urllib.request"],
+    "plan --mllm": _PLAN + ["scotkit.client", "scotkit.codec", "scotkit.resources", "urllib.request"],
     "toy train": _TOY,
     "toy sample": _TOY,
 }
@@ -229,6 +230,56 @@ class TestDeeplyNestedJson:
         assert len(state.requests) == 2
         assert state.requests[1]["messages"][-1]["content"] == (
             f"Your previous output was invalid: not valid JSON: {DEEP_ERROR}; re-emit the JSON only")
+
+
+# an integer literal longer than Python converts from text
+LONG_INT = "1" * 5000
+LONG_INT_ERROR = "Exceeds the limit (4300 digits) for a JSON integer"
+
+
+class TestOversizedJsonInteger:
+    """Each place `scot` parses JSON reports an integer too long to
+    convert as an input error that names the limit, never Python's
+    advice to call sys.set_int_max_str_digits()."""
+
+    def test_scene_exits_1(self, tmp_path):
+        scene = tmp_path / "scene.json"
+        scene.write_text(json.dumps(SCENE)[:-1] + f', "boxes": {{"a": [0, 0, {LONG_INT}, 9]}}}}')
+        for command in ("plan", "check"):
+            proc = scot_subprocess(command, str(scene))
+            assert (proc.returncode, proc.stdout, proc.stderr) == (1, "", f"error: {LONG_INT_ERROR}\n")
+
+    def test_records_line_exits_1_with_its_line_number(self, tmp_path):
+        # with two or more CPUs a forked child reads the last line
+        path = tmp_path / "records.jsonl"
+        save_records(path, synth_generate(seed=3, n=10, max_entities=4))
+        with open(path, "a", encoding="utf-8") as f:
+            f.write(json.dumps(_RECORD)[:-1] + f', "n": {LONG_INT}}}\n')
+        proc = scot_subprocess("dataset", "stats", str(path))
+        assert (proc.returncode, proc.stdout, proc.stderr) == (
+            1, "", f"error: line 11: {LONG_INT_ERROR}\n")
+
+    def test_completion_payload_exits_2(self, tmp_path, mock_endpoint, monkeypatch):
+        base_url, state = mock_endpoint
+        state.payload = f'{{"choices": {LONG_INT}}}'.encode()
+        monkeypatch.setenv("SCOT_API_KEY", "test-key")
+        proc = TestDeeplyNestedJson._plan_mllm(self, tmp_path, base_url, max_retries=1)
+        assert (proc.returncode, proc.stdout, proc.stderr) == (
+            2, "", f"error: malformed completion payload: {LONG_INT_ERROR}\n")
+        assert len(state.requests) == 1
+
+    def test_planner_reply_is_retried(self, tmp_path, mock_endpoint, monkeypatch, golden_examples):
+        base_url, state = mock_endpoint
+        state.replies = [f'{{"reasoning": "", "prompt": "", "objects": {{}}, "n": {LONG_INT}}}',
+                         golden_examples[0]]
+        monkeypatch.setenv("SCOT_API_KEY", "test-key")
+        proc = TestDeeplyNestedJson._plan_mllm(self, tmp_path, base_url, max_retries=1)
+        assert (proc.returncode, proc.stderr) == (0, "")
+        assert json.loads(proc.stdout)["prompt"]
+        assert len(state.requests) == 2
+        assert state.requests[1]["messages"][-1]["content"] == (
+            f"Your previous output was invalid: not valid JSON: {LONG_INT_ERROR}; "
+            "re-emit the JSON only")
 
 
 def _command_paths(parser: argparse.ArgumentParser, prefix: tuple[str, ...] = ()):
@@ -456,6 +507,10 @@ MALFORMED_INPUTS = {
     "render scene with boxes": ("render", {**SCENE, "boxes": {"a": [0, 0, 9, 9], "b": [20, 0, 29, 9]}}),
     "render residual number": ("render", {"boxes": {"a": [0, 0, 9, 9]}, "residual": 5}),
     "render input number": ("render", 5),
+    "render planner output bad box": ("render", {**_PLAN_DOC, "objects": {"1. cat": [0, 0, 9, 1001]}}),
+    "render planner output bad object key": ("render", {**_PLAN_DOC, "objects": {"cat": [0, 0, 9, 9]}}),
+    "render planner output bad placeholder": ("render", {**_PLAN_DOC, "prompt": "a cat<|bbox_2|>"}),
+    "render planner output prompt number": ("render", {**_PLAN_DOC, "prompt": 5}),
     "config list": ("mllm", [1]),
     "config timeout string": ("mllm", {"base_url": "http://localhost:9", "timeout": "abc"}),
     "config retries string": ("mllm", {"base_url": "http://localhost:9", "max_retries": "2"}),
@@ -525,6 +580,11 @@ MALFORMED_ERROR_LINES = {
     "render layout misspelt iterations": "error: unknown field 'iteration' in render input",
     "render layout unknown key": "error: unknown field 'junk' in render input",
     "render neither form": 'error: render input needs "objects" or "boxes"',
+    "render planner output bad box":
+        "error: invalid box for '1. cat': need 0 <= ymin < ymax <= 1000, got [0, 0, 9, 1001]",
+    "render planner output bad object key": """error: object key must look like "N. name", got 'cat'""",
+    "render planner output bad placeholder": "error: placeholder <|bbox_2|> has no matching object",
+    "render planner output prompt number": "error: planner output is missing field 'prompt'",
     "render planner output unknown key": "error: unknown field 'junk' in render input",
     "render planner output with boxes": "error: unknown field 'boxes' in render input",
     "render residual number": "error: residual must be a list, got 5",

@@ -15,8 +15,10 @@ incremental, the wire and codec values before each constraint kind
 became one class, the checkpoint, SVG and corpus values before an
 instruction stopped storing its token stream, and the loss-curve and
 points values before the flow-matching steps reused their buffers, and
-the record-command values before those commands ran on forked workers; a
-deliberate behaviour change must update them and say so.
+the record-command values before those commands ran on forked workers,
+and the hard-size values before repair skipped repeated candidates and
+scored them by magnitude alone; a deliberate behaviour change must
+update them and say so.
 """
 
 import contextlib
@@ -182,6 +184,21 @@ def _family(name: str):
 @pytest.mark.parametrize("family", sorted(GOLDEN))
 def test_planner_outputs_match_pinned_digest(family):
     assert _digest(_family(family)) == GOLDEN[family]
+
+
+# more hard scenes at three sizes, on hard_spec seeds the family above
+# does not use; repair spends long stretches there accepting no move
+HARD_SEEDS = {10: range(2, 10), 16: range(2, 6), 24: (1, 2)}
+HARD_GOLDEN = {
+    10: "b534abd3c942e5301021938ef8c7d568cd93d35bc8e39db08d9fc59cb877edd2",
+    16: "b20c71d681ea2a3db826267d9f9d500ee04ac402ba9e015a533287ff33a14d31",
+    24: "20884c4eb6d779d6d059d8667a792a0ba9fa587de0be32fc2728c5f4e2c7e33a",
+}
+
+
+@pytest.mark.parametrize("n", sorted(HARD_GOLDEN))
+def test_hard_scenes_of_each_size_match_pinned_digest(n):
+    assert _digest([hard_spec(seed, n) for seed in HARD_SEEDS[n]]) == HARD_GOLDEN[n]
 
 
 def _sha(doc) -> str:

@@ -3,7 +3,8 @@ the objective's zero set, and the entity-id contract incremental repair
 relies on (a kind's violations and moves touch only its entity_ids(),
 unless it watches_all). Also the codec round trip: whatever
 `interleave` or `substitute_placeholders` builds parses back from its
-serialized text; repair never raises the objective; IoU is a
+serialized text; repair never raises the objective, and decides every
+candidate as a full rescore would; IoU is a
 symmetric similarity in [0, 1] that is 1 for a box with itself;
 `place` turns any finite centre and size into a canvas box of that size
 to within half a unit;
@@ -134,6 +135,40 @@ def test_repair_never_raises_total_magnitude(layout, cats, cs, max_iters):
     spec = SceneSpec(tuple(EntitySpec(eid, eid, cats[eid]) for eid in IDS), tuple(cs))
     result = repair(layout, spec, max_iters=max_iters)
     assert total_magnitude(result.boxes, cats, cs) <= total_magnitude(layout, cats, cs)
+
+
+def full_rescore_repair(boxes, spec, max_iters, step_start):
+    """Repair as its docstring states it, caching nothing: each candidate
+    is scored by a full total_magnitude, and every sweep runs.
+    Returns (boxes, iterations, residual, objective trace)."""
+    current, cats, cs = dict(boxes), spec.categories, spec.constraints
+    total = total_magnitude(current, cats, cs)
+    trace, iterations, step = [total], 0, step_start
+    while total > 0 and iterations < max_iters:
+        iterations += 1
+        for c in cs:
+            for v in c.violations(current, cats):
+                candidate = {**current, **c.moves(v.magnitude, current, step)}
+                new_total = total_magnitude(candidate, cats, cs)
+                if new_total < total:
+                    current, total = candidate, new_total
+                    trace.append(total)
+        step = max(0.05, step * 0.95)
+    return current, iterations, check(current, cats, cs), trace
+
+
+@PROPERTY
+@given(layouts, categories, st.lists(constraints, max_size=8),
+       grids().filter(lambda g: g.empty_cells), st.integers(0, 8), st.integers(0, 40),
+       st.sampled_from([0.5, 0.2, 0.03]))
+def test_repair_decides_as_a_full_rescore_of_every_candidate(layout, cats, cs, grid, at,
+                                                            max_iters, step_start):
+    cs = cs[:at] + [grid] + cs[at:]  # a Grid with an empty cell watches every box
+    spec = SceneSpec(tuple(EntitySpec(eid, eid, cats[eid]) for eid in IDS), tuple(cs))
+    trace: list[float] = []
+    result = repair(layout, spec, max_iters=max_iters, step_start=step_start, _trace=trace)
+    assert (result.boxes, result.iterations, list(result.residual), trace) == (
+        full_rescore_repair(layout, spec, max_iters, step_start))
 
 
 @PROPERTY
