@@ -20,11 +20,11 @@ import os
 import threading
 import urllib.error
 import urllib.request
-from dataclasses import dataclass
 from importlib import resources
 
 from . import wire
 from .planner import PlannerOutput, PlannerOutputError, parse_planner_output
+from .wire import Record, assign
 
 SYSTEM_PROMPT_RESOURCE = "planner_system_prompt.txt"
 SYSTEM_PROMPT_SHA256 = "ca2418d0873776d3e0c596c589ebc9a85b33c558a24f48662aa7583fc4710ec6"
@@ -35,23 +35,30 @@ class TransportError(OSError):
     completion; an OSError, so the CLI exits 2 for it."""
 
 
-@dataclass(frozen=True)
-class ClientConfig:
+class ClientConfig(Record):
     base_url: str
     model_name: str
-    api_key_env_var: str = "SCOT_API_KEY"
-    temperature: float = 0.2
-    timeout: float = 120.0
-    max_retries: int = 2
-    max_in_flight: int = 4
+    api_key_env_var: str
+    temperature: float
+    timeout: float
+    max_retries: int
+    max_in_flight: int
 
-    def __post_init__(self):
-        if self.max_retries < 0:
+    def __init__(self, base_url, model_name, api_key_env_var="SCOT_API_KEY",
+                 temperature=0.2, timeout=120.0, max_retries=2, max_in_flight=4):
+        if max_retries < 0:
             raise ValueError("max_retries must be >= 0")
-        if self.max_in_flight < 1:
+        if max_in_flight < 1:
             raise ValueError("max_in_flight must be >= 1")
-        if self.timeout <= 0:
+        if timeout <= 0:
             raise ValueError("timeout must be > 0")
+        assign(self, "base_url", base_url)
+        assign(self, "model_name", model_name)
+        assign(self, "api_key_env_var", api_key_env_var)
+        assign(self, "temperature", temperature)
+        assign(self, "timeout", timeout)
+        assign(self, "max_retries", max_retries)
+        assign(self, "max_in_flight", max_in_flight)
 
 
 @functools.cache

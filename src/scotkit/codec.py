@@ -17,10 +17,10 @@ preserve boxes and span end positions exactly, not phrase lengths.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
 from typing import Callable, Iterable, Mapping, Sequence
 
 from .geometry import CANVAS, BBox
+from .wire import Record, assign
 
 BOX_OPEN = "<|box|>"
 BOX_CLOSE = "<|/box|>"
@@ -36,22 +36,23 @@ _MALFORMED = "malformed placeholder: {!r}"
 _NOT_FOUND = "phrase not found in caption: {!r}"
 
 
-@dataclass(frozen=True)
-class GroundedEntity:
+class GroundedEntity(Record):
     """A caption phrase with its box and inclusive token span."""
 
     phrase: str
     box: BBox
     span: tuple[int, int]  # 1-based inclusive caption token indices
 
-    def __post_init__(self):
-        lo, hi = self.span
+    def __init__(self, phrase, box, span):
+        lo, hi = span
         if not (1 <= lo <= hi):
-            raise ValueError(f"invalid span {self.span} for {self.phrase!r}")
+            raise ValueError(f"invalid span {span} for {phrase!r}")
+        assign(self, "phrase", phrase)
+        assign(self, "box", box)
+        assign(self, "span", span)
 
 
-@dataclass(frozen=True)
-class InterleavedInstruction:
+class InterleavedInstruction(Record):
     """Caption words plus entities in appearance order. The serialized
     text places each entity's coordinate block after word span[1].
 
@@ -61,12 +62,14 @@ class InterleavedInstruction:
     """
 
     words: tuple[str, ...]
-    entities: tuple[GroundedEntity, ...] = ()
+    entities: tuple[GroundedEntity, ...]
 
-    def __post_init__(self):
-        ends = [e.span[1] for e in self.entities]
-        if ends != sorted(ends) or (ends and ends[-1] > len(self.words)):
+    def __init__(self, words, entities=()):
+        ends = [e.span[1] for e in entities]
+        if ends != sorted(ends) or (ends and ends[-1] > len(words)):
             raise ValueError("entity span ends exceed the caption length")
+        assign(self, "words", words)
+        assign(self, "entities", entities)
 
     @property
     def caption(self) -> str:

@@ -7,49 +7,47 @@ NonOverlap with a directional relation. Grid cells are computed on the
 fixed 1000x1000 canvas: cell (r, c) of an R x C grid spans
 x in [c*1000/C, (c+1)*1000/C] and y in [r*1000/R, (r+1)*1000/R].
 
-Each constraint kind is one frozen dataclass deriving from `Constraint`
-that owns everything about the kind: its wire name `kind`, the entity
-ids its violations read, the violations, the repair moves and its wire
-record, which `scotkit.wire` reads and writes from its fields. To add a
-kind, write that class and add it to `KINDS`.
+Each constraint kind is one record class deriving from `Constraint`, a
+`wire.Record`, that owns everything about the kind: its wire name
+`kind`, the entity ids its violations read, the violations, the repair
+moves and its wire record, which `scotkit.wire` reads and writes from
+its fields. To add a kind, write that class and add it to `KINDS`.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, fields
 from typing import ClassVar, Container, Mapping, NamedTuple, Sequence
 
 from . import wire
 from .geometry import CANVAS, BBox, area, center, intersection_area, place
+from .wire import Record, assign
 
 Layout = Mapping[str, BBox]
 Categories = Mapping[str, str]
 
 
-@dataclass(frozen=True)
-class Violation:
+class Violation(Record):
     constraint: Constraint
     magnitude: float
     message: str
 
+    def __init__(self, constraint, magnitude, message):
+        assign(self, "constraint", constraint)
+        assign(self, "magnitude", magnitude)
+        assign(self, "message", message)
 
-class Constraint:
-    """One constraint kind: a frozen dataclass whose fields, in order and
-    under their own names after "kind", make its wire record; a `float`
-    field is a tolerance (finite and >= 0). A subclass sets `kind` and
-    implements entity_ids() and violations(), plus moves() when repair
-    can act."""
+
+class Constraint(Record):
+    """One constraint kind: a record whose fields, in order and under
+    their own names after "kind", make its wire record; a `float` field
+    is a tolerance, which its `__init__` checks with `_tolerance` before
+    any other argument. A subclass sets `kind` and implements
+    entity_ids() and violations(), plus moves() when repair can act."""
 
     kind: ClassVar[str]  # the wire name, unique across KINDS
     # True when the violations may read boxes outside entity_ids()
     watches_all: ClassVar[bool] = False
-
-    def __post_init__(self):
-        for f in fields(self):
-            value = getattr(self, f.name)
-            if f.type == "float" and not (math.isfinite(value) and value >= 0):
-                raise ValueError(f"{f.name} must be a finite number >= 0, got {value}")
 
     def entity_ids(self) -> tuple[str, ...]:
         """Every id whose box the violations read, unless watches_all."""
@@ -98,6 +96,13 @@ class Cell(NamedTuple):
         return list(self)
 
 
+def _tolerance(name: str, value: float) -> float:
+    """value, when it is finite and >= 0."""
+    if not (math.isfinite(value) and value >= 0):
+        raise ValueError(f"{name} must be a finite number >= 0, got {value}")
+    return value
+
+
 def require_boxes(layout: Container[str], cs: Sequence[Constraint]) -> None:
     """Raise ValueError for the first id, in constraint order and then
     entity_ids() order, that layout holds no box for; a scene passes its
@@ -138,17 +143,17 @@ def _at_least_unit(x: float) -> float:
 # --- the kinds ----------------------------------------------------------
 
 
-@dataclass(frozen=True)
 class _Pair(Constraint):
     """A relation between the boxes of a and b."""
 
     a: str
     b: str
 
-    def __post_init__(self):
-        super().__post_init__()
-        if self.a == self.b:
-            raise ValueError(f"{self.kind} needs two different ids, got {self.a!r} twice")
+    def __init__(self, a, b):
+        if a == b:
+            raise ValueError(f"{self.kind} needs two different ids, got {a!r} twice")
+        assign(self, "a", a)
+        assign(self, "b", b)
 
     def entity_ids(self) -> tuple[str, ...]:
         return (self.a, self.b)
@@ -158,16 +163,19 @@ class _Pair(Constraint):
         return {self.a: _nudge(boxes[self.a], axis, d), self.b: _nudge(boxes[self.b], axis, -d)}
 
 
-@dataclass(frozen=True)
 class _Directional(_Pair):
     """Center of a before center of b on one axis, by at least margin.
     Subclasses set the axis (0 is x, 1 is y) and the sign (+1 when a
     comes first along the axis, -1 when b does)."""
 
-    margin: float = 0.0
+    margin: float
 
     _axis: ClassVar[int]
     _sign: ClassVar[float]
+
+    def __init__(self, a, b, margin=0.0):
+        assign(self, "margin", _tolerance("margin", margin))
+        super().__init__(a, b)
 
     def magnitudes(self, layout: Layout, entities: Categories) -> list[float]:
         a, b = layout[self.a], layout[self.b]
@@ -204,13 +212,17 @@ class Below(_Directional):
     kind, _axis, _sign = "below", 1, -1.0
 
 
-@dataclass(frozen=True)
 class Contains(Constraint):
     outer: str
     inner: str
-    margin: float = 0.0
+    margin: float
 
     kind = "contains"
+
+    def __init__(self, outer, inner, margin=0.0):
+        assign(self, "outer", outer)
+        assign(self, "inner", inner)
+        assign(self, "margin", _tolerance("margin", margin))
 
     def entity_ids(self) -> tuple[str, ...]:
         return (self.outer, self.inner)
@@ -253,11 +265,14 @@ class Contains(Constraint):
         return {self.inner: _shift(new_inner, dx, dy)}
 
 
-@dataclass(frozen=True)
 class NonOverlap(_Pair):
-    epsilon: float = 0.0  # tolerated intersection area
+    epsilon: float  # tolerated intersection area
 
     kind = "non_overlap"
+
+    def __init__(self, a, b, epsilon=0.0):
+        assign(self, "epsilon", _tolerance("epsilon", epsilon))
+        super().__init__(a, b)
 
     def magnitudes(self, layout: Layout, entities: Categories) -> list[float]:
         a, b = layout[self.a], layout[self.b]
@@ -282,14 +297,17 @@ class NonOverlap(_Pair):
         return self._apart(boxes, axis, sign * _at_least_unit(step * (overlap / 2 + 1)))
 
 
-@dataclass(frozen=True)
 class AdjacentTo(_Pair):
     """Chebyshev-style box separation (the larger of the per-axis gaps,
     clamped at zero) of at most max_gap."""
 
-    max_gap: float = 0.0
+    max_gap: float
 
     kind = "adjacent_to"
+
+    def __init__(self, a, b, max_gap=0.0):
+        assign(self, "max_gap", _tolerance("max_gap", max_gap))
+        super().__init__(a, b)
 
     def violations(self, layout: Layout, entities: Categories) -> list[Violation]:
         a, b = layout[self.a], layout[self.b]
@@ -311,21 +329,21 @@ class AdjacentTo(_Pair):
         return self._apart(boxes, axis, sign * d)
 
 
-@dataclass(frozen=True)
 class _Aligned(Constraint):
     """Centers of all ids within tol of their mean on one axis, which
     subclasses set (0 is x, 1 is y) along with the word for messages."""
 
     ids: tuple[str, ...]
-    tol: float = 0.0
+    tol: float
 
     _axis: ClassVar[int]
     _word: ClassVar[str]
 
-    def __post_init__(self):
-        super().__post_init__()
-        if len(self.ids) < 2:
-            raise ValueError(f"alignment needs at least 2 ids, got {len(self.ids)}")
+    def __init__(self, ids, tol=0.0):
+        assign(self, "tol", _tolerance("tol", tol))
+        if len(ids) < 2:
+            raise ValueError(f"alignment needs at least 2 ids, got {len(ids)}")
+        assign(self, "ids", ids)
 
     def entity_ids(self) -> tuple[str, ...]:
         return self.ids
@@ -358,7 +376,6 @@ class AlignedCol(_Aligned):
     kind, _axis, _word = "aligned_col", 0, "column"
 
 
-@dataclass(frozen=True)
 class CountEquals(Constraint):
     """Reads entity categories, never boxes, and has no geometric move."""
 
@@ -367,9 +384,11 @@ class CountEquals(Constraint):
 
     kind = "count_equals"
 
-    def __post_init__(self):
-        if self.count < 0:
-            raise ValueError(f"count must be >= 0, got {self.count}")
+    def __init__(self, category, count):
+        if count < 0:
+            raise ValueError(f"count must be >= 0, got {count}")
+        assign(self, "category", category)
+        assign(self, "count", count)
 
     def entity_ids(self) -> tuple[str, ...]:
         return ()
@@ -383,24 +402,24 @@ class CountEquals(Constraint):
         return []
 
 
-@dataclass(frozen=True)
 class Grid(Constraint):
     rows: int
     cols: int
     assignments: tuple[tuple[str, Cell], ...]  # id -> (row, col)
-    empty_cells: tuple[Cell, ...] = field(default=())
+    empty_cells: tuple[Cell, ...]
 
     kind = "grid"
 
-    def __post_init__(self):
-        if self.rows < 1 or self.cols < 1:
+    def __init__(self, rows, cols, assignments, empty_cells=()):
+        if rows < 1 or cols < 1:
             raise ValueError("grid needs rows >= 1 and cols >= 1")
-        cells = [cell for _, cell in self.assignments] + list(self.empty_cells)
-        for row, col in cells:
-            if not (0 <= row < self.rows and 0 <= col < self.cols):
-                raise ValueError(
-                    f"grid cell ({row},{col}) is outside {self.rows} x {self.cols}"
-                )
+        for row, col in [cell for _, cell in assignments] + list(empty_cells):
+            if not (0 <= row < rows and 0 <= col < cols):
+                raise ValueError(f"grid cell ({row},{col}) is outside {rows} x {cols}")
+        assign(self, "rows", rows)
+        assign(self, "cols", cols)
+        assign(self, "assignments", assignments)
+        assign(self, "empty_cells", empty_cells)
 
     @property
     def watches_all(self) -> bool:

@@ -17,31 +17,42 @@ import json
 import os
 import pickle
 import random
-from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Callable, Iterable, Mapping, Sequence
 
 from . import codec, wire
 from .geometry import CANVAS, BBox
+from .wire import Record, assign
 
 SCHEMA_VERSION = 1
 
 
-@dataclass(frozen=True)
-class RecordEntity:
+class RecordEntity(Record):
     phrase: str
-    attrs: Mapping[str, str] = field(default_factory=dict, kw_only=True)
+    attrs: Mapping[str, str]
     box: BBox
 
+    def __init__(self, phrase, box, *, attrs=None):
+        assign(self, "phrase", phrase)
+        assign(self, "attrs", {} if attrs is None else attrs)
+        assign(self, "box", box)
 
-@dataclass(frozen=True)
-class GroundedRecord:
+
+class GroundedRecord(Record):
+    # fields in line order; image, like RecordEntity's attrs, is a
+    # keyword-only parameter, as it sits before required fields
     id: str
-    # kw_only, here and in RecordEntity, keeps the fields in line order
-    image: str | None = field(default=None, kw_only=True)
+    image: str | None
     caption: str
     entities: tuple[RecordEntity, ...]
-    source: str = ""
+    source: str
+
+    def __init__(self, id, caption, entities, source="", *, image=None):
+        assign(self, "id", id)
+        assign(self, "image", image)
+        assign(self, "caption", caption)
+        assign(self, "entities", entities)
+        assign(self, "source", source)
 
     def validate(self) -> None:
         if not self.caption:

@@ -17,7 +17,6 @@ from __future__ import annotations
 import hashlib
 import json
 import math
-from dataclasses import dataclass
 from typing import Callable, Mapping, Sequence
 
 import numpy as np
@@ -25,6 +24,7 @@ import numpy as np
 from . import wire
 from .codec import InterleavedInstruction
 from .geometry import CANVAS
+from .wire import Record, assign
 
 DEFAULT_DIM = 2
 DEFAULT_EMBED_DIM = 64
@@ -87,19 +87,14 @@ def embed_instruction(
 _PARAM_NAMES = ("w1", "b1", "w2", "b2", "w3", "b3")
 
 
-@dataclass
 class VelocityModel:
-    """Two-hidden-layer tanh MLP mapping (x_t, t, e) -> velocity."""
+    """Two-hidden-layer tanh MLP mapping (x_t, t, e) -> velocity. Not a
+    Record: `set_flat_params` replaces its parameter arrays."""
 
-    d: int
-    m: int
-    width: int
-    w1: np.ndarray
-    b1: np.ndarray
-    w2: np.ndarray
-    b2: np.ndarray
-    w3: np.ndarray
-    b3: np.ndarray
+    def __init__(self, d: int, m: int, width: int, w1: np.ndarray, b1: np.ndarray,
+                 w2: np.ndarray, b2: np.ndarray, w3: np.ndarray, b3: np.ndarray):
+        self.d, self.m, self.width = d, m, width
+        self.w1, self.b1, self.w2, self.b2, self.w3, self.b3 = w1, b1, w2, b2, w3, b3
 
     @classmethod
     def init(cls, d: int = DEFAULT_DIM, m: int = DEFAULT_EMBED_DIM,
@@ -223,24 +218,32 @@ def loss_and_grad_at(
 DataSampler = Callable[[np.random.Generator, int], tuple[np.ndarray, np.ndarray]]
 
 
-@dataclass(frozen=True)
-class TrainConfig:
-    steps: int = 2000
-    batch_size: int = 256
-    learning_rate: float = 1e-2
-    m: int = DEFAULT_EMBED_DIM
-    width: int = DEFAULT_WIDTH
-    init_seed: int = 0
-    data_seed: int = 1
-    noise_seed: int = 2
+class TrainConfig(Record):
+    steps: int
+    batch_size: int
+    learning_rate: float
+    m: int
+    width: int
+    init_seed: int
+    data_seed: int
+    noise_seed: int
 
-    def __post_init__(self):
-        if self.steps < 1:
+    def __init__(self, steps=2000, batch_size=256, learning_rate=1e-2, m=DEFAULT_EMBED_DIM,
+                 width=DEFAULT_WIDTH, init_seed=0, data_seed=1, noise_seed=2):
+        if steps < 1:
             raise ValueError("steps must be >= 1")
-        if self.batch_size < 1:
+        if batch_size < 1:
             raise ValueError("batch_size must be >= 1")
-        if not (math.isfinite(self.learning_rate) and self.learning_rate > 0):
-            raise ValueError(f"learning_rate must be a finite number > 0, got {self.learning_rate}")
+        if not (math.isfinite(learning_rate) and learning_rate > 0):
+            raise ValueError(f"learning_rate must be a finite number > 0, got {learning_rate}")
+        assign(self, "steps", steps)
+        assign(self, "batch_size", batch_size)
+        assign(self, "learning_rate", learning_rate)
+        assign(self, "m", m)
+        assign(self, "width", width)
+        assign(self, "init_seed", init_seed)
+        assign(self, "data_seed", data_seed)
+        assign(self, "noise_seed", noise_seed)
 
 
 def box_union_sampler(

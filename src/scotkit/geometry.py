@@ -10,14 +10,14 @@ identical to counting unit cells.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from typing import Iterable
+
+from .wire import Record, assign
 
 CANVAS = 1000
 
 
-@dataclass(frozen=True)
-class BBox:
+class BBox(Record):
     """Axis-aligned integer box with strictly positive area."""
 
     xmin: int
@@ -25,15 +25,19 @@ class BBox:
     xmax: int
     ymax: int
 
-    def __post_init__(self) -> None:
-        if not type(self.xmin) is type(self.ymin) is type(self.xmax) is type(self.ymax) is int:
-            for v in (self.xmin, self.ymin, self.xmax, self.ymax):
+    def __init__(self, xmin, ymin, xmax, ymax):
+        if not type(xmin) is type(ymin) is type(xmax) is type(ymax) is int:
+            for v in (xmin, ymin, xmax, ymax):
                 if not isinstance(v, int) or isinstance(v, bool):
                     raise ValueError(f"box coordinates must be integers, got {v!r}")
-        if not (0 <= self.xmin < self.xmax <= CANVAS):
-            raise ValueError(f"need 0 <= xmin < xmax <= {CANVAS}, got {self.as_list()}")
-        if not (0 <= self.ymin < self.ymax <= CANVAS):
-            raise ValueError(f"need 0 <= ymin < ymax <= {CANVAS}, got {self.as_list()}")
+        if not (0 <= xmin < xmax <= CANVAS):
+            raise ValueError(f"need 0 <= xmin < xmax <= {CANVAS}, got {[xmin, ymin, xmax, ymax]}")
+        if not (0 <= ymin < ymax <= CANVAS):
+            raise ValueError(f"need 0 <= ymin < ymax <= {CANVAS}, got {[xmin, ymin, xmax, ymax]}")
+        assign(self, "xmin", xmin)
+        assign(self, "ymin", ymin)
+        assign(self, "xmax", xmax)
+        assign(self, "ymax", ymax)
 
     @classmethod
     def from_list(cls, coords: Iterable[int]) -> "BBox":

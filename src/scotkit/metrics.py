@@ -12,29 +12,40 @@ scope here; results are therefore upper bounds on image-level scores.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from typing import Sequence
 
 from .geometry import BBox, iou
+from .wire import Record, assign
 
 DEFAULT_IOU_THRESHOLD = 0.5
 
 
-@dataclass(frozen=True)
-class EvalSample:
+class EvalSample(Record):
     id: str
     references: tuple[tuple[str, BBox], ...]
     predictions: tuple[tuple[str, BBox], ...]
 
+    def __init__(self, id, references, predictions):
+        assign(self, "id", id)
+        assign(self, "references", references)
+        assign(self, "predictions", predictions)
 
-@dataclass(frozen=True)
-class EvalReport:
+
+class EvalReport(Record):
     miou: float
     sr: float
     isr: float
     iou_threshold: float
     samples: int
     instances: int
+
+    def __init__(self, miou, sr, isr, iou_threshold, samples, instances):
+        assign(self, "miou", miou)
+        assign(self, "sr", sr)
+        assign(self, "isr", isr)
+        assign(self, "iou_threshold", iou_threshold)
+        assign(self, "samples", samples)
+        assign(self, "instances", instances)
 
 
 def greedy_match(pairs: Sequence[tuple[int, int, float]], n_refs: int) -> list[float]:

@@ -12,12 +12,12 @@ from __future__ import annotations
 import math
 import random
 import re
-from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Mapping
 
-from . import constraints, wire
-from .constraints import Constraint, Grid, Violation
+from . import wire
+from .constraints import Constraint, Grid, Violation, require_boxes
 from .geometry import CANVAS, BBox, place
+from .wire import Record, assign
 
 if TYPE_CHECKING:
     from . import codec
@@ -31,54 +31,68 @@ class PlannerOutputError(ValueError):
     what the client feeds back to the model."""
 
 
-@dataclass(frozen=True)
-class EntitySpec:
+class EntitySpec(Record):
     """One entity awaiting a box: phrase, attribute summary, category,
     and a coarse size prior."""
 
     id: str
     phrase: str
-    category: str = ""
-    attrs: Mapping[str, str] = field(default_factory=dict)
-    size: str = "medium"
+    category: str
+    attrs: Mapping[str, str]
+    size: str
 
-    def __post_init__(self):
-        if self.size not in SIZE_CLASSES:
-            raise ValueError(f"size must be one of {SIZE_CLASSES}, got {self.size!r}")
+    def __init__(self, id, phrase, category="", attrs=None, size="medium"):
+        if size not in SIZE_CLASSES:
+            raise ValueError(f"size must be one of {SIZE_CLASSES}, got {size!r}")
+        assign(self, "id", id)
+        assign(self, "phrase", phrase)
+        assign(self, "category", category)
+        assign(self, "attrs", {} if attrs is None else attrs)
+        assign(self, "size", size)
 
 
-@dataclass(frozen=True)
-class SceneSpec:
-    entities: tuple[EntitySpec, ...] = ()
-    constraints: tuple[Constraint, ...] = ()
-    tail: str | None = None
+class SceneSpec(Record):
+    entities: tuple[EntitySpec, ...]
+    constraints: tuple[Constraint, ...]
+    tail: str | None
 
-    def __post_init__(self):
-        ids = {e.id for e in self.entities}
-        if len(ids) != len(self.entities):
+    def __init__(self, entities=(), constraints=(), tail=None):
+        ids = {e.id for e in entities}
+        if len(ids) != len(entities):
             raise ValueError("entity ids must be unique")
-        constraints.require_boxes(ids, self.constraints)
+        require_boxes(ids, constraints)
+        assign(self, "entities", entities)
+        assign(self, "constraints", constraints)
+        assign(self, "tail", tail)
 
     @property
     def categories(self) -> dict[str, str]:
         return {e.id: e.category for e in self.entities}
 
 
-@dataclass(frozen=True)
-class LayoutPlan:
+class LayoutPlan(Record):
     boxes: dict[str, BBox]
     iterations: int
     residual: tuple[Violation, ...]
 
+    def __init__(self, boxes, iterations, residual):
+        assign(self, "boxes", boxes)
+        assign(self, "iterations", iterations)
+        assign(self, "residual", residual)
 
-@dataclass(frozen=True)
-class PlannerOutput:
+
+class PlannerOutput(Record):
     """The wire schema: reasoning text, a placeholder prompt, and the
     ordered objects map."""
 
     reasoning: str
     prompt: str
     objects: tuple[tuple[str, BBox], ...]  # ("N. name", box) in order
+
+    def __init__(self, reasoning, prompt, objects):
+        assign(self, "reasoning", reasoning)
+        assign(self, "prompt", prompt)
+        assign(self, "objects", objects)
 
     def index_map(self) -> dict[int, BBox]:
         return {i + 1: box for i, (_, box) in enumerate(self.objects)}
@@ -219,7 +233,7 @@ def repair(
     if max_iters < 0:
         raise ValueError(f"max_iters must be >= 0, got {max_iters}")
     current, cats, cs = dict(boxes), spec.categories, spec.constraints
-    constraints.require_boxes(current, cs)
+    require_boxes(current, cs)
     everywhere = {i for i, con in enumerate(cs) if con.watches_all}
     touches = {eid: set(everywhere) for eid in current}  # what moving eid can change
     for i, con in enumerate(cs):

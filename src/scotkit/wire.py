@@ -6,23 +6,63 @@ builds it, or raises ValueError naming the field; `write(value)` is the
 JSON value that reads back as `value`. A float is an int or a finite
 float, and a bool is never a number. `X | None` allows null;
 `tuple[X, ...]` is a list, or an object when X is `tuple[str, Y]`;
-`Mapping[str, X]` is an object; `object` is any value. A dataclass is
+`Mapping[str, X]` is an object; `object` is any value. A `Record` is
 an object holding each field under its own name, in field order; a
-field with a default may be left out, and any other key is an error. A
-class that defines `from_wire(value, name)` and `to_wire(self)`
-itself, not by inheritance, has its own shape.
+field whose `__init__` parameter has a default may be left out, and any
+other key is an error. A class that defines `from_wire(value, name)`
+and `to_wire(self)` itself, not by inheritance, has its own shape.
 """
 
 from __future__ import annotations
 
-import dataclasses
 import functools
 import json
 import math
+import operator
 import sys
 import types
 import typing
 from collections.abc import Mapping
+
+# A Record's __init__ stores each field with this, past its own __setattr__.
+assign = object.__setattr__
+
+
+class Record:
+    """An immutable record. Its fields are the names that its class body
+    and its base classes annotate, in that order, less any `ClassVar`.
+    Its own `__init__` checks its arguments and stores every field with
+    `assign`. Records are equal when they are of the same class with equal
+    fields, hash by their fields, and refuse any later assignment."""
+
+    def __init_subclass__(cls, **kwargs):
+        super().__init_subclass__(**kwargs)
+        names = {}
+        for klass in reversed(cls.__mro__):
+            for name, note in vars(klass).get("__annotations__", {}).items():
+                if not str(note).startswith(("ClassVar", "typing.ClassVar")):
+                    names[name] = None
+        cls._fields = tuple(names)
+        # a tuple of the field values (the value itself for one field)
+        cls._values = staticmethod(operator.attrgetter(*names) if names else lambda r: ())
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._values(self) == self._values(other)
+
+    def __hash__(self):
+        return hash(self._values(self))
+
+    def __repr__(self):
+        fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self._fields)
+        return f"{type(self).__qualname__}({fields})"
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
 
 
 def loads(text):
@@ -89,7 +129,7 @@ def _codec(tp):
         return tp.from_wire, tp.to_wire
     if tp in _SCALARS:
         return _SCALARS[tp], _same
-    if dataclasses.is_dataclass(tp):
+    if isinstance(tp, type) and issubclass(tp, Record):
         return _record(tp)
     origin, args = typing.get_origin(tp), typing.get_args(tp)
     if isinstance(tp, types.UnionType) and len(args) == 2 and type(None) in args:
@@ -124,11 +164,12 @@ def _mapping(value_type):
 
 def _record(cls):
     hints = typing.get_type_hints(cls)
-    plan = [
-        (f.name, *_codec(hints[f.name]),
-         f.default is dataclasses.MISSING and f.default_factory is dataclasses.MISSING)
-        for f in dataclasses.fields(cls)
-    ]
+    init = cls.__init__
+    code = init.__code__
+    positional = code.co_varnames[1:code.co_argcount]
+    optional = {*positional[len(positional) - len(init.__defaults__ or ()):],
+                *(init.__kwdefaults__ or ())}
+    plan = [(name, *_codec(hints[name]), name not in optional) for name in cls._fields]
 
     def read(value, name):
         value = _object(value, name)

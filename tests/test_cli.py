@@ -1,7 +1,6 @@
 """End-to-end CLI tests (in-process main() invocations)."""
 
 import argparse
-import dataclasses
 import io
 import json
 import os
@@ -14,7 +13,7 @@ import pytest
 
 import scotkit
 from scotkit.cli import build_parser, main
-from scotkit.dataset import load_records, save_records, synth_generate
+from scotkit.dataset import GroundedRecord, load_records, save_records, synth_generate
 
 
 @pytest.fixture()
@@ -72,15 +71,16 @@ else:
         code = cli.main(argv)
     except SystemExit as exc:  # --help
         code = exc.code
-watched = ("numpy", "requests", "urllib.request")
+watched = ("dataclasses", "inspect", "numpy", "requests", "urllib.request")
 print(json.dumps([code, sorted(m for m in sys.modules if m.startswith("scotkit.") or m in watched)]))
 """
 
 _CODEC = ["scotkit.cli", "scotkit.codec", "scotkit.geometry", "scotkit.wire"]
 _DATA = _CODEC + ["scotkit.dataset"]
 _PLAN = ["scotkit.cli", "scotkit.constraints", "scotkit.geometry", "scotkit.planner", "scotkit.wire"]
-_TOY = _CODEC + ["numpy", "scotkit.flowmatch"]
-# what each command loads: no command loads requests, only `plan
+_TOY = _CODEC + ["inspect", "numpy", "scotkit.flowmatch"]
+# what each command loads: no command loads requests or dataclasses,
+# only the toy commands load inspect (numpy imports it), only `plan
 # --mllm` loads the client and urllib, and only it and `render` of
 # planner output load the codec (this `render` draws a layout)
 COMMAND_MODULES = {
@@ -698,8 +698,9 @@ class TestEval:
     def test_a_prediction_with_no_reference_is_rejected(self, tmp_path, corpus, capsys):
         record = load_records(corpus)[1]
         preds = tmp_path / "preds.jsonl"
-        save_records(preds, [record, dataclasses.replace(record, id="zzz"),
-                             dataclasses.replace(record, id="yyy")])
+        copies = [GroundedRecord(id, record.caption, record.entities, record.source, image=record.image)
+                  for id in ("zzz", "yyy")]
+        save_records(preds, [record, *copies])
         code, out, err = run(capsys, "eval", "--refs", str(corpus), "--preds", str(preds))
         assert (code, out) == (1, "")
         assert err == f"error: prediction id 'zzz' in {preds} matches no reference in {corpus}\n"

@@ -5,7 +5,6 @@ results in line order. Their stdout and errors must not depend on the
 worker count, and no child may outlive a call."""
 
 import contextlib
-import dataclasses
 import io
 import json
 import os
@@ -57,10 +56,11 @@ def files(tmp_path):
     records[40:40] = ODD_CAPTIONS[:1]
     records[150:150] = ODD_CAPTIONS[1:]
     rng = random.Random("fanout-preds")
-    preds = [dataclasses.replace(r, entities=tuple(
-                 dataclasses.replace(e, box=BBox(e.box.xmin, e.box.ymin,
-                                                 max(e.box.xmin + 1, e.box.xmax - rng.randint(0, 60)),
-                                                 e.box.ymax)) for e in r.entities))
+    preds = [GroundedRecord(r.id, r.caption, tuple(
+                 RecordEntity(e.phrase, BBox(e.box.xmin, e.box.ymin,
+                                             max(e.box.xmin + 1, e.box.xmax - rng.randint(0, 60)),
+                                             e.box.ymax), attrs=e.attrs) for e in r.entities),
+                            r.source, image=r.image)
              for r in records if rng.random() < 0.9]
     paths = {name: tmp_path / f"{name}.jsonl" for name in ("refs", "preds")}
     save_records(paths["refs"], records)

@@ -22,7 +22,6 @@ update them and say so.
 """
 
 import contextlib
-import dataclasses
 import hashlib
 import io
 import json
@@ -46,7 +45,13 @@ from scotkit.constraints import (
     NonOverlap,
     RightOf,
 )
-from scotkit.dataset import record_to_instruction, save_records, synth_generate
+from scotkit.dataset import (
+    GroundedRecord,
+    RecordEntity,
+    record_to_instruction,
+    save_records,
+    synth_generate,
+)
 from scotkit.geometry import BBox
 from scotkit.planner import (
     EntitySpec,
@@ -477,8 +482,8 @@ def _perturbed(records, rng):
             dy = max(-b.ymin, min(1000 - b.ymax, rng.randint(-80, 80)))
             attrs = {**e.attrs, "category": rng.choice(NOUNS)} if rng.random() < 0.05 else e.attrs
             box = BBox(b.xmin + dx, b.ymin + dy, b.xmax + dx, b.ymax + dy)
-            entities.append(dataclasses.replace(e, attrs=attrs, box=box))
-        preds.append(dataclasses.replace(r, entities=tuple(entities)))
+            entities.append(RecordEntity(e.phrase, box, attrs=attrs))
+        preds.append(GroundedRecord(r.id, r.caption, tuple(entities), r.source, image=r.image))
     return preds
 
 

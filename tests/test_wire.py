@@ -13,7 +13,7 @@ from typing import Mapping
 import pytest
 
 import scotkit
-from scotkit import wire
+from scotkit import codec, constraints, dataset, flowmatch, metrics, planner, wire
 from scotkit.client import ClientConfig
 from scotkit.constraints import Cell, Constraint, Grid
 from scotkit.geometry import BBox
@@ -78,6 +78,93 @@ def test_constraint_errors_stay_constraint_errors():
         )
     with pytest.raises(ValueError, match="left_of needs two different ids"):
         Constraint.from_wire({"kind": "left_of", "a": "a", "b": "a"}, "constraint record")
+
+
+_BOX = BBox(1, 2, 30, 40)
+_ENTITY = dataset.RecordEntity("red cat", _BOX, attrs={"category": "cat"})
+# (class, args, kwargs, its fields in declared order, whether wire writes it
+# as an object, which holds its fields in that order; a box is a list)
+RECORDS = [
+    (BBox, (1, 2, 30, 40), {}, "xmin ymin xmax ymax", False),
+    (constraints.Violation, (constraints.LeftOf("a", "b"), 1.5, "a left of b: centers off by 1.5"), {},
+     "constraint magnitude message", True),
+    *[(kind, ("a", "b", 2.0), {}, f"a b {tolerance}", True) for kind, tolerance in [
+        (constraints.LeftOf, "margin"), (constraints.RightOf, "margin"), (constraints.Above, "margin"),
+        (constraints.Below, "margin"), (constraints.NonOverlap, "epsilon"),
+        (constraints.AdjacentTo, "max_gap")]],
+    (constraints.Contains, ("a", "b", 2.0), {}, "outer inner margin", True),
+    (constraints.AlignedRow, (("a", "b"), 1.0), {}, "ids tol", True),
+    (constraints.AlignedCol, (("a", "b"), 1.0), {}, "ids tol", True),
+    (constraints.CountEquals, ("cat", 2), {}, "category count", True),
+    (Grid, (2, 2, (("a", Cell(0, 1)),), (Cell(1, 1),)), {}, "rows cols assignments empty_cells", True),
+    (planner.EntitySpec, ("a", "red cat", "cat", {"color": "red"}, "small"), {},
+     "id phrase category attrs size", True),
+    (planner.SceneSpec, ((planner.EntitySpec("a", "cat"), planner.EntitySpec("b", "dog")),
+                         (constraints.LeftOf("a", "b"),), "at dusk"), {}, "entities constraints tail", True),
+    (planner.LayoutPlan, ({"a": _BOX}, 3, ()), {}, "boxes iterations residual", False),
+    (planner.PlannerOutput, ("r", "a cat<|bbox_1|>", (("1. cat", _BOX),)), {}, "reasoning prompt objects",
+     True),
+    (codec.GroundedEntity, ("cat", _BOX, (1, 2)), {}, "phrase box span", False),
+    (codec.InterleavedInstruction, (("a", "cat"), (codec.GroundedEntity("cat", _BOX, (2, 2)),)), {},
+     "words entities", False),
+    (dataset.RecordEntity, ("red cat", _BOX), {"attrs": {"category": "cat"}}, "phrase attrs box", True),
+    (dataset.GroundedRecord, ("r1", "A red cat.", (_ENTITY,), "synth"), {"image": "img/1.png"},
+     "id image caption entities source", True),
+    (metrics.EvalSample, ("r1", (("cat", _BOX),), (("cat", _BOX),)), {}, "id references predictions", True),
+    (metrics.EvalReport, (50.0, 0.0, 50.0, 0.5, 2, 4), {}, "miou sr isr iou_threshold samples instances",
+     True),
+    (ClientConfig, ("http://localhost:1/v1", "m"), {"timeout": 5.0},
+     "base_url model_name api_key_env_var temperature timeout max_retries max_in_flight", True),
+    (flowmatch.TrainConfig, (10,), {"learning_rate": 0.5},
+     "steps batch_size learning_rate m width init_seed data_seed noise_seed", True),
+]
+
+
+def _hashable(value) -> bool:
+    try:
+        hash(value)
+    except TypeError:
+        return False
+    return True
+
+
+def test_every_record_class_is_in_the_record_contract_table():
+    found, todo = set(), [wire.Record]
+    while todo:
+        for sub in todo.pop().__subclasses__():
+            todo.append(sub)
+            if sub.__module__.startswith("scotkit.") and not sub.__name__.startswith("_"):
+                found.add(sub)
+    assert found - {Constraint} == {cls for cls, *_ in RECORDS}
+
+
+@pytest.mark.parametrize("cls, args, kwargs, fields, written", RECORDS,
+                         ids=[f"{cls.__name__}" for cls, *_ in RECORDS])
+def test_record_contract(cls, args, kwargs, fields, written):
+    record, same = cls(*args, **kwargs), cls(*args, **kwargs)
+    names = fields.split()
+    assert [name for name in names if hasattr(record, name)] == names
+    assert record == same and not record != same
+    if all(_hashable(getattr(record, name)) for name in names):
+        assert hash(record) == hash(same)
+    else:  # as a tuple of its fields would
+        with pytest.raises(TypeError):
+            hash(record)
+    twin = type(cls.__name__, (cls,), {})(*args, **kwargs)
+    assert record != twin and twin != record
+    assert record != object()
+    for name in names:
+        with pytest.raises(AttributeError, match=f"cannot assign to field {name!r}"):
+            setattr(record, name, getattr(same, name))
+        with pytest.raises(AttributeError, match=f"cannot delete field {name!r}"):
+            delattr(record, name)
+    assert record == same
+    shown = ", ".join(f"{name}={getattr(record, name)!r}" for name in names)
+    assert repr(record) == f"{cls.__qualname__}({shown})"
+    if written:
+        doc = wire.write(record)
+        assert list(doc) == names
+        assert wire.read(cls, doc, "record") == record
 
 
 def _private_sibling_imports(path: Path) -> list[str]:
