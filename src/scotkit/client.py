@@ -86,27 +86,9 @@ def build_request(user_prompt: str) -> list[dict[str, str]]:
     ]
 
 
-class _InFlightGate:
-    """Process-wide cap on concurrent requests: a call proceeds only
-    while fewer than its configured limit are active."""
-
-    def __init__(self):
-        self._cond = threading.Condition()
-        self._active = 0
-
-    def acquire(self, limit: int) -> None:
-        with self._cond:
-            while self._active >= limit:
-                self._cond.wait()
-            self._active += 1
-
-    def release(self) -> None:
-        with self._cond:
-            self._active -= 1
-            self._cond.notify_all()
-
-
-_GATE = _InFlightGate()
+# One cap per max_in_flight value: concurrent calls that share a limit
+# share its semaphore (setdefault is atomic, so first uses race safely).
+_GATES: dict[int, threading.BoundedSemaphore] = {}
 
 
 def _post_chat(config: ClientConfig, api_key: str, messages: list[dict[str, str]]) -> str:
@@ -124,18 +106,17 @@ def _post_chat(config: ClientConfig, api_key: str, messages: list[dict[str, str]
         headers={"Content-Type": "application/json", "Authorization": f"Bearer {api_key}"},
         method="POST",
     )
-    _GATE.acquire(config.max_in_flight)
+    limit = config.max_in_flight
     try:
-        try:
-            response = urllib.request.urlopen(request, timeout=config.timeout)
-        except urllib.error.HTTPError as exc:
-            response = exc  # an error status still carries a body
-        with response:
-            status, payload = response.status, response.read()
+        with _GATES.setdefault(limit, threading.BoundedSemaphore(limit)):
+            try:
+                response = urllib.request.urlopen(request, timeout=config.timeout)
+            except urllib.error.HTTPError as exc:
+                response = exc  # an error status still carries a body
+            with response:
+                status, payload = response.status, response.read()
     except (OSError, http.client.HTTPException) as exc:
         raise TransportError(f"POST {url}: {getattr(exc, 'reason', exc)}") from exc
-    finally:
-        _GATE.release()
     if status != 200:
         raise TransportError(f"transport failure ({status}): "
                              f"{payload.decode('utf-8', 'replace')[:500]}")

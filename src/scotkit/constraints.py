@@ -290,8 +290,6 @@ class NonOverlap(_Pair):
         a, b = boxes[self.a], boxes[self.b]
         ox = min(a.xmax, b.xmax) - max(a.xmin, b.xmin)
         oy = min(a.ymax, b.ymax) - max(a.ymin, b.ymin)
-        if ox <= 0 or oy <= 0:
-            return {}
         axis, overlap = (0, ox) if ox <= oy else (1, oy)
         sign = -1.0 if center(a)[axis] <= center(b)[axis] else 1.0
         return self._apart(boxes, axis, sign * _at_least_unit(step * (overlap / 2 + 1)))

@@ -24,6 +24,8 @@ if TYPE_CHECKING:
 
 SIZE_CLASSES = ("background", "large", "medium", "small")
 _SIZE_SIDE = {"large": 400.0, "medium": 250.0, "small": 120.0}
+# Text that would break the prompt and objects `plan_to_output` builds.
+_MARKERS = ("<|box|>", "<|/box|>", "<|bbox_")
 
 
 class PlannerOutputError(ValueError):
@@ -44,6 +46,9 @@ class EntitySpec(Record):
     def __init__(self, id, phrase, category="", attrs=None, size="medium"):
         if size not in SIZE_CLASSES:
             raise ValueError(f"size must be one of {SIZE_CLASSES}, got {size!r}")
+        if not phrase.strip() or "\n" in phrase or any(m in phrase for m in _MARKERS):
+            raise ValueError("phrase must be one line of text with no block marker "
+                             f"or placeholder, got {phrase!r}")
         assign(self, "id", id)
         assign(self, "phrase", phrase)
         assign(self, "category", category)
@@ -61,6 +66,8 @@ class SceneSpec(Record):
         if len(ids) != len(entities):
             raise ValueError("entity ids must be unique")
         require_boxes(ids, constraints)
+        if tail is not None and any(m in tail for m in _MARKERS):
+            raise ValueError(f"tail must hold no block marker or placeholder, got {tail!r}")
         assign(self, "entities", entities)
         assign(self, "constraints", constraints)
         assign(self, "tail", tail)
@@ -106,14 +113,23 @@ _OBJECT_KEY_RE = re.compile(r"^(\d+)\.\s+(.+)$")
 
 
 def parse_planner_output(raw: str) -> PlannerOutput:
-    """`planner_output_from_dict` of raw planner text: JSON, or JSON in a code fence."""
-    m = _FENCE_RE.search(raw)
-    payload = m.group(1) if m else raw
+    """`planner_output_from_dict` of raw planner text: JSON, or else the
+    JSON in its first code fence."""
     try:
-        doc = wire.loads(payload)
+        doc = _loads(raw)
+    except PlannerOutputError:
+        m = _FENCE_RE.search(raw)
+        if not m:
+            raise
+        doc = _loads(m.group(1))
+    return planner_output_from_dict(doc)
+
+
+def _loads(text: str):
+    try:
+        return wire.loads(text)
     except ValueError as exc:
         raise PlannerOutputError(f"not valid JSON: {exc}") from exc
-    return planner_output_from_dict(doc)
 
 
 def planner_output_from_dict(doc) -> PlannerOutput:

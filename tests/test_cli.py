@@ -535,6 +535,16 @@ MALFORMED_INPUTS = {
     "record caption block marker": ("encode", {**_RECORD, "caption": "a <|box|> cat"}),
     "record caption empty": ("encode", {**_RECORD, "caption": "", "entities": []}),
     "entity size unknown": ("plan", {"entities": [{**_ENTITY, "size": "huge"}]}),
+    "entity phrase empty": ("plan", {"entities": [{**_ENTITY, "phrase": ""}]}),
+    "entity phrase blank": ("plan", {"entities": [{**_ENTITY, "phrase": " "}]}),
+    "entity phrase two lines": ("plan", {"entities": [{**_ENTITY, "phrase": "a\ncat"}]}),
+    "entity phrase placeholder": ("plan", {"entities": [{**_ENTITY, "phrase": "a cat <|bbox_2|>"}]}),
+    "entity phrase block marker": ("plan", {"entities": [{**_ENTITY, "phrase": "a cat <|box|>"}]}),
+    "scene tail placeholder": ("plan", {**SCENE, "tail": "then <|bbox_9|>"}),
+    "check entity phrase empty": ("check", {**SCENE, "entities": [{**_ENTITY, "phrase": ""}],
+                                            "constraints": [], "boxes": {"a": [0, 0, 9, 9]}}),
+    "repair scene tail block marker": ("repair", {**SCENE, "tail": "on a <|/box|> mat",
+                                                  "boxes": {"a": [0, 0, 9, 9], "b": [20, 0, 29, 9]}}),
     "entity id repeated": ("plan", {"entities": [_ENTITY, {**_ENTITY, "phrase": "dog"}]}),
     "check box ymin at ymax": ("check", {**SCENE, "boxes": {"a": [0, 9, 9, 9], "b": [20, 0, 29, 9]}}),
     "repair without boxes": ("repair", SCENE),
@@ -562,6 +572,22 @@ MALFORMED_ERROR_LINES = {
     "entity id repeated": "error: entity ids must be unique",
     "entity size unknown":
         "error: size must be one of ('background', 'large', 'medium', 'small'), got 'huge'",
+    "entity phrase empty":
+        "error: phrase must be one line of text with no block marker or placeholder, got ''",
+    "entity phrase blank":
+        "error: phrase must be one line of text with no block marker or placeholder, got ' '",
+    "entity phrase two lines":
+        "error: phrase must be one line of text with no block marker or placeholder, got 'a\\ncat'",
+    "entity phrase placeholder": "error: phrase must be one line of text with no block marker "
+                                 "or placeholder, got 'a cat <|bbox_2|>'",
+    "entity phrase block marker": "error: phrase must be one line of text with no block marker "
+                                  "or placeholder, got 'a cat <|box|>'",
+    "scene tail placeholder":
+        "error: tail must hold no block marker or placeholder, got 'then <|bbox_9|>'",
+    "check entity phrase empty":
+        "error: phrase must be one line of text with no block marker or placeholder, got ''",
+    "repair scene tail block marker":
+        "error: tail must hold no block marker or placeholder, got 'on a <|/box|> mat'",
     "record attrs list value": "error: line 2: attrs 'category' must be a string, got ['x']",
     "record caption block marker": "error: line 2: stray block marker near: 'a <|box|> cat'",
     "record caption empty": "error: line 2: caption must be non-empty",

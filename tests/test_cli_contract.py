@@ -2,7 +2,8 @@
 record and instruction documents, mutated at random (values replaced,
 keys and lines removed or added), never make a command raise past
 `cli.main`, exit with a code other than 0, 1 or 2, or print to stdout
-when it fails. Commands run in process, on a fixed hypothesis seed."""
+when it fails. Commands run in process, on a fixed hypothesis seed.
+Whatever plan `plan` prints for a scene, `render` accepts."""
 
 import contextlib
 import io
@@ -162,3 +163,27 @@ def test_mutated_input_exits_0_1_or_2_and_prints_nothing_on_failure(data):
             code = main([arg.format(**files) for arg in argv])
     assert code in (0, 1, 2)
     assert code == 0 or stdout.getvalue() == ""
+
+
+# phrase and tail text: plain words, whitespace, and the markers the
+# planner's prompt and object keys are built from
+SCENE_TEXT = st.lists(st.sampled_from(
+    ["", " ", "a", "cat", ".", "\n", "\t", "<|box|>", "<|/box|>", "<|bbox_2|>", "<|bbox_9|>",
+     "<|bbox", "<|box|", "|>", "```"]), max_size=4).map("".join)
+
+
+@settings(derandomize=True, max_examples=150, deadline=None)
+@given(SCENE_TEXT, SCENE_TEXT, st.none() | SCENE_TEXT)
+def test_a_plan_that_plan_prints_is_one_that_render_accepts(first, second, tail):
+    scene = {"entities": [{"id": "a", "phrase": first}, {"id": "b", "phrase": second}], "tail": tail}
+    with tempfile.TemporaryDirectory() as tmp:
+        scene_path, plan_path = Path(tmp) / "scene.json", Path(tmp) / "plan.json"
+        scene_path.write_text(json.dumps(scene), encoding="utf-8")
+        stdout = io.StringIO()
+        with contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(io.StringIO()):
+            code = main(["plan", str(scene_path)])
+        if code != 0:
+            return
+        plan_path.write_text(stdout.getvalue(), encoding="utf-8")
+        with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+            assert main(["render", str(plan_path), str(Path(tmp) / "out.svg")]) == 0

@@ -3,7 +3,9 @@
 
 import hashlib
 import json
-from concurrent.futures import ThreadPoolExecutor
+import sys
+import threading
+from concurrent.futures import Future, ThreadPoolExecutor
 from types import SimpleNamespace
 
 import pytest
@@ -103,6 +105,15 @@ class TestRequestPlan:
         assert "Your previous output was invalid" in retry_messages[-1]["content"]
         assert "re-emit the JSON only" in retry_messages[-1]["content"]
 
+    def test_an_unfenced_reply_that_quotes_a_fence_parses_in_one_post(self, config, mock_endpoint):
+        _, state = mock_endpoint
+        reply = {"reasoning": "I answer as ```json``` asks", "prompt": "a cat<|bbox_1|>",
+                 "objects": {"1. cat": [0, 0, 10, 10]}}
+        state.replies = [json.dumps(reply)]
+        out = request_plan(config, "a cat")
+        assert out.reasoning == reply["reasoning"]
+        assert len(state.requests) == 1
+
     def test_a_placeholder_the_codec_rejects_is_fed_back(self, config, mock_endpoint,
                                                          golden_examples):
         _, state = mock_endpoint
@@ -182,6 +193,54 @@ class TestRequestPlan:
                 assert len(f.result().objects) == 2
         assert state.max_active <= config.max_in_flight
         assert len(state.requests) == 32
+
+    def test_a_cap_of_one_admits_one_request_at_a_time(self, config, mock_endpoint,
+                                                        golden_examples, monkeypatch):
+        monkeypatch.setattr(client, "_GATES", {})  # concurrent first uses of the limit
+        _, state = mock_endpoint
+        state.replies = [golden_examples[2]]
+        state.delay = 0.02
+        cfg = ClientConfig(base_url=config.base_url, model_name="mock", max_in_flight=1)
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)  # switch threads often, inside the first use too
+        try:
+            with ThreadPoolExecutor(max_workers=16) as pool:
+                for f in [pool.submit(request_plan, cfg, f"prompt {i}") for i in range(16)]:
+                    assert len(f.result(timeout=30).objects) == 2
+        finally:
+            sys.setswitchinterval(interval)
+        assert state.max_active == 1
+        assert len(state.requests) == 16
+
+    def test_a_failed_post_frees_its_slot(self, config, mock_endpoint, golden_examples,
+                                          monkeypatch):
+        monkeypatch.setattr(client, "_GATES", {})  # a leaked slot stays in this test
+        _, state = mock_endpoint
+        state.replies = [golden_examples[2]]
+        ok = ClientConfig(base_url=config.base_url, model_name="mock", max_in_flight=1, timeout=5)
+        refused = ClientConfig(base_url="http://127.0.0.1:1/v1", model_name="mock",
+                               max_in_flight=1, timeout=5)
+        for cfg, fault in ((refused, {}), (ok, {"status": 503}), (ok, {"payload": b"not json"})):
+            vars(state).update(fault)
+            with pytest.raises(TransportError):
+                request_plan(cfg, "anything")
+            state.status, state.payload = 200, None
+            assert len(_in_daemon_thread(request_plan, ok, "anything").objects) == 2
+
+
+def _in_daemon_thread(fn, *args):
+    """fn(*args) on a daemon thread: a call that blocks for good (on a
+    leaked slot) fails the test after 10 s instead of hanging the run."""
+    future = Future()
+
+    def run():
+        try:
+            future.set_result(fn(*args))
+        except BaseException as exc:
+            future.set_exception(exc)
+
+    threading.Thread(target=run, daemon=True).start()
+    return future.result(timeout=10)
 
 
 class TestConfigValidation:

@@ -58,6 +58,16 @@ class TestParsePlannerOutput:
         out = parse_planner_output(json.dumps(doc))
         assert out.objects[0][1] == BBox(0, 0, 10, 10)
 
+    def test_a_fence_inside_a_json_string_is_text(self):
+        spec = SceneSpec((EntitySpec("a", "a ```b``` cat"),))
+        out = plan_to_output(spec, plan(spec))
+        assert parse_planner_output(json.dumps(out.to_dict())) == out
+
+    def test_a_json_string_holding_a_fenced_plan_is_not_an_object(self):
+        doc = {"reasoning": "r", "prompt": "a cat<|bbox_1|>", "objects": {"1. cat": [0, 0, 10, 10]}}
+        with fails("expected a JSON object, got str"):
+            parse_planner_output(json.dumps(f"```json\n{json.dumps(doc)}\n```"))
+
     def test_not_json(self):
         with fails("not valid JSON: Expecting value: line 1 column 1 (char 0)"):
             parse_planner_output("garbage {{{")

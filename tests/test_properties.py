@@ -10,11 +10,13 @@ symmetric similarity in [0, 1] that is 1 for a box with itself;
 to within half a unit;
 `tokenize` and `locate_spans` return what their loop versions return,
 or raise the same error; scene specs and grounded records read back
-from what they write; and a JSON input with one field of the wrong
+from what they write, and a scene phrase that is blank, spans lines or
+holds a marker is rejected; and a JSON input with one field of the wrong
 type, or one field missing, fails with a ValueError and nothing else."""
 
 import json
 
+import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
@@ -335,10 +337,17 @@ text = st.text(max_size=6)
 attrs = st.dictionaries(text, text, max_size=3)
 
 
+# a phrase is one line with some non-space text (too short for a marker);
+# an invalid one is blank, or holds a newline, block marker or placeholder
+phrases = text.filter(lambda p: p.strip() and "\n" not in p)
+invalid_phrases = st.text(" \t\r", max_size=3) | st.builds(
+    lambda a, mark, b: a + mark + b, text, st.sampled_from(["\n", "<|box|>", "<|/box|>", "<|bbox_"]), text)
+
+
 @st.composite
 def scenes(draw):
     entities = tuple(
-        EntitySpec(eid, draw(text), draw(text), draw(attrs), draw(st.sampled_from(SIZE_CLASSES)))
+        EntitySpec(eid, draw(phrases), draw(text), draw(attrs), draw(st.sampled_from(SIZE_CLASSES)))
         for eid in IDS
     )
     return SceneSpec(entities, tuple(draw(st.lists(constraints, max_size=4))), draw(st.none() | text))
@@ -359,10 +368,16 @@ def through_json(doc):
 
 
 @PROPERTY
-@given(scenes())
-def test_scene_spec_reads_back_what_it_writes(spec):
+@given(scenes(), invalid_phrases)
+def test_scene_spec_reads_back_what_it_writes(spec, invalid_phrase):
     assert wire.read(SceneSpec, through_json(wire.write(spec)), "scene") == spec
     assert spec_from_dict(through_json(wire.write(spec))) == spec
+    doc = through_json(wire.write(spec))
+    doc["entities"][0]["phrase"] = invalid_phrase
+    with pytest.raises(ValueError) as info:
+        spec_from_dict(doc)
+    assert str(info.value) == ("phrase must be one line of text with no block marker "
+                               f"or placeholder, got {invalid_phrase!r}")
 
 
 @PROPERTY
