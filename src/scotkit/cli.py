@@ -91,7 +91,6 @@ def cmd_decode(args) -> int:
                     entities=tuple(dataset.RecordEntity(e.phrase, box=e.box) for e in entities),
                     source="decoded",
                 )
-                record.validate()
             except ValueError as exc:
                 raise ValueError(f"line {lineno}: {exc}") from exc
             records.append(dataset.record_json(record))
@@ -198,6 +197,7 @@ def cmd_eval(args) -> int:
     from . import dataset, metrics
     from .geometry import BBox
 
+    metrics.check_iou_threshold(args.iou_threshold)
     refs = _instances_by_id(args.refs)
     preds = _instances_by_id(args.preds)
 

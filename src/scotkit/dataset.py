@@ -48,17 +48,14 @@ class GroundedRecord(Record):
     source: str
 
     def __init__(self, id, caption, entities, source="", *, image=None):
+        if not caption:
+            raise ValueError("caption must be non-empty")
+        codec.locate_spans(codec.caption_words(caption), [e.phrase for e in entities])
         assign(self, "id", id)
         assign(self, "image", image)
         assign(self, "caption", caption)
         assign(self, "entities", entities)
         assign(self, "source", source)
-
-    def validate(self) -> None:
-        if not self.caption:
-            raise ValueError("caption must be non-empty")
-        words = codec.caption_words(self.caption)
-        codec.locate_spans(words, [e.phrase for e in self.entities])
 
 
 def record_to_dict(r: GroundedRecord) -> dict:
@@ -68,11 +65,9 @@ def record_to_dict(r: GroundedRecord) -> dict:
 def record_from_dict(d: Mapping) -> GroundedRecord:
     fields = wire.read(Mapping[str, object], d, "record")
     version = fields.pop("v", None)
-    record = wire.read(GroundedRecord, fields, "record")
     if type(version) is not int or version != SCHEMA_VERSION:
         raise ValueError(f"unsupported schema version {version!r}")
-    record.validate()
-    return record
+    return wire.read(GroundedRecord, fields, "record")
 
 
 def record_json(r: GroundedRecord) -> str:
@@ -217,14 +212,12 @@ def synth_generate(seed: int, n: int, max_entities: int = 12) -> list[GroundedRe
             listing = phrases[0]
         else:
             listing = ", ".join(phrases[:-1]) + " and " + phrases[-1]
-        record = GroundedRecord(
+        records.append(GroundedRecord(
             id=f"synth-{seed:04d}-{i:05d}",
             caption=f"A scene with {listing}.",
             entities=tuple(entities),
             source="synthetic",
-        )
-        record.validate()
-        records.append(record)
+        ))
     return records
 
 

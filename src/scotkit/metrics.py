@@ -94,16 +94,19 @@ def evaluate(
     return aggregate([score(s, iou_threshold) for s in samples], iou_threshold)
 
 
+def check_iou_threshold(iou_threshold: float) -> None:
+    """The threshold lies in (0, 1]: at 0 an unmatched reference would count as a success."""
+    if not 0 < iou_threshold <= 1:
+        raise ValueError(f"iou_threshold must be in (0, 1], got {iou_threshold}")
+
+
 def aggregate(scores: Sequence[tuple[int, int, float]], iou_threshold: float) -> EvalReport:
     """SR / I-SR / mIoU over each sample's `score`, in sample order, as
     percentages with two decimals. A corpus without any reference
-    instance scores 100.00 vacuously (so SR <= I-SR always holds). The
-    threshold lies in (0, 1]: at 0 an unmatched reference would count as
-    a success."""
+    instance scores 100.00 vacuously (so SR <= I-SR always holds)."""
     if not scores:
         raise ValueError("evaluate needs at least one sample")
-    if not 0 < iou_threshold <= 1:
-        raise ValueError(f"iou_threshold must be in (0, 1], got {iou_threshold}")
+    check_iou_threshold(iou_threshold)
     total_instances = total_successful = full_samples = 0
     iou_sum = 0.0
     for instances, successes, sample_iou_sum in scores:

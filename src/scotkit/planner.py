@@ -24,8 +24,10 @@ if TYPE_CHECKING:
 
 SIZE_CLASSES = ("background", "large", "medium", "small")
 _SIZE_SIDE = {"large": 400.0, "medium": 250.0, "small": 120.0}
-# Text that would break the prompt and objects `plan_to_output` builds.
+# Text that would break the prompt and objects `plan_to_output` builds; a
+# phrase ending in codec.tokenize's peeled punctuation would ground on it.
 _MARKERS = ("<|box|>", "<|/box|>", "<|bbox_")
+_TRAILING_PUNCT = '.,;:!?"'
 
 
 class PlannerOutputError(ValueError):
@@ -49,6 +51,8 @@ class EntitySpec(Record):
         if not phrase.strip() or "\n" in phrase or any(m in phrase for m in _MARKERS):
             raise ValueError("phrase must be one line of text with no block marker "
                              f"or placeholder, got {phrase!r}")
+        if phrase.rstrip()[-1] in _TRAILING_PUNCT:
+            raise ValueError(f"phrase must not end in any of {_TRAILING_PUNCT!r}, got {phrase!r}")
         assign(self, "id", id)
         assign(self, "phrase", phrase)
         assign(self, "category", category)

@@ -1,11 +1,13 @@
 """Shared fixtures: golden planner examples, a mock chat-completion
-endpoint and satisfiable spec synthesis."""
+endpoint, concurrent calls with a deadline and satisfiable spec
+synthesis."""
 
 import json
 import random
 import re
 import threading
 import time
+from concurrent.futures import Future
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 from importlib import resources
 
@@ -119,6 +121,34 @@ def mock_endpoint():
     yield base_url, state
     server.shutdown()
     server.server_close()
+
+
+def on_daemon_threads(calls, seconds: float) -> list:
+    """[call() for call in calls], each started at once on its own daemon
+    thread and all awaited within `seconds`. A call that blocks for good
+    (on a leaked in-flight slot) fails the test with a TimeoutError instead
+    of hanging the run, as leaving a thread pool's `with` block would."""
+    futures = []
+    for call in calls:
+        future = Future()
+
+        def run(call=call, future=future):
+            try:
+                future.set_result(call())
+            except BaseException as exc:
+                future.set_exception(exc)
+
+        threading.Thread(target=run, daemon=True).start()
+        futures.append(future)
+    deadline = time.monotonic() + seconds
+    return [f.result(timeout=max(0.0, deadline - time.monotonic())) for f in futures]
+
+
+def in_daemon_thread(fn, *args):
+    """fn(*args) on a daemon thread, failing the test after 10 s if it
+    blocks for good."""
+    [result] = on_daemon_threads([lambda: fn(*args)], 10)
+    return result
 
 
 NOUNS = [

@@ -9,7 +9,6 @@ the whole suite stays well inside its time budget.
 import json
 import random
 import time
-from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
@@ -18,7 +17,7 @@ from scotkit import codec, constraints, dataset, flowmatch, metrics, planner, re
 from scotkit.client import ClientConfig, request_plan
 from scotkit.geometry import BBox, iou
 
-from conftest import synth_satisfiable_spec
+from conftest import in_daemon_thread, on_daemon_threads, synth_satisfiable_spec
 from test_codec import random_caption_and_entities, unless_colliding
 from test_constraints import oracle_satisfied, random_case
 from test_geometry import random_box, raster_iou
@@ -296,29 +295,26 @@ class TestCriterion8ClientBehavior:
         config = ClientConfig(base_url=base_url, model_name="mock")
 
         state.replies = [golden_examples[0]]
-        out = request_plan(config, "a marketplace")
+        out = in_daemon_thread(request_plan, config, "a marketplace")
         single_ok = len(out.objects) == 8 and len(state.requests) == 1
 
         state.replies = ["garbage", golden_examples[1]]
         state.requests.clear()
-        out = request_plan(config, "a park")
+        out = in_daemon_thread(request_plan, config, "a park")
         retry_ok = len(out.objects) == 5 and len(state.requests) == 2
 
         state.replies = ["garbage"]
         state.requests.clear()
         strict = ClientConfig(base_url=base_url, model_name="mock", max_retries=1)
         with pytest.raises(ValueError, match="^planner output still invalid after 2 attempts: not valid JSON"):
-            request_plan(strict, "anything")
+            in_daemon_thread(request_plan, strict, "anything")
         exhaust_ok = len(state.requests) == 2
 
         state.replies = [golden_examples[2]]
         state.requests.clear()
         state.max_active = 0
         state.delay = 0.03
-        with ThreadPoolExecutor(max_workers=32) as pool:
-            futures = [pool.submit(request_plan, config, f"p{i}") for i in range(32)]
-            for f in futures:
-                f.result()
+        on_daemon_threads([lambda i=i: request_plan(config, f"p{i}") for i in range(32)], 30)
         cap_ok = state.max_active <= config.max_in_flight and len(state.requests) == 32
 
         report(

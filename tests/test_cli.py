@@ -392,6 +392,14 @@ class TestEncodeDecode:
         assert line.startswith("error: ")
 
 
+    def test_a_line_of_another_version_is_reported_by_its_version(self, tmp_path):
+        data = tmp_path / "records.jsonl"
+        data.write_text(json.dumps({**_RECORD, "v": 2, "layout": [1]}) + "\n")
+        proc = scot_subprocess("encode", str(data))
+        assert (proc.returncode, proc.stdout) == (1, "")
+        assert proc.stderr.splitlines() == ["error: line 1: unsupported schema version 2"]
+
+
 class TestPlanCheckRepair:
     def test_plan(self, tmp_path, capsys):
         spec_file = tmp_path / "scene.json"
@@ -540,6 +548,11 @@ MALFORMED_INPUTS = {
     "entity phrase two lines": ("plan", {"entities": [{**_ENTITY, "phrase": "a\ncat"}]}),
     "entity phrase placeholder": ("plan", {"entities": [{**_ENTITY, "phrase": "a cat <|bbox_2|>"}]}),
     "entity phrase block marker": ("plan", {"entities": [{**_ENTITY, "phrase": "a cat <|box|>"}]}),
+    "entity phrase trailing period": ("plan", {"entities": [{**_ENTITY, "phrase": "red cat."}]}),
+    "check entity phrase trailing bang": ("check", {**SCENE, "entities": [
+        {**_ENTITY, "phrase": "mat! "}], "constraints": [], "boxes": {"a": [0, 0, 9, 9]}}),
+    "repair entity phrase trailing quote": ("repair", {**SCENE, "entities": [
+        {**_ENTITY, "phrase": 'a "cat"'}], "constraints": [], "boxes": {"a": [0, 0, 9, 9]}}),
     "scene tail placeholder": ("plan", {**SCENE, "tail": "then <|bbox_9|>"}),
     "check entity phrase empty": ("check", {**SCENE, "entities": [{**_ENTITY, "phrase": ""}],
                                             "constraints": [], "boxes": {"a": [0, 0, 9, 9]}}),
@@ -582,6 +595,10 @@ MALFORMED_ERROR_LINES = {
                                  "or placeholder, got 'a cat <|bbox_2|>'",
     "entity phrase block marker": "error: phrase must be one line of text with no block marker "
                                   "or placeholder, got 'a cat <|box|>'",
+    "entity phrase trailing period": """error: phrase must not end in any of '.,;:!?"', got 'red cat.'""",
+    "check entity phrase trailing bang": """error: phrase must not end in any of '.,;:!?"', got 'mat! '""",
+    "repair entity phrase trailing quote":
+        """error: phrase must not end in any of '.,;:!?"', got 'a "cat"'""",
     "scene tail placeholder":
         "error: tail must hold no block marker or placeholder, got 'then <|bbox_9|>'",
     "check entity phrase empty":
@@ -730,6 +747,13 @@ class TestEval:
         code, out, err = run(capsys, "eval", "--refs", str(corpus), "--preds", str(preds))
         assert (code, out) == (1, "")
         assert err == f"error: prediction id 'zzz' in {preds} matches no reference in {corpus}\n"
+
+    def test_a_bad_threshold_is_reported_before_either_file_is_read(self, tmp_path, corpus, capsys):
+        refs = tmp_path / "refs.jsonl"
+        refs.write_text("{not json\n")
+        code, out, err = run(capsys, "eval", "--refs", str(refs), "--preds", str(corpus),
+                             "--iou-threshold", "0")
+        assert (code, out, err) == (1, "", "error: iou_threshold must be in (0, 1], got 0.0\n")
 
 
 class TestRender:

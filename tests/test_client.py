@@ -4,8 +4,6 @@
 import hashlib
 import json
 import sys
-import threading
-from concurrent.futures import Future, ThreadPoolExecutor
 from types import SimpleNamespace
 
 import pytest
@@ -19,6 +17,8 @@ from scotkit.client import (
     request_plan,
 )
 from scotkit.geometry import BBox
+
+from conftest import in_daemon_thread, on_daemon_threads
 
 
 @pytest.fixture()
@@ -185,12 +185,9 @@ class TestRequestPlan:
         _, state = mock_endpoint
         state.replies = [golden_examples[2]]
         state.delay = 0.04
-        with ThreadPoolExecutor(max_workers=32) as pool:
-            futures = [
-                pool.submit(request_plan, config, f"prompt {i}") for i in range(32)
-            ]
-            for f in futures:
-                assert len(f.result().objects) == 2
+        for out in on_daemon_threads([lambda i=i: request_plan(config, f"prompt {i}")
+                                      for i in range(32)], 30):
+            assert len(out.objects) == 2
         assert state.max_active <= config.max_in_flight
         assert len(state.requests) == 32
 
@@ -204,9 +201,9 @@ class TestRequestPlan:
         interval = sys.getswitchinterval()
         sys.setswitchinterval(1e-6)  # switch threads often, inside the first use too
         try:
-            with ThreadPoolExecutor(max_workers=16) as pool:
-                for f in [pool.submit(request_plan, cfg, f"prompt {i}") for i in range(16)]:
-                    assert len(f.result(timeout=30).objects) == 2
+            for out in on_daemon_threads([lambda i=i: request_plan(cfg, f"prompt {i}")
+                                          for i in range(16)], 30):
+                assert len(out.objects) == 2
         finally:
             sys.setswitchinterval(interval)
         assert state.max_active == 1
@@ -225,22 +222,7 @@ class TestRequestPlan:
             with pytest.raises(TransportError):
                 request_plan(cfg, "anything")
             state.status, state.payload = 200, None
-            assert len(_in_daemon_thread(request_plan, ok, "anything").objects) == 2
-
-
-def _in_daemon_thread(fn, *args):
-    """fn(*args) on a daemon thread: a call that blocks for good (on a
-    leaked slot) fails the test after 10 s instead of hanging the run."""
-    future = Future()
-
-    def run():
-        try:
-            future.set_result(fn(*args))
-        except BaseException as exc:
-            future.set_exception(exc)
-
-    threading.Thread(target=run, daemon=True).start()
-    return future.result(timeout=10)
+            assert len(in_daemon_thread(request_plan, ok, "anything").objects) == 2
 
 
 class TestConfigValidation:

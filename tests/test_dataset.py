@@ -64,10 +64,12 @@ class TestIO:
 
     def test_block_marker_in_caption_reports_line(self, tmp_path):
         good = make_record(1)
-        bad = GroundedRecord(id="r2", caption="a <|box|> apple",
-                             entities=(RecordEntity("apple", box=BBox(0, 0, 10, 10)),))
+        bad = {"v": 1, "id": "r2", "caption": "a <|box|> apple",
+               "entities": [{"phrase": "apple", "box": [0, 0, 10, 10]}]}
         path = tmp_path / "marker.jsonl"
-        save_records(path, [good, bad])
+        save_records(path, [good])
+        with open(path, "a", encoding="utf-8") as f:
+            f.write(json.dumps(bad) + "\n")
         with pytest.raises(ValueError, match=r"^line 2: stray block marker") as exc:
             load_records(path)
         cause = exc.value.__cause__
@@ -95,6 +97,25 @@ class TestIO:
         path.write_text(json.dumps(doc) + "\n")
         with pytest.raises(ValueError, match="^line 1: phrase not found in caption: 'dog'$"):
             load_records(path)
+
+
+class TestGroundedRecordChecksItself:
+    """A record that could not be read back cannot be built."""
+
+    @pytest.mark.parametrize("caption, phrase, message", [
+        ("", None, "caption must be non-empty"),
+        ("a <|box|> cat", "cat", "stray block marker near: 'a <|box|> cat'"),
+        ("a dog", "cat", "phrase not found in caption: 'cat'"),
+    ])
+    def test_invalid_record_raises_its_message(self, caption, phrase, message):
+        entities = () if phrase is None else (RecordEntity(phrase, box=BBox(0, 0, 10, 10)),)
+        with pytest.raises(ValueError) as exc:
+            GroundedRecord("r", caption, entities)
+        assert (type(exc.value), str(exc.value)) == (ValueError, message)
+
+    def test_no_record_class_has_a_validate_method(self):
+        assert not hasattr(GroundedRecord, "validate")
+        assert not hasattr(RecordEntity, "validate")
 
 
 class TestSynthGenerate:

@@ -6,7 +6,7 @@ import re
 
 import pytest
 
-from scotkit import codec, wire
+from scotkit import codec, planner, wire
 from scotkit.constraints import Grid, LeftOf, NonOverlap, check
 from scotkit.geometry import BBox
 from scotkit.planner import (
@@ -290,6 +290,16 @@ class TestPlanToOutput:
         instr = to_instruction(out)
         assert instr.boxes == [result.boxes["a"], result.boxes["b"]]
         assert instr.caption.endswith("in a sunny park.")
+
+    @pytest.mark.parametrize("phrase", ["red cat.", "mat!", "a cat, ", 'a "cat"'])
+    def test_a_phrase_ending_in_punctuation_is_rejected(self, phrase):
+        # the codec peels the punctuation into its own word, and the box would follow it
+        with pytest.raises(ValueError) as info:
+            EntitySpec("a", phrase)
+        assert str(info.value) == f"phrase must not end in any of '.,;:!?\"', got {phrase!r}"
+
+    def test_the_punctuation_is_what_the_codec_peels(self):
+        assert planner._TRAILING_PUNCT == codec._TRAILING_PUNCT
 
     def test_placeholder_count(self):
         spec = SceneSpec(entities=tuple(medium(f"e{i}", f"obj{i}") for i in range(6)))

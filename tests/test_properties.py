@@ -10,9 +10,10 @@ symmetric similarity in [0, 1] that is 1 for a box with itself;
 to within half a unit;
 `tokenize` and `locate_spans` return what their loop versions return,
 or raise the same error; scene specs and grounded records read back
-from what they write, and a scene phrase that is blank, spans lines or
-holds a marker is rejected; and a JSON input with one field of the wrong
-type, or one field missing, fails with a ValueError and nothing else."""
+from what they write, a scene phrase that is blank, spans lines or
+holds a marker is rejected, and so is a record that would not read
+back; and a JSON input with one field of the wrong type, or one field
+missing, fails with a ValueError and nothing else."""
 
 import json
 
@@ -337,9 +338,10 @@ text = st.text(max_size=6)
 attrs = st.dictionaries(text, text, max_size=3)
 
 
-# a phrase is one line with some non-space text (too short for a marker);
-# an invalid one is blank, or holds a newline, block marker or placeholder
-phrases = text.filter(lambda p: p.strip() and "\n" not in p)
+# a phrase is one line with some non-space text (too short for a marker)
+# that does not end in trailing punctuation; an invalid one is blank, or
+# holds a newline, block marker or placeholder
+phrases = text.filter(lambda p: p.strip() and "\n" not in p and p.rstrip()[-1] not in '.,;:!?"')
 invalid_phrases = st.text(" \t\r", max_size=3) | st.builds(
     lambda a, mark, b: a + mark + b, text, st.sampled_from(["\n", "<|box|>", "<|/box|>", "<|bbox_"]), text)
 
@@ -353,14 +355,26 @@ def scenes(draw):
     return SceneSpec(entities, tuple(draw(st.lists(constraints, max_size=4))), draw(st.none() | text))
 
 
-records = st.builds(
-    GroundedRecord,
-    id=text,
-    image=st.none() | text,
-    caption=text,
-    entities=st.lists(st.builds(RecordEntity, text, attrs=attrs, box=boxes()), max_size=3).map(tuple),
-    source=text,
-)
+@st.composite
+def records(draw):
+    """A record whose caption is its phrases, in order, then some other
+    text, so each phrase is found at its own place (or earlier)."""
+    entities = tuple(draw(st.lists(
+        st.builds(RecordEntity, text.filter(str.split), attrs=attrs, box=boxes()), max_size=3)))
+    others = draw(st.lists(text.filter(bool), min_size=1, max_size=2))
+    caption = " ".join([e.phrase for e in entities] + others)
+    return GroundedRecord(draw(text), caption, entities, draw(text), image=draw(st.none() | text))
+
+
+def invalid_edits(caption):
+    """(caption, extra entities, message) of three invalid records made from
+    a valid record's caption; its words are at most 6 characters long, so
+    "unfound" is never found."""
+    marked = caption + " <|/box|>"
+    return [("", (), "caption must be non-empty"),
+            (marked, (), f"stray block marker near: {marked!r}"),
+            (caption, (RecordEntity("unfound", box=BBox(0, 0, 9, 9)),),
+             "phrase not found in caption: 'unfound'")]
 
 
 def through_json(doc):
@@ -381,9 +395,13 @@ def test_scene_spec_reads_back_what_it_writes(spec, invalid_phrase):
 
 
 @PROPERTY
-@given(records)
-def test_grounded_record_reads_back_what_it_writes(record):
+@given(records(), st.sampled_from(range(3)))
+def test_grounded_record_reads_back_what_it_writes(record, which):
     assert wire.read(GroundedRecord, through_json(wire.write(record)), "record") == record
+    caption, extra, message = invalid_edits(record.caption)[which]
+    with pytest.raises(ValueError) as info:
+        GroundedRecord(record.id, caption, record.entities + extra, record.source)
+    assert str(info.value) == message
 
 
 _CELLS = Grid(2, 2, (("a", (0, 1)), ("b", (1, 0))), ((1, 1),))
