@@ -200,6 +200,10 @@ def cmd_eval(args) -> int:
     metrics.check_iou_threshold(args.iou_threshold)
     refs = _instances_by_id(args.refs)
     preds = _instances_by_id(args.preds)
+    for record_id in preds:
+        if record_id not in refs:
+            raise ValueError(f"prediction id {record_id!r} in {args.preds} matches no "
+                             f"reference in {args.refs}")
 
     def boxes(instances):
         return tuple((category, BBox(*xyxy)) for category, *xyxy in instances)
@@ -212,10 +216,6 @@ def cmd_eval(args) -> int:
 
     scores = dataset.fan_out(score, list(enumerate(refs.items(), start=1)))
     report = metrics.aggregate(scores, args.iou_threshold)
-    for record_id in preds:
-        if record_id not in refs:
-            raise ValueError(f"prediction id {record_id!r} in {args.preds} matches no "
-                             f"reference in {args.refs}")
     print(metrics.format_report(report))
     return EXIT_OK
 

@@ -30,11 +30,6 @@ SYSTEM_PROMPT_RESOURCE = "planner_system_prompt.txt"
 SYSTEM_PROMPT_SHA256 = "ca2418d0873776d3e0c596c589ebc9a85b33c558a24f48662aa7583fc4710ec6"
 
 
-class TransportError(OSError):
-    """The endpoint could not be reached or did not answer with a
-    completion; an OSError, so the CLI exits 2 for it."""
-
-
 class ClientConfig(Record):
     base_url: str
     model_name: str
@@ -94,7 +89,7 @@ _GATES: dict[int, threading.BoundedSemaphore] = {}
 def _post_chat(config: ClientConfig, api_key: str, messages: list[dict[str, str]]) -> str:
     url = config.base_url.rstrip("/") + "/chat/completions"
     if not url.lower().startswith(("http://", "https://")):
-        raise TransportError(f"base_url is not an http(s) URL: {config.base_url!r}")
+        raise OSError(f"base_url is not an http(s) URL: {config.base_url!r}")
     body = {
         "model": config.model_name,
         "messages": messages,
@@ -116,16 +111,16 @@ def _post_chat(config: ClientConfig, api_key: str, messages: list[dict[str, str]
             with response:
                 status, payload = response.status, response.read()
     except (OSError, http.client.HTTPException) as exc:
-        raise TransportError(f"POST {url}: {getattr(exc, 'reason', exc)}") from exc
+        raise OSError(f"POST {url}: {getattr(exc, 'reason', exc)}") from exc
     if status != 200:
-        raise TransportError(f"transport failure ({status}): "
-                             f"{payload.decode('utf-8', 'replace')[:500]}")
+        raise OSError(f"transport failure ({status}): "
+                      f"{payload.decode('utf-8', 'replace')[:500]}")
     try:
         content = wire.loads(payload)["choices"][0]["message"]["content"]
     except (KeyError, IndexError, TypeError, ValueError) as exc:
-        raise TransportError(f"malformed completion payload: {exc}") from exc
+        raise OSError(f"malformed completion payload: {exc}") from exc
     if not isinstance(content, str):
-        raise TransportError(f"malformed completion payload: content is {type(content).__name__}")
+        raise OSError(f"malformed completion payload: content is {type(content).__name__}")
     return content
 
 

@@ -84,17 +84,28 @@ def embed_instruction(
 
 # --- velocity model ------------------------------------------------------
 
-_PARAM_NAMES = ("w1", "b1", "w2", "b2", "w3", "b3")
+def _shapes(d: int, m: int, width: int) -> list[tuple[int, ...]]:
+    """Shapes of w1, b1, w2, b2, w3 and b3: the order of `params` and of a checkpoint."""
+    return [(width, d + 1 + m), (width,), (width, width), (width,), (d, width), (d,)]
+
+
+def _views(flat: np.ndarray, d: int, m: int, width: int) -> list[np.ndarray]:
+    """w1 ... b3 as views into flat, which must hold exactly their values."""
+    shapes = _shapes(d, m, width)
+    ends = np.cumsum([math.prod(shape) for shape in shapes])
+    if flat.size != ends[-1]:
+        raise ValueError(f"expected {ends[-1]} parameters, got {flat.size}")
+    return [part.reshape(shape) for part, shape in zip(np.split(flat, ends[:-1]), shapes)]
 
 
 class VelocityModel:
-    """Two-hidden-layer tanh MLP mapping (x_t, t, e) -> velocity. Not a
-    Record: `set_flat_params` replaces its parameter arrays."""
+    """Two-hidden-layer tanh MLP mapping (x_t, t, e) -> velocity. Its
+    parameters are one float64 vector, `params`, and w1 ... b3 are views
+    into it. Not a Record: training updates `params` in place."""
 
-    def __init__(self, d: int, m: int, width: int, w1: np.ndarray, b1: np.ndarray,
-                 w2: np.ndarray, b2: np.ndarray, w3: np.ndarray, b3: np.ndarray):
-        self.d, self.m, self.width = d, m, width
-        self.w1, self.b1, self.w2, self.b2, self.w3, self.b3 = w1, b1, w2, b2, w3, b3
+    def __init__(self, d: int, m: int, width: int, params: np.ndarray):
+        self.d, self.m, self.width, self.params = d, m, width, params
+        self.w1, self.b1, self.w2, self.b2, self.w3, self.b3 = _views(params, d, m, width)
 
     @classmethod
     def init(cls, d: int = DEFAULT_DIM, m: int = DEFAULT_EMBED_DIM,
@@ -106,40 +117,22 @@ class VelocityModel:
         from a standard init within the default step budget. The output
         layer starts at zero, the usual choice for flow heads."""
         rng = np.random.default_rng(seed)
-        n_in = d + 1 + m
-        w1 = rng.standard_normal((width, n_in))
+        model = cls(d, m, width, np.zeros(sum(math.prod(s) for s in _shapes(d, m, width))))
+        w1 = rng.standard_normal(out=model.w1)
         w1[:, :d] *= 8.0       # position columns
         w1[:, d] *= 20.0       # time column
         w1[:, d + 1 :] *= 0.6  # condition columns
-        return cls(
-            d=d, m=m, width=width,
-            w1=w1,
-            b1=rng.uniform(-3.0, 3.0, size=width),
-            w2=rng.standard_normal((width, width)) / np.sqrt(width),
-            b2=np.zeros(width),
-            w3=np.zeros((d, width)),
-            b3=np.zeros(d),
-        )
-
-    def flat_params(self) -> np.ndarray:
-        return np.concatenate([getattr(self, n).ravel() for n in _PARAM_NAMES])
-
-    def set_flat_params(self, flat: np.ndarray) -> None:
-        expected = sum(getattr(self, name).size for name in _PARAM_NAMES)
-        if flat.size != expected:
-            raise ValueError(f"expected {expected} parameters, got {flat.size}")
-        offset = 0
-        for name in _PARAM_NAMES:
-            current = getattr(self, name)
-            setattr(self, name, flat[offset : offset + current.size].reshape(current.shape).copy())
-            offset += current.size
+        model.b1[...] = rng.uniform(-3.0, 3.0, size=width)
+        model.w2[...] = rng.standard_normal((width, width)) / np.sqrt(width)
+        return model
 
 
 class StepBuffers:
     """The arrays one `train` or `sample` call overwrites at every step,
     so no step allocates anything of size (batch, width): the input z,
     both hidden layers, the output and, with `backward`, the backward
-    scratch and one gradient per parameter. Sampling runs tanh in place
+    scratch and one gradient vector laid out as the model's `params`,
+    with views of it per parameter. Sampling runs tanh in place
     and needs no backward pass, so it holds z and only two hidden-size
     arrays."""
 
@@ -150,7 +143,8 @@ class StepBuffers:
         self.out = np.empty((batch, model.d))
         if backward:
             self.delta = np.empty((batch, model.width))
-            self.grads = {name: np.empty_like(getattr(model, name)) for name in _PARAM_NAMES}
+            self.grad = np.empty_like(model.params)
+            self.grad_views = _views(self.grad, model.d, model.m, model.width)
 
 
 def _forward(model: VelocityModel, buf: StepBuffers) -> np.ndarray:
@@ -174,12 +168,12 @@ def loss_and_grad_at(
     t: np.ndarray,
     e: np.ndarray,
     buf: StepBuffers,
-) -> tuple[float, dict[str, np.ndarray]]:
+) -> tuple[float, np.ndarray]:
     """Velocity-matching loss and exact gradient at given draws:
     mean over the batch of ||v(x_t, t, e) - (x1 - x0)||^2. buf must be
     made with `backward=True` for this model's shapes and x0's batch
-    size; the returned gradients are buf's arrays, valid until the next
-    call with buf."""
+    size; the returned gradient, laid out as `model.params`, is buf's
+    array, valid until the next call with buf."""
     batch = x0.shape[0]
     if batch != buf.z.shape[0]:
         raise ValueError(f"batch of {batch} for buffers of {buf.z.shape[0]}")
@@ -195,22 +189,22 @@ def loss_and_grad_at(
     # reused: h2 becomes 1 - h2^2, then dh1 and da1; h1 becomes 1 - h1^2
     dout = np.multiply(2.0, diff, out=diff)
     np.divide(dout, batch, out=dout)
-    g, h1, h2, delta = buf.grads, buf.h1, buf.h2, buf.delta
-    np.matmul(dout.T, h2, out=g["w3"])
-    np.sum(dout, axis=0, out=g["b3"])
+    (gw1, gb1, gw2, gb2, gw3, gb3), h1, h2, delta = buf.grad_views, buf.h1, buf.h2, buf.delta
+    np.matmul(dout.T, h2, out=gw3)
+    np.sum(dout, axis=0, out=gb3)
     np.matmul(dout, model.w3, out=delta)
     np.multiply(h2, h2, out=h2)
     np.subtract(1.0, h2, out=h2)
     np.multiply(delta, h2, out=delta)
-    np.matmul(delta.T, h1, out=g["w2"])
-    np.sum(delta, axis=0, out=g["b2"])
+    np.matmul(delta.T, h1, out=gw2)
+    np.sum(delta, axis=0, out=gb2)
     np.matmul(delta, model.w2, out=h2)
     np.multiply(h1, h1, out=h1)
     np.subtract(1.0, h1, out=h1)
     np.multiply(h2, h1, out=h2)
-    np.matmul(h2.T, buf.z, out=g["w1"])
-    np.sum(h2, axis=0, out=g["b1"])
-    return loss, g
+    np.matmul(h2.T, buf.z, out=gw1)
+    np.sum(h2, axis=0, out=gb1)
+    return loss, buf.grad
 
 
 # --- training ------------------------------------------------------------
@@ -305,14 +299,12 @@ def train(
             rng = np.random.default_rng([config.noise_seed, step])
             x1 = rng.standard_normal(x0.shape)
             t = rng.uniform(0.0, 1.0, size=x0.shape[0])
-            loss, grads = loss_and_grad_at(model, x0, x1, t, e, buf)
+            loss, grad = loss_and_grad_at(model, x0, x1, t, e, buf)
             if not math.isfinite(loss):
                 raise ValueError(f"training diverged at step {step}: loss is {loss}")
             curve.append(loss)
-            for name, grad in grads.items():
-                param = getattr(model, name)
-                np.multiply(config.learning_rate, grad, out=grad)
-                np.subtract(param, grad, out=param)
+            np.multiply(config.learning_rate, grad, out=grad)
+            np.subtract(model.params, grad, out=model.params)
     return model, curve
 
 
@@ -329,6 +321,7 @@ def sample(
         raise ValueError(f"n_samples must be >= 0, got {n_samples}")
     if n_steps < 1:
         raise ValueError("n_steps must be >= 1")
+    wire.read(int, n_steps, "n_steps")  # a count no float can hold overflows 1 / n_steps
     rng = np.random.default_rng(seed)
     x = rng.standard_normal((n_samples, model.d))
     buf = StepBuffers(model, n_samples, backward=False)
@@ -370,7 +363,7 @@ def in_box_fraction(samples: np.ndarray, instruction: InterleavedInstruction) ->
 
 def save_checkpoint(path, model: VelocityModel, meta: dict | None = None) -> None:
     """File layout: one JSON header line (shape + metadata), then the
-    flat parameter vector as little-endian float64 bytes."""
+    model's `params` as little-endian float64 bytes."""
     header = {
         "d": model.d,
         "m": model.m,
@@ -380,7 +373,7 @@ def save_checkpoint(path, model: VelocityModel, meta: dict | None = None) -> Non
     with open(path, "wb") as f:
         f.write(json.dumps(header, sort_keys=True).encode("utf-8"))
         f.write(b"\n")
-        f.write(model.flat_params().astype("<f8").tobytes())
+        f.write(model.params.astype("<f8").tobytes())
 
 
 def load_checkpoint(path) -> tuple[VelocityModel, dict]:
@@ -395,15 +388,14 @@ def load_checkpoint(path) -> tuple[VelocityModel, dict]:
     if d != DEFAULT_DIM:
         raise ValueError(f"checkpoint d must be {DEFAULT_DIM}, got {d}")
     # the blob is checked against the header before the header sizes any array
-    expected = 8 * (width * (d + 1 + m) + width + width * width + width + d * width + d)
+    expected = 8 * sum(math.prod(shape) for shape in _shapes(d, m, width))
     if len(blob) != expected:
         raise ValueError(
             f"checkpoint holds {len(blob)} parameter bytes, expected {expected} "
             f"for d={d}, m={m}, width={width}"
         )
-    model = VelocityModel.init(d, m, width, seed=0)
-    model.set_flat_params(np.frombuffer(blob, dtype="<f8").astype(np.float64))
-    return model, header.get("meta", {})
+    params = np.frombuffer(blob, dtype="<f8").astype(np.float64)
+    return VelocityModel(d, m, width, params), header.get("meta", {})
 
 
 def save_loss_curve(path, curve: Sequence[float]) -> None:

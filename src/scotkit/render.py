@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+from . import wire
 from .geometry import CANVAS
 from .planner import LayoutPlan, PlannerOutput
 
@@ -18,6 +19,7 @@ def render_svg(output: PlannerOutput | LayoutPlan, canvas_size: int = 1000) -> s
     canvas_size-pixel square; byte-identical output for identical inputs."""
     if canvas_size < 1:
         raise ValueError(f"canvas_size must be >= 1, got {canvas_size}")
+    wire.read(int, canvas_size, "canvas_size")  # a size no float can hold overflows below
     if isinstance(output, PlannerOutput):
         items = list(output.objects)
     elif isinstance(output, LayoutPlan):

@@ -4,13 +4,14 @@ annotation from the type itself.
 `read(tp, value, name)` checks a decoded JSON value against `tp` and
 builds it, or raises ValueError naming the field; `write(value)` is the
 JSON value that reads back as `value`. A float is an int or a finite
-float, and a bool is never a number. `X | None` allows null;
-`tuple[X, ...]` is a list, or an object when X is `tuple[str, Y]`;
-`Mapping[str, X]` is an object; `object` is any value. A `Record` is
-an object holding each field under its own name, in field order; a
-field whose `__init__` parameter has a default may be left out, and any
-other key is an error. A class that defines `from_wire(value, name)`
-and `to_wire(self)` itself, not by inheritance, has its own shape.
+float, an int is one a float can hold, and a bool is never a number.
+`X | None` allows null; `tuple[X, ...]` is a list, or an object when X
+is `tuple[str, Y]`; `Mapping[str, X]` is an object; `object` is any
+value. A `Record` is an object holding each field under its own name,
+in field order; a field whose `__init__` parameter has a default may be
+left out, and any other key is an error. A class that defines
+`from_wire(value, name)` and `to_wire(self)` itself, not by
+inheritance, has its own shape.
 """
 
 from __future__ import annotations
@@ -102,6 +103,7 @@ _str = _expect(str, "a string")
 _object = _expect((dict, Mapping), "an object")  # dict first: an ABC check is slow
 _list = _expect((list, tuple), "a list")
 _number = _expect((int, float), "a finite number")
+_integer = _expect(int, "an integer")
 
 
 def _float(value, name: str) -> float:
@@ -114,11 +116,17 @@ def _float(value, name: str) -> float:
     return number
 
 
+def _int(value, name: str) -> int:
+    if abs(_integer(value, name)) > sys.float_info.max:  # so that every int converts to a float
+        raise ValueError(f"{name} is out of range for a number")
+    return value
+
+
 def _same(value):
     return value
 
 
-_SCALARS = {str: _str, int: _expect(int, "an integer"), float: _float,
+_SCALARS = {str: _str, int: _int, float: _float,
             object: lambda value, name: value}
 
 

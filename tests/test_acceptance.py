@@ -195,28 +195,23 @@ class TestCriterion7FlowMatching:
         worst = 0.0
         for d, m, width in [(2, 8, 16), (2, 64, 128), (3, 16, 32)]:
             model = flowmatch.VelocityModel.init(d=d, m=m, width=width, seed=1)
-            model.set_flat_params(
-                rng.standard_normal(model.flat_params().size) * 0.5
-            )
+            model.params[:] = rng.standard_normal(model.params.size) * 0.5
             x0 = rng.uniform(0.2, 0.8, size=(4, d))
             x1 = rng.standard_normal((4, d))
             t = rng.uniform(0, 1, size=4)
             e = rng.standard_normal((4, m))
             buf = flowmatch.StepBuffers(model, 4, backward=True)
-            _, grads = flowmatch.loss_and_grad_at(model, x0, x1, t, e, buf)
-            flat_grad = np.concatenate(
-                [grads[n].ravel() for n in ("w1", "b1", "w2", "b2", "w3", "b3")]
-            )
-            flat = model.flat_params()
-            probe = flowmatch.VelocityModel.init(d=d, m=m, width=width)
+            _, grad = flowmatch.loss_and_grad_at(model, x0, x1, t, e, buf)
+            flat_grad = grad.copy()  # the next call with buf overwrites grad
+            flat = model.params
             h = 1e-5
             for idx in rng.choice(flat.size, size=20, replace=False):
                 bumped = flat.copy()
                 bumped[idx] += h
-                probe.set_flat_params(bumped)
+                probe = flowmatch.VelocityModel(d, m, width, bumped)
                 up, _ = flowmatch.loss_and_grad_at(probe, x0, x1, t, e, buf)
                 bumped[idx] -= 2 * h
-                probe.set_flat_params(bumped)
+                probe = flowmatch.VelocityModel(d, m, width, bumped)
                 down, _ = flowmatch.loss_and_grad_at(probe, x0, x1, t, e, buf)
                 numeric = (up - down) / (2 * h)
                 denom = max(abs(numeric), abs(flat_grad[idx]), 1e-8)

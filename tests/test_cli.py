@@ -490,6 +490,11 @@ _RECORD = {"v": 1, "id": "r1", "caption": "a cat", "source": "",
            "entities": [{"phrase": "cat", "attrs": {}, "box": [1, 2, 30, 40]}]}
 _BAD_RECORD = {**_RECORD, "entities": [{"phrase": ["cat"], "attrs": {}, "box": [1, 2, 30, 40]}]}
 
+_HUGE = 10**400  # an integer no float can hold
+_HUGE_COUNT = [{"kind": "count_equals", "category": "apple", "count": _HUGE}]
+_HUGE_GRID = [{"kind": "grid", "rows": _HUGE, "cols": 2, "assignments": {"a": [_HUGE - 1, 0]}}]
+_BOXES = {"a": [0, 0, 9, 9], "b": [20, 0, 29, 9]}
+
 _PLAN_DOC = {"reasoning": "r", "prompt": "a cat<|bbox_1|>", "objects": {"1. cat": [0, 0, 9, 9]}}
 
 # (command, JSON document); an "encode" document is the second records
@@ -563,6 +568,12 @@ MALFORMED_INPUTS = {
     "repair without boxes": ("repair", SCENE),
     "render neither form": ("render", {"iterations": 3}),
     "config without base url": ("mllm", {"model_name": "mock"}),
+    "count equals huge count": ("plan", {**SCENE, "constraints": _HUGE_COUNT}),
+    "check count equals huge count": ("check", {**SCENE, "constraints": _HUGE_COUNT, "boxes": _BOXES}),
+    "repair count equals huge count": ("repair", {**SCENE, "constraints": _HUGE_COUNT, "boxes": _BOXES}),
+    "grid huge rows": ("plan", {**SCENE, "constraints": _HUGE_GRID}),
+    "check grid huge rows": ("check", {**SCENE, "constraints": _HUGE_GRID, "boxes": _BOXES}),
+    "repair grid huge rows": ("repair", {**SCENE, "constraints": _HUGE_GRID, "boxes": _BOXES}),
 }
 
 
@@ -640,6 +651,12 @@ MALFORMED_ERROR_LINES = {
     "scene misspelt key": "error: unknown field 'constraint' in scene",
     "scene self pair": "error: left_of needs two different ids, got 'a' twice",
     "scene tail number": "error: tail must be a string, got 5",
+    "count equals huge count": "error: count is out of range for a number",
+    "check count equals huge count": "error: count is out of range for a number",
+    "repair count equals huge count": "error: count is out of range for a number",
+    "grid huge rows": "error: rows is out of range for a number",
+    "check grid huge rows": "error: rows is out of range for a number",
+    "repair grid huge rows": "error: rows is out of range for a number",
 }
 
 
@@ -677,12 +694,15 @@ REJECTED_OPTION_VALUES = {
                               "--steps", "3", "--learning-rate", "nan"],
     "render canvas 0": ["render", "{layout}", "{out}", "--canvas", "0"],
     "render canvas -10": ["render", "{layout}", "{out}", "--canvas", "-10"],
+    "render canvas huge": ["render", "{layout}", "{out}", "--canvas", str(_HUGE)],
     "plan max iters -3": ["plan", "{scene}", "--max-iters", "-3"],
     "repair max iters -1": ["repair", "{scene}", "--max-iters", "-1"],
     "synth n -4": ["dataset", "synth", "--n", "-4", "--output", "{out}"],
     "synth max entities 25": ["dataset", "synth", "--n", "3", "--max-entities", "25", "--output", "{out}"],
     "toy sample n -1": ["toy", "sample", "--model", "{ckpt}", "--instruction", "{instr}",
                         "--n", "-1", "--output", "{out}"],
+    "toy sample n steps huge": ["toy", "sample", "--model", "{ckpt}", "--instruction", "{instr}",
+                                "--n-steps", str(_HUGE), "--output", "{out}"],
 }
 
 
@@ -747,6 +767,23 @@ class TestEval:
         code, out, err = run(capsys, "eval", "--refs", str(corpus), "--preds", str(preds))
         assert (code, out) == (1, "")
         assert err == f"error: prediction id 'zzz' in {preds} matches no reference in {corpus}\n"
+
+    @pytest.mark.parametrize("empty_refs", [False, True])
+    def test_a_prediction_with_no_reference_is_rejected_before_any_scoring(
+            self, empty_refs, tmp_path, corpus, capsys, monkeypatch):
+        from scotkit import metrics
+
+        def score(*args):
+            raise AssertionError("a sample was scored")
+
+        monkeypatch.setattr(metrics, "score", score)
+        refs, preds = tmp_path / "refs.jsonl", tmp_path / "preds.jsonl"
+        refs.write_text("" if empty_refs else corpus.read_text())
+        record = load_records(corpus)[1]
+        save_records(preds, [GroundedRecord("zzz", record.caption, record.entities, record.source)])
+        code, out, err = run(capsys, "eval", "--refs", str(refs), "--preds", str(preds))
+        assert (code, out) == (1, "")
+        assert err == f"error: prediction id 'zzz' in {preds} matches no reference in {refs}\n"
 
     def test_a_bad_threshold_is_reported_before_either_file_is_read(self, tmp_path, corpus, capsys):
         refs = tmp_path / "refs.jsonl"

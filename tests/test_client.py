@@ -12,13 +12,19 @@ from scotkit import client
 from scotkit.client import (
     SYSTEM_PROMPT_SHA256,
     ClientConfig,
-    TransportError,
     build_request,
     request_plan,
 )
 from scotkit.geometry import BBox
 
 from conftest import in_daemon_thread, on_daemon_threads
+
+
+@pytest.fixture(autouse=True)
+def fresh_gates(monkeypatch):
+    """No in-flight slots at the start of each test, so a slot that one
+    test leaks fails that test instead of blocking the next."""
+    monkeypatch.setattr(client, "_GATES", {})
 
 
 @pytest.fixture()
@@ -146,16 +152,14 @@ class TestRequestPlan:
         _, state = mock_endpoint
         state.status = 500
         state.replies = ["unused"]
-        with pytest.raises(TransportError, match=r"^transport failure \(500\): boom$"):
+        with pytest.raises(OSError, match=r"^transport failure \(500\): boom$"):
             request_plan(config, "anything")
 
     def test_transport_error_carries_the_error_body_and_is_an_os_error(self, config, mock_endpoint):
         _, state = mock_endpoint
         state.status = 503
-        with pytest.raises(TransportError) as exc:
+        with pytest.raises(OSError, match=r"^transport failure \(503\): boom$"):
             request_plan(config, "anything")
-        assert str(exc.value) == "transport failure (503): boom"
-        assert isinstance(exc.value, OSError)
 
     def test_request_is_json_with_the_bearer_key(self, config, mock_endpoint, golden_examples):
         _, state = mock_endpoint
@@ -171,14 +175,17 @@ class TestRequestPlan:
     def test_malformed_completion_payload(self, config, mock_endpoint, payload):
         _, state = mock_endpoint
         state.payload = payload
-        with pytest.raises(TransportError, match="malformed completion payload"):
+        with pytest.raises(OSError, match="malformed completion payload"):
             request_plan(config, "anything")
 
     def test_unreachable_endpoint(self, monkeypatch):
         monkeypatch.setenv("SCOT_API_KEY", "test-key")
-        for base_url in ("http://127.0.0.1:1/v1", "ftp://127.0.0.1/v1"):
+        for base_url, message in (
+            ("http://127.0.0.1:1/v1", r"^POST http://127\.0\.0\.1:1/v1/chat/completions: "),
+            ("ftp://127.0.0.1/v1", r"^base_url is not an http\(s\) URL: 'ftp://127\.0\.0\.1/v1'$"),
+        ):
             cfg = ClientConfig(base_url=base_url, model_name="mock", timeout=5)
-            with pytest.raises(TransportError):
+            with pytest.raises(OSError, match=message):
                 request_plan(cfg, "anything")
 
     def test_in_flight_cap(self, config, mock_endpoint, golden_examples):
@@ -192,8 +199,7 @@ class TestRequestPlan:
         assert len(state.requests) == 32
 
     def test_a_cap_of_one_admits_one_request_at_a_time(self, config, mock_endpoint,
-                                                        golden_examples, monkeypatch):
-        monkeypatch.setattr(client, "_GATES", {})  # concurrent first uses of the limit
+                                                        golden_examples):
         _, state = mock_endpoint
         state.replies = [golden_examples[2]]
         state.delay = 0.02
@@ -209,17 +215,19 @@ class TestRequestPlan:
         assert state.max_active == 1
         assert len(state.requests) == 16
 
-    def test_a_failed_post_frees_its_slot(self, config, mock_endpoint, golden_examples,
-                                          monkeypatch):
-        monkeypatch.setattr(client, "_GATES", {})  # a leaked slot stays in this test
+    def test_a_failed_post_frees_its_slot(self, config, mock_endpoint, golden_examples):
         _, state = mock_endpoint
         state.replies = [golden_examples[2]]
         ok = ClientConfig(base_url=config.base_url, model_name="mock", max_in_flight=1, timeout=5)
         refused = ClientConfig(base_url="http://127.0.0.1:1/v1", model_name="mock",
                                max_in_flight=1, timeout=5)
-        for cfg, fault in ((refused, {}), (ok, {"status": 503}), (ok, {"payload": b"not json"})):
+        for cfg, fault, message in (
+            (refused, {}, r"^POST http://127\.0\.0\.1:1/v1/chat/completions: "),
+            (ok, {"status": 503}, r"^transport failure \(503\): boom$"),
+            (ok, {"payload": b"not json"}, "^malformed completion payload: "),
+        ):
             vars(state).update(fault)
-            with pytest.raises(TransportError):
+            with pytest.raises(OSError, match=message):
                 request_plan(cfg, "anything")
             state.status, state.payload = 200, None
             assert len(in_daemon_thread(request_plan, ok, "anything").objects) == 2

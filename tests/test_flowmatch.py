@@ -34,7 +34,7 @@ def randomized_model(d=2, m=5, width=8, seed=3) -> VelocityModel:
     which would make a finite-difference check vacuous there)."""
     model = VelocityModel.init(d=d, m=m, width=width, seed=seed)
     rng = np.random.default_rng(seed + 100)
-    model.set_flat_params(rng.standard_normal(model.flat_params().size) * 0.5)
+    model.params[:] = rng.standard_normal(model.params.size) * 0.5
     return model
 
 
@@ -150,22 +150,17 @@ class TestLossAndGrad:
         t = rng.uniform(0.0, 1.0, size=batch_size)
         e = rng.standard_normal((batch_size, m))
         buf = StepBuffers(model, batch_size, backward=True)
-        _, grads = loss_and_grad_at(model, x0, x1, t, e, buf)
-        flat_grad = np.concatenate(
-            [grads[n].ravel() for n in ("w1", "b1", "w2", "b2", "w3", "b3")]
-        )
-        flat = model.flat_params()
+        _, grad = loss_and_grad_at(model, x0, x1, t, e, buf)
+        flat_grad = grad.copy()  # the next call with buf overwrites grad
+        flat = model.params
         h = 1e-5
         indices = rng.choice(flat.size, size=20, replace=False)
-        probe = VelocityModel.init(d=d, m=m, width=width)  # set_flat_params overwrites it
         for idx in indices:
             bumped = flat.copy()
             bumped[idx] += h
-            probe.set_flat_params(bumped)
-            up, _ = loss_and_grad_at(probe, x0, x1, t, e, buf)
+            up, _ = loss_and_grad_at(VelocityModel(d, m, width, bumped), x0, x1, t, e, buf)
             bumped[idx] -= 2 * h
-            probe.set_flat_params(bumped)
-            down, _ = loss_and_grad_at(probe, x0, x1, t, e, buf)
+            down, _ = loss_and_grad_at(VelocityModel(d, m, width, bumped), x0, x1, t, e, buf)
             numeric = (up - down) / (2 * h)
             denom = max(abs(numeric), abs(flat_grad[idx]), 1e-8)
             assert abs(numeric - flat_grad[idx]) / denom <= 1e-4
@@ -173,13 +168,22 @@ class TestLossAndGrad:
 
 class TestModel:
     def test_flat_params_of_the_wrong_size_are_rejected(self):
-        # one too many or one too few, and the model is left as it was
-        model = VelocityModel.init(d=2, m=4, width=8, seed=0)
-        before = model.flat_params()
-        for size in (before.size + 1, before.size - 1):
-            with pytest.raises(ValueError, match=f"^expected {before.size} parameters, got {size}$"):
-                model.set_flat_params(np.ones(size))
-            assert np.array_equal(model.flat_params(), before)
+        # one too many or one too few
+        n = VelocityModel.init(d=2, m=4, width=8, seed=0).params.size
+        for size in (n + 1, n - 1):
+            with pytest.raises(ValueError, match=f"^expected {n} parameters, got {size}$"):
+                VelocityModel(2, 4, 8, np.ones(size))
+
+    def test_the_named_arrays_are_views_of_params(self):
+        # one train step moves params, and each view reads the moved values
+        names = ("w1", "b1", "w2", "b2", "w3", "b3")
+        before = VelocityModel.init(m=8, width=8)
+        sampler = box_union_sampler(single_box_instruction(), m=8)
+        model, _ = train(TrainConfig(steps=1, batch_size=16, m=8, width=8), sampler)
+        assert not np.array_equal(model.params, before.params)
+        for m in (before, model):
+            assert all(np.shares_memory(getattr(m, name), m.params) for name in names)
+            assert np.array_equal(np.concatenate([getattr(m, n).ravel() for n in names]), m.params)
 
 
 class TestTrain:
@@ -200,7 +204,7 @@ class TestTrain:
         m1, c1 = train(self.small_config(), sampler)
         m2, c2 = train(self.small_config(), sampler)
         assert c1 == c2
-        assert np.array_equal(m1.flat_params(), m2.flat_params())
+        assert np.array_equal(m1.params, m2.params)
 
     def test_steps_validation(self):
         with pytest.raises(ValueError):
@@ -228,8 +232,8 @@ class TestSample:
     def test_constant_field_displaces_exactly(self):
         # velocity == b3 everywhere -> Euler over [1, 0] subtracts b3 once
         model = VelocityModel.init(d=2, m=4, width=8, seed=0)
-        model.w1 = np.zeros_like(model.w1)
-        model.b3 = np.array([0.7, -0.3])
+        model.w1[...] = 0.0
+        model.b3[...] = [0.7, -0.3]
         e = np.zeros(4)
         got = sample(model, e, n_samples=20, n_steps=50, seed=11)
         initial = np.random.default_rng(11).standard_normal((20, 2))
@@ -306,7 +310,7 @@ class TestFiles:
         path = tmp_path / "model.ckpt"
         save_checkpoint(path, model, meta={"seeds": [0, 1, 2]})
         loaded, meta = load_checkpoint(path)
-        assert np.array_equal(loaded.flat_params(), model.flat_params())
+        assert np.array_equal(loaded.params, model.params)
         assert (loaded.d, loaded.m, loaded.width) == (model.d, model.m, model.width)
         assert meta == {"seeds": [0, 1, 2]}
 

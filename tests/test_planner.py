@@ -301,6 +301,10 @@ class TestPlanToOutput:
     def test_the_punctuation_is_what_the_codec_peels(self):
         assert planner._TRAILING_PUNCT == codec._TRAILING_PUNCT
 
+    def test_the_markers_are_what_the_codec_reads(self):
+        assert planner._MARKERS == (codec.BOX_OPEN, codec.BOX_CLOSE, "<|bbox_")
+        assert codec._PLACEHOLDER_PREFIX_RE.pattern.startswith(re.escape("<|bbox_"))
+
     def test_placeholder_count(self):
         spec = SceneSpec(entities=tuple(medium(f"e{i}", f"obj{i}") for i in range(6)))
         result = plan(spec, seed=0)

@@ -281,9 +281,7 @@ def test_every_public_definition_is_used_outside_its_own_body():
 
 
 # exception classes that no code catches by name, each kept for its reason
-UNCAUGHT_BY_NAME = {
-    "TransportError": "an OSError, so the CLI exits 2 for it, not 1",
-}
+UNCAUGHT_BY_NAME: dict[str, str] = {}
 
 
 def test_every_exception_class_is_caught_by_name_somewhere():
@@ -301,4 +299,4 @@ def test_every_exception_class_is_caught_by_name_somewhere():
             if isinstance(node, ast.ExceptHandler) and node.type is not None:
                 caught |= _names_read(node.type)
     assert defined - caught == set(UNCAUGHT_BY_NAME)
-    assert defined == {"PlannerOutputError", "TransportError"}
+    assert defined == {"PlannerOutputError"}
