@@ -315,8 +315,7 @@ def cmd_toy_sample(args) -> int:
     samples = flowmatch.sample(model, e, args.n, n_steps=args.n_steps, seed=args.seed)
     if args.output:
         with open(args.output, "w", encoding="utf-8") as f:
-            for row in samples:
-                f.write(" ".join(repr(float(v)) for v in row) + "\n")
+            f.write("".join(f"{x!r} {y!r}\n" for x, y in samples.tolist()))
     _print_json(
         {
             "n": int(samples.shape[0]),

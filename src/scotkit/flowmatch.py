@@ -130,14 +130,15 @@ class VelocityModel:
 class StepBuffers:
     """The arrays one `train` or `sample` call overwrites at every step,
     so no step allocates anything of size (batch, width): the input z,
-    both hidden layers, the output and, with `backward`, the backward
-    scratch and one gradient vector laid out as the model's `params`,
-    with views of it per parameter. Sampling runs tanh in place
-    and needs no backward pass, so it holds z and only two hidden-size
-    arrays."""
+    which holds (x_t, t), one condition's first-layer term, both hidden
+    layers, the output and, with `backward`, the backward scratch and
+    one gradient vector laid out as the model's `params`, with views of
+    it per parameter. Sampling runs tanh in place and needs no backward
+    pass, so it holds z and only two hidden-size arrays."""
 
     def __init__(self, model: VelocityModel, batch: int, backward: bool):
-        self.z = np.empty((batch, model.d + 1 + model.m))
+        self.z = np.empty((batch, model.d + 1))
+        self.cond = np.empty(model.width)
         self.h1 = np.empty((batch, model.width))
         self.h2 = np.empty((batch, model.width))
         self.out = np.empty((batch, model.d))
@@ -147,11 +148,33 @@ class StepBuffers:
             self.grad_views = _views(self.grad, model.d, model.m, model.width)
 
 
-def _forward(model: VelocityModel, buf: StepBuffers) -> np.ndarray:
-    """Velocity prediction for the inputs in buf.z, left in buf.out with
-    the hidden layers in buf.h1 and buf.h2."""
-    np.matmul(buf.z, model.w1.T, out=buf.h1)
-    np.add(buf.h1, model.b1, out=buf.h1)
+def _condition(
+    model: VelocityModel, e: np.ndarray, buf: StepBuffers, rows: np.ndarray | None
+) -> np.ndarray:
+    """The first layer's condition term: w1's condition columns applied
+    to e, plus b1. One condition for the whole batch, e of shape (m,),
+    gives one (width,) term in buf.cond; one condition per row, e of
+    shape (batch, m), gives one term per row in `rows` (a new array if
+    None)."""
+    w1e, batch = model.w1[:, model.d + 1 :], buf.z.shape[0]
+    if e.shape == (model.m,):
+        term = np.matmul(w1e, e, out=buf.cond)
+    elif e.shape == (batch, model.m):
+        term = np.matmul(e, w1e.T, out=rows)
+    else:
+        raise ValueError(
+            f"condition of shape {e.shape}, expected ({model.m},) or ({batch}, {model.m})"
+        )
+    return np.add(term, model.b1, out=term)
+
+
+def _forward(model: VelocityModel, buf: StepBuffers, term: np.ndarray) -> np.ndarray:
+    """Velocity prediction for the inputs (x_t, t) in buf.z and the
+    condition term from `_condition`, left in buf.out with the hidden
+    layers in buf.h1 and buf.h2. A term held in buf.h2 is read before
+    the second layer overwrites it."""
+    np.matmul(buf.z, model.w1[:, : model.d + 1].T, out=buf.h1)
+    np.add(buf.h1, term, out=buf.h1)
     np.tanh(buf.h1, out=buf.h1)
     np.matmul(buf.h1, model.w2.T, out=buf.h2)
     np.add(buf.h2, model.b2, out=buf.h2)
@@ -170,18 +193,19 @@ def loss_and_grad_at(
     buf: StepBuffers,
 ) -> tuple[float, np.ndarray]:
     """Velocity-matching loss and exact gradient at given draws:
-    mean over the batch of ||v(x_t, t, e) - (x1 - x0)||^2. buf must be
+    mean over the batch of ||v(x_t, t, e) - (x1 - x0)||^2, with e one
+    condition of shape (m,) or one per row, (batch, m). buf must be
     made with `backward=True` for this model's shapes and x0's batch
     size; the returned gradient, laid out as `model.params`, is buf's
     array, valid until the next call with buf."""
     batch = x0.shape[0]
     if batch != buf.z.shape[0]:
         raise ValueError(f"batch of {batch} for buffers of {buf.z.shape[0]}")
-    d = model.d
+    d, e = model.d, _as_vec(e)
+    term = _condition(model, e, buf, buf.h2)
     buf.z[:, :d] = interpolate(x0, x1, t[:, None])
     buf.z[:, d] = t
-    buf.z[:, d + 1 :] = e
-    diff = _forward(model, buf)
+    diff = _forward(model, buf, term)
     np.subtract(diff, target_velocity(x0, x1), out=diff)
     loss = float(np.mean(np.sum(diff * diff, axis=1)))
 
@@ -202,8 +226,13 @@ def loss_and_grad_at(
     np.multiply(h1, h1, out=h1)
     np.subtract(1.0, h1, out=h1)
     np.multiply(h2, h1, out=h2)
-    np.matmul(h2.T, buf.z, out=gw1)
+    np.matmul(h2.T, buf.z, out=gw1[:, : d + 1])
     np.sum(h2, axis=0, out=gb1)
+    # one condition adds the same e to every row, so its columns' gradient is gb1 e^T
+    if e.ndim == 1:
+        np.outer(gb1, e, out=gw1[:, d + 1 :])
+    else:
+        np.matmul(h2.T, e, out=gw1[:, d + 1 :])
     return loss, buf.grad
 
 
@@ -247,7 +276,7 @@ def box_union_sampler(
     """Data sampler for one instruction: x0 uniform over the union of
     its boxes on the unit canvas (exact for disjoint boxes; overlap
     regions are proportionally overweighted), paired with the fixed
-    condition embedding."""
+    condition embedding itself, one condition for the whole batch."""
     boxes = instruction.boxes
     if not boxes:
         raise ValueError("instruction has no boxes to sample from")
@@ -263,19 +292,19 @@ def box_union_sampler(
         x = chosen[:, 0] + u[:, 0] * (chosen[:, 2] - chosen[:, 0])
         y = chosen[:, 1] + u[:, 1] * (chosen[:, 3] - chosen[:, 1])
         x0 = np.stack([x, y], axis=1)
-        return x0, np.broadcast_to(embedding, (n, embedding.shape[0]))
+        return x0, embedding
 
     return sample_data
 
 
 def mixture_sampler(samplers: Sequence[DataSampler]) -> DataSampler:
-    """Uniform mixture over several instruction samplers."""
+    """Uniform mixture over several instruction samplers, each of which
+    returns one condition; the mixture returns one condition per row."""
 
     def sample_data(rng: np.random.Generator, n: int) -> tuple[np.ndarray, np.ndarray]:
         picks = rng.integers(0, len(samplers), size=n)
         xs, es = zip(*(s(rng, n) for s in samplers))
-        rows = np.arange(n)
-        return np.stack(xs)[picks, rows], np.stack(es)[picks, rows]
+        return np.stack(xs)[picks, np.arange(n)], np.stack(es)[picks]
 
     return sample_data
 
@@ -286,7 +315,8 @@ def train(
 ) -> tuple[VelocityModel, list[float]]:
     """Plain SGD on the velocity-matching loss; returns the trained
     model and the per-step loss curve. Raises ValueError at the first
-    step whose loss is not finite."""
+    step whose loss is not finite, or if the last update leaves a
+    parameter that is not finite."""
     model = VelocityModel.init(m=config.m, width=config.width, seed=config.init_seed)
     buf = StepBuffers(model, config.batch_size, backward=True)
     data_rng = np.random.default_rng(config.data_seed)
@@ -305,6 +335,8 @@ def train(
             curve.append(loss)
             np.multiply(config.learning_rate, grad, out=grad)
             np.subtract(model.params, grad, out=model.params)
+    if not np.isfinite(model.params).all():
+        raise ValueError(f"training diverged at step {config.steps - 1}: a parameter is not finite")
     return model, curve
 
 
@@ -316,23 +348,32 @@ def sample(
     seed: int = 0,
 ) -> np.ndarray:
     """Euler-integrate dx/dt = v(x, t, e) from t = 1 (standard-normal
-    noise) down to t = 0; returns (n_samples, d) latents."""
+    noise) down to t = 0; returns (n_samples, d) latents. e is one
+    condition of shape (m,) or one per sample, (n_samples, m); its
+    first-layer term is computed once, not once per step. Raises
+    ValueError if any point ends up not finite."""
     if n_samples < 0:
         raise ValueError(f"n_samples must be >= 0, got {n_samples}")
     if n_steps < 1:
         raise ValueError("n_steps must be >= 1")
     wire.read(int, n_steps, "n_steps")  # a count no float can hold overflows 1 / n_steps
-    rng = np.random.default_rng(seed)
-    x = rng.standard_normal((n_samples, model.d))
     buf = StepBuffers(model, n_samples, backward=False)
-    buf.z[:, model.d + 1 :] = _as_vec(e)
+    x = np.random.default_rng(seed).standard_normal((n_samples, model.d))
     dt = 1.0 / n_steps
-    for k in range(n_steps):
-        buf.z[:, : model.d] = x
-        buf.z[:, model.d] = 1.0 - k * dt
-        step = _forward(model, buf)
-        np.multiply(dt, step, out=step)
-        np.subtract(x, step, out=x)
+    # an overflowing field is reported by the check below, so numpy's
+    # floating-point warnings stay quiet
+    with np.errstate(all="ignore"):
+        # a term per sample needs its own array: the hidden layers change every step
+        term = _condition(model, _as_vec(e), buf, None)
+        for k in range(n_steps):
+            buf.z[:, : model.d] = x
+            buf.z[:, model.d] = 1.0 - k * dt
+            step = _forward(model, buf, term)
+            np.multiply(dt, step, out=step)
+            np.subtract(x, step, out=x)
+    bad = n_samples - int(np.isfinite(x).all(axis=1).sum())
+    if bad:
+        raise ValueError(f"sampling diverged: {bad} of {n_samples} points are not finite")
     return x
 
 

@@ -861,6 +861,10 @@ class TestDataset:
 
 
 class TestToy:
+    # the instruction of the toy golden run in test_golden.py
+    TWO_BOXES = ("a red box <|box|>100,120,300,400<|/box|> left of a blue mug "
+                 "<|box|>600,500,900,800<|/box|>\n")
+
     def test_train_sample(self, tmp_path, capsys):
         instr_file = tmp_path / "instr.txt"
         instr_file.write_text("a red box <|box|>400,400,600,600<|/box|>\n")
@@ -916,6 +920,35 @@ class TestToy:
         [line] = proc.stderr.splitlines()
         assert line.startswith("error: training diverged at step 1: loss is ")
         assert not ckpt.exists() and not curve.exists()
+
+    def test_train_whose_last_update_overflows_exits_1_and_writes_nothing(self, tmp_path):
+        # the one step's loss is finite; its update leaves infinite weights
+        instr_file = tmp_path / "instr.txt"
+        instr_file.write_text(self.TWO_BOXES)
+        ckpt, curve = tmp_path / "model.ckpt", tmp_path / "curve.txt"
+        proc = scot_subprocess(
+            "toy", "train", "--instruction", str(instr_file), "--output", str(ckpt),
+            "--curve", str(curve), "--learning-rate", "1.7e308", "--steps", "1",
+        )
+        assert (proc.returncode, proc.stdout) == (1, "")
+        assert proc.stderr.splitlines() == ["error: training diverged at step 0: a parameter is not finite"]
+        assert not ckpt.exists() and not curve.exists()
+
+    def test_sample_whose_field_overflows_exits_1_and_writes_nothing(self, tmp_path):
+        # the weights are finite, and the field they give overflows within the Euler steps
+        instr_file = tmp_path / "instr.txt"
+        instr_file.write_text(self.TWO_BOXES)
+        ckpt, points = tmp_path / "model.ckpt", tmp_path / "points.txt"
+        proc = scot_subprocess(
+            "toy", "train", "--instruction", str(instr_file), "--output", str(ckpt),
+            "--learning-rate", "1e307", "--steps", "1",
+        )
+        assert proc.returncode == 0
+        proc = scot_subprocess("toy", "sample", "--model", str(ckpt), "--instruction", str(instr_file),
+                               "--n", "3", "--output", str(points))
+        assert (proc.returncode, proc.stdout) == (1, "")
+        assert proc.stderr.splitlines() == ["error: sampling diverged: 3 of 3 points are not finite"]
+        assert not points.exists()
 
     def test_checkpoint_determinism(self, tmp_path, capsys):
         instr_file = tmp_path / "instr.txt"

@@ -3,6 +3,7 @@ exact gradients vs finite differences, sampler conventions, and file
 round trips. The long default-config training runs live in the
 acceptance suite."""
 
+import re
 import resource
 
 import numpy as np
@@ -165,6 +166,56 @@ class TestLossAndGrad:
             denom = max(abs(numeric), abs(flat_grad[idx]), 1e-8)
             assert abs(numeric - flat_grad[idx]) / denom <= 1e-4
 
+    @pytest.mark.parametrize("d,m,width", [(2, 5, 8), (2, 16, 12), (3, 4, 6)])
+    def test_gradient_for_one_condition_matches_finite_differences(self, d, m, width):
+        model = randomized_model(d=d, m=m, width=width)
+        rng = np.random.default_rng(19)
+        batch_size = 4
+        x0 = rng.uniform(0.2, 0.8, size=(batch_size, d))
+        x1 = rng.standard_normal((batch_size, d))
+        t = rng.uniform(0.0, 1.0, size=batch_size)
+        e = rng.standard_normal(m)
+        buf = StepBuffers(model, batch_size, backward=True)
+        _, grad = loss_and_grad_at(model, x0, x1, t, e, buf)
+        flat_grad = grad.copy()
+        h = 1e-5
+        # every condition column of w1, whose gradient is gb1 e^T, and a sample of the rest
+        cols = np.arange(d + 1, d + 1 + m)
+        w1_cond = (np.arange(width)[:, None] * (d + 1 + m) + cols).ravel()
+        others = rng.choice(model.params.size, size=20, replace=False)
+        for idx in np.concatenate([w1_cond, others]):
+            bumped = model.params.copy()
+            bumped[idx] += h
+            up, _ = loss_and_grad_at(VelocityModel(d, m, width, bumped), x0, x1, t, e, buf)
+            bumped[idx] -= 2 * h
+            down, _ = loss_and_grad_at(VelocityModel(d, m, width, bumped), x0, x1, t, e, buf)
+            numeric = (up - down) / (2 * h)
+            denom = max(abs(numeric), abs(flat_grad[idx]), 1e-8)
+            assert abs(numeric - flat_grad[idx]) / denom <= 1e-4
+
+    def test_one_condition_matches_it_repeated_per_row(self):
+        model = randomized_model(m=16, width=12)
+        rng = np.random.default_rng(23)
+        x0, x1 = rng.uniform(size=(6, 2)), rng.standard_normal((6, 2))
+        t, e = rng.uniform(size=6), rng.standard_normal(16)
+        buf = StepBuffers(model, 6, backward=True)
+        loss_one, grad = loss_and_grad_at(model, x0, x1, t, e, buf)
+        grad_one = grad.copy()
+        loss_rows, grad_rows = loss_and_grad_at(model, x0, x1, t, np.tile(e, (6, 1)), buf)
+        assert loss_one == pytest.approx(loss_rows, rel=1e-12)
+        assert np.allclose(grad_one, grad_rows, rtol=1e-12, atol=1e-12 * np.abs(grad_rows).max())
+
+    @pytest.mark.parametrize("shape", [(6,), (5, 5), (1, 5), (4, 6), (4, 5, 1), ()], ids=str)
+    def test_a_condition_of_another_shape_is_rejected(self, shape):
+        model = randomized_model()  # m = 5
+        x0, t = np.zeros((4, 2)), np.zeros(4)
+        e = np.zeros(shape)
+        message = rf"^condition of shape {re.escape(str(shape))}, expected \(5,\) or \(4, 5\)$"
+        with pytest.raises(ValueError, match=message):
+            loss_and_grad_at(model, x0, x0, t, e, StepBuffers(model, 4, backward=True))
+        with pytest.raises(ValueError, match=message):
+            sample(model, e, 4)
+
 
 class TestModel:
     def test_flat_params_of_the_wrong_size_are_rejected(self):
@@ -238,6 +289,28 @@ class TestSample:
         got = sample(model, e, n_samples=20, n_steps=50, seed=11)
         initial = np.random.default_rng(11).standard_normal((20, 2))
         assert np.allclose(got, initial - model.b3, atol=1e-12)
+
+    @staticmethod
+    def reference_sample(model, e, n_samples, n_steps, seed):
+        """Euler loop with the whole (x_t, t, e) input in one first-layer matmul."""
+        x = np.random.default_rng(seed).standard_normal((n_samples, model.d))
+        e = np.broadcast_to(e, (n_samples, model.m))
+        dt = 1.0 / n_steps
+        for k in range(n_steps):
+            z = np.concatenate([x, np.full((n_samples, 1), 1.0 - k * dt), e], axis=1)
+            h1 = np.tanh(z @ model.w1.T + model.b1)
+            h2 = np.tanh(h1 @ model.w2.T + model.b2)
+            x = x - dt * (h2 @ model.w3.T + model.b3)
+        return x
+
+    @pytest.mark.parametrize("per_row", [False, True])
+    def test_matches_the_whole_input_reference(self, per_row):
+        model = randomized_model(m=16, width=32)
+        rng = np.random.default_rng(29)
+        e = rng.standard_normal((40, 16) if per_row else 16)
+        got = sample(model, e, 40, n_steps=20, seed=4)
+        want = self.reference_sample(model, e, 40, 20, seed=4)
+        assert np.allclose(got, want, rtol=0, atol=1e-12 * max(1.0, np.abs(want).max()))
 
     def test_n_steps_validation(self):
         with pytest.raises(ValueError):

@@ -12,13 +12,16 @@ the repair objective trace, the `plan_to_output` JSON, and a second
 repair with a short budget and a small starting step. Any changed byte
 changes a digest. The planner values were recorded before repair became
 incremental, the wire and codec values before each constraint kind
-became one class, the checkpoint, SVG and corpus values before an
-instruction stopped storing its token stream, and the loss-curve and
-points values before the flow-matching steps reused their buffers, and
-the record-command values before those commands ran on forked workers,
-and the hard-size values before repair skipped repeated candidates and
-scored them by magnitude alone; a deliberate behaviour change must
-update them and say so.
+became one class, the SVG and corpus values before an instruction
+stopped storing its token stream, the toy checkpoint, loss-curve and
+points values after the flow-matching first layer began taking its
+condition as one precomputed term (which moved them by float rounding
+alone), the record-command values before those commands ran on forked
+workers, and the hard-size values before repair skipped repeated
+candidates and scored them by magnitude alone; a deliberate behaviour
+change must update them and say so. The figures the toy run prints are
+pinned by value beside its digests: a change that moves the digests by
+rounding alone keeps them, and one that changes behaviour does not.
 """
 
 import contextlib
@@ -403,9 +406,9 @@ def test_substitute_raises_pinned_first_error(text, objects, expected):
 
 
 FILE_GOLDEN = {
-    "checkpoint": "00c73eca53203def17aafcc242fd9fce3184422586e5f5ad88d3025d0cb80df2",
-    "curve": "91b39fc94f4d3f402f7f665d2909e3e006809f7e43def1d713480ebd6da303b5",
-    "points": "822cceebf6c346c55a47286dd8b03ac21b09a093a5da9d64747a79a55e373731",
+    "checkpoint": "be1325973d9576fbb745cd2d23b4256817652e5ca2133bc7d46021ddd3a92f83",
+    "curve": "fc8c2c6685762eb62dd08b862abd486307c6dfd4ea6a030e238d32974b056515",
+    "points": "91966082241b595eff51e8c6a4264e6ff0ab2710843425fc5cea22b75bc8b888",
     "svg": "b088dd6d1a9a5aa5be857fe3239dc600615866a46930e7f2df30414ef5373180",
     "synth": "20a52682c2d2347a57a314b1691fd3eaac76a192b9eccab23e07a3cff66f9004",
 }
@@ -443,6 +446,19 @@ def test_toy_sample_points_match_pinned_digest(tmp_path, capsys):
     assert main(argv) == 0
     capsys.readouterr()
     assert _file_sha(points) == FILE_GOLDEN["points"]
+
+
+def test_toy_run_prints_the_pinned_figures(tmp_path, capsys):
+    instr, ckpt = tmp_path / "instr.txt", tmp_path / "model.ckpt"
+    instr.write_text(TOY_INSTRUCTION)
+    printed = []
+    for argv in (["toy", "train", "--instruction", str(instr), "--output", str(ckpt), "--steps", "25"],
+                 ["toy", "sample", "--model", str(ckpt), "--instruction", str(instr)]):
+        assert main(argv) == 0
+        printed.append(json.loads(capsys.readouterr().out))
+    trained, sampled = printed
+    assert trained["final100_mean"] == pytest.approx(1.3603222367826633, rel=1e-12)
+    assert sampled["in_box_fraction"] == 0.291
 
 
 def test_plan_svg_matches_pinned_digest():
