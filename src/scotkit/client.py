@@ -47,6 +47,9 @@ class ClientConfig(Record):
             raise ValueError("max_in_flight must be >= 1")
         if timeout <= 0:
             raise ValueError("timeout must be > 0")
+        # the socket layer overflows on a longer timeout
+        if timeout > threading.TIMEOUT_MAX:
+            raise ValueError(f"timeout must be <= {threading.TIMEOUT_MAX}, got {timeout}")
         assign(self, "base_url", base_url)
         assign(self, "model_name", model_name)
         assign(self, "api_key_env_var", api_key_env_var)

@@ -61,6 +61,12 @@ def _token_seed(text: str) -> int:
     return int.from_bytes(digest[:8], "little")
 
 
+def _unit_corners(instruction: InterleavedInstruction) -> np.ndarray:
+    """The instruction's boxes on the unit canvas, one (x1, y1, x2, y2) row each."""
+    boxes = [b.as_list() for b in instruction.boxes]
+    return np.array(boxes, dtype=np.float64).reshape(-1, 4) / CANVAS
+
+
 def embed_instruction(
     instruction: InterleavedInstruction, m: int = DEFAULT_EMBED_DIM
 ) -> np.ndarray:
@@ -76,8 +82,7 @@ def embed_instruction(
     if instruction.entities:
         proj_rng = np.random.default_rng([0, _BOX_PROJECTION_TAG])
         projection = proj_rng.standard_normal((m, 4)) * 0.15
-        for entity in instruction.entities:
-            v = np.array(entity.box.as_list(), dtype=np.float64) / CANVAS
+        for v in _unit_corners(instruction):
             e += projection @ v
     return e
 
@@ -128,17 +133,16 @@ class VelocityModel:
 
 
 class StepBuffers:
-    """The arrays one `train` or `sample` call overwrites at every step,
-    so no step allocates anything of size (batch, width): the input z,
-    which holds (x_t, t), one condition's first-layer term, both hidden
-    layers, the output and, with `backward`, the backward scratch and
-    one gradient vector laid out as the model's `params`, with views of
-    it per parameter. Sampling runs tanh in place and needs no backward
-    pass, so it holds z and only two hidden-size arrays."""
+    """The arrays one `train` or `sample` call overwrites at every step:
+    the input z, which holds (x_t, t), both hidden layers, the output
+    and, with `backward`, the backward scratch and one gradient vector
+    laid out as the model's `params`, with views of it per parameter.
+    A training step allocates only its condition term. Sampling runs
+    tanh in place and needs no backward pass, so it holds z and only
+    two hidden-size arrays."""
 
     def __init__(self, model: VelocityModel, batch: int, backward: bool):
         self.z = np.empty((batch, model.d + 1))
-        self.cond = np.empty(model.width)
         self.h1 = np.empty((batch, model.width))
         self.h2 = np.empty((batch, model.width))
         self.out = np.empty((batch, model.d))
@@ -148,31 +152,23 @@ class StepBuffers:
             self.grad_views = _views(self.grad, model.d, model.m, model.width)
 
 
-def _condition(
-    model: VelocityModel, e: np.ndarray, buf: StepBuffers, rows: np.ndarray | None
-) -> np.ndarray:
+def _condition(model: VelocityModel, e: np.ndarray, batch: int) -> np.ndarray:
     """The first layer's condition term: w1's condition columns applied
     to e, plus b1. One condition for the whole batch, e of shape (m,),
-    gives one (width,) term in buf.cond; one condition per row, e of
-    shape (batch, m), gives one term per row in `rows` (a new array if
-    None)."""
-    w1e, batch = model.w1[:, model.d + 1 :], buf.z.shape[0]
-    if e.shape == (model.m,):
-        term = np.matmul(w1e, e, out=buf.cond)
-    elif e.shape == (batch, model.m):
-        term = np.matmul(e, w1e.T, out=rows)
-    else:
+    gives one (width,) term; one condition per row, e of shape
+    (batch, m), gives one term per row."""
+    if e.shape not in ((model.m,), (batch, model.m)):
         raise ValueError(
             f"condition of shape {e.shape}, expected ({model.m},) or ({batch}, {model.m})"
         )
+    term = e @ model.w1[:, model.d + 1 :].T
     return np.add(term, model.b1, out=term)
 
 
 def _forward(model: VelocityModel, buf: StepBuffers, term: np.ndarray) -> np.ndarray:
     """Velocity prediction for the inputs (x_t, t) in buf.z and the
     condition term from `_condition`, left in buf.out with the hidden
-    layers in buf.h1 and buf.h2. A term held in buf.h2 is read before
-    the second layer overwrites it."""
+    layers in buf.h1 and buf.h2."""
     np.matmul(buf.z, model.w1[:, : model.d + 1].T, out=buf.h1)
     np.add(buf.h1, term, out=buf.h1)
     np.tanh(buf.h1, out=buf.h1)
@@ -202,7 +198,7 @@ def loss_and_grad_at(
     if batch != buf.z.shape[0]:
         raise ValueError(f"batch of {batch} for buffers of {buf.z.shape[0]}")
     d, e = model.d, _as_vec(e)
-    term = _condition(model, e, buf, buf.h2)
+    term = _condition(model, e, batch)
     buf.z[:, :d] = interpolate(x0, x1, t[:, None])
     buf.z[:, d] = t
     diff = _forward(model, buf, term)
@@ -277,22 +273,18 @@ def box_union_sampler(
     its boxes on the unit canvas (exact for disjoint boxes; overlap
     regions are proportionally overweighted), paired with the fixed
     condition embedding itself, one condition for the whole batch."""
-    boxes = instruction.boxes
-    if not boxes:
+    corners = _unit_corners(instruction)
+    if not corners.size:
         raise ValueError("instruction has no boxes to sample from")
-    corners = np.array([b.as_list() for b in boxes], dtype=np.float64) / CANVAS
     areas = (corners[:, 2] - corners[:, 0]) * (corners[:, 3] - corners[:, 1])
     weights = areas / areas.sum()
     embedding = embed_instruction(instruction, m=m)
 
     def sample_data(rng: np.random.Generator, n: int) -> tuple[np.ndarray, np.ndarray]:
-        picks = rng.choice(len(boxes), size=n, p=weights)
+        picks = rng.choice(len(corners), size=n, p=weights)
         u = rng.uniform(size=(n, 2))
-        chosen = corners[picks]
-        x = chosen[:, 0] + u[:, 0] * (chosen[:, 2] - chosen[:, 0])
-        y = chosen[:, 1] + u[:, 1] * (chosen[:, 3] - chosen[:, 1])
-        x0 = np.stack([x, y], axis=1)
-        return x0, embedding
+        lo, hi = corners[picks, :2], corners[picks, 2:]
+        return lo + u * (hi - lo), embedding
 
     return sample_data
 
@@ -354,6 +346,8 @@ def sample(
     ValueError if any point ends up not finite."""
     if n_samples < 0:
         raise ValueError(f"n_samples must be >= 0, got {n_samples}")
+    if seed < 0:
+        raise ValueError(f"seed must be >= 0, got {seed}")
     if n_steps < 1:
         raise ValueError("n_steps must be >= 1")
     wire.read(int, n_steps, "n_steps")  # a count no float can hold overflows 1 / n_steps
@@ -363,8 +357,7 @@ def sample(
     # an overflowing field is reported by the check below, so numpy's
     # floating-point warnings stay quiet
     with np.errstate(all="ignore"):
-        # a term per sample needs its own array: the hidden layers change every step
-        term = _condition(model, _as_vec(e), buf, None)
+        term = _condition(model, _as_vec(e), n_samples)
         for k in range(n_steps):
             buf.z[:, : model.d] = x
             buf.z[:, model.d] = 1.0 - k * dt
@@ -381,22 +374,13 @@ def in_box_fraction(samples: np.ndarray, instruction: InterleavedInstruction) ->
     """Fraction of points inside the union of the instruction's boxes on
     the unit canvas, each box dilated by 0.02; 0.0 when the instruction
     carries no boxes."""
-    boxes = instruction.boxes
-    pts = np.atleast_2d(_as_vec(samples))
-    if not boxes or pts.shape[0] == 0:
+    corners = _unit_corners(instruction)
+    pts = np.atleast_2d(_as_vec(samples))[:, None, :]
+    if not corners.size or pts.shape[0] == 0:
         return 0.0
     tolerance = 0.02
-    inside = np.zeros(pts.shape[0], dtype=bool)
-    for b in boxes:
-        x1, y1, x2, y2 = (v / CANVAS for v in b.as_list())
-        hit = (
-            (pts[:, 0] >= x1 - tolerance)
-            & (pts[:, 0] <= x2 + tolerance)
-            & (pts[:, 1] >= y1 - tolerance)
-            & (pts[:, 1] <= y2 + tolerance)
-        )
-        inside |= hit
-    return float(inside.mean())
+    hit = (pts >= corners[:, :2] - tolerance) & (pts <= corners[:, 2:] + tolerance)
+    return float(hit.all(axis=2).any(axis=1).mean())
 
 
 # --- checkpoint / curve files ---------------------------------------------

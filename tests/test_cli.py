@@ -7,6 +7,7 @@ import os
 import socket
 import subprocess
 import sys
+import threading
 from pathlib import Path
 
 import pytest
@@ -150,6 +151,7 @@ def _closed_port_url() -> str:
     ("status 503", 2, 1),
     ("invalid output", 1, 1),
     ("no api key", 1, 0),
+    ("timeout huge", 1, 0),
 ])
 def test_plan_mllm_exit_codes(case, code, posts, tmp_path, mock_endpoint, monkeypatch):
     base_url, state = mock_endpoint
@@ -162,6 +164,8 @@ def test_plan_mllm_exit_codes(case, code, posts, tmp_path, mock_endpoint, monkey
         state.status = 503
     elif case == "no api key":
         monkeypatch.delenv("SCOT_API_KEY")
+    elif case == "timeout huge":
+        config["timeout"] = 1e308
     scene, config_file = tmp_path / "scene.json", tmp_path / "config.json"
     scene.write_text(json.dumps(SCENE))
     config_file.write_text(json.dumps(config))
@@ -526,6 +530,7 @@ MALFORMED_INPUTS = {
     "render planner output prompt number": ("render", {**_PLAN_DOC, "prompt": 5}),
     "config list": ("mllm", [1]),
     "config timeout string": ("mllm", {"base_url": "http://localhost:9", "timeout": "abc"}),
+    "config timeout huge": ("mllm", {"base_url": "http://localhost:9", "timeout": 1e308}),
     "config retries string": ("mllm", {"base_url": "http://localhost:9", "max_retries": "2"}),
     "record list": ("encode", [1]),
     "record phrase list": ("encode", _BAD_RECORD),
@@ -587,6 +592,8 @@ MALFORMED_ERROR_LINES = {
     "config misspelt key": "error: unknown field 'max_retry' in client config",
     "config retries string": "error: max_retries must be an integer, got '2'",
     "config timeout string": "error: timeout must be a finite number, got 'abc'",
+    # 9223372036.0 on a 64-bit host
+    "config timeout huge": f"error: timeout must be <= {threading.TIMEOUT_MAX}, got 1e+308",
     "config without base url": "error: --mllm needs --base-url or a config file with base_url",
     "constraint misspelt key": "error: unknown field 'margn' in constraints",
     "entities string": "error: entities must be a list, got 'ab'",
@@ -703,6 +710,13 @@ REJECTED_OPTION_VALUES = {
                         "--n", "-1", "--output", "{out}"],
     "toy sample n steps huge": ["toy", "sample", "--model", "{ckpt}", "--instruction", "{instr}",
                                 "--n-steps", str(_HUGE), "--output", "{out}"],
+    # 10**12 rows: numpy refuses the allocation at once
+    "toy batch size 10**12": ["toy", "train", "--instruction", "{instr}", "--output", "{out}",
+                              "--steps", "3", "--batch-size", str(10**12)],
+    "toy sample n 10**12": ["toy", "sample", "--model", "{ckpt}", "--instruction", "{instr}",
+                            "--n", str(10**12), "--output", "{out}"],
+    "toy sample seed -1": ["toy", "sample", "--model", "{ckpt}", "--instruction", "{instr}",
+                           "--seed", "-1", "--output", "{out}"],
 }
 
 

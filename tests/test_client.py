@@ -3,7 +3,9 @@
 
 import hashlib
 import json
+import re
 import sys
+import threading
 from types import SimpleNamespace
 
 import pytest
@@ -245,3 +247,13 @@ class TestConfigValidation:
     def test_bad_timeout(self):
         with pytest.raises(ValueError):
             ClientConfig(base_url="http://x", model_name="m", timeout=0)
+
+    def test_timeout_beyond_the_socket_bound(self):
+        # the largest timeout socket.settimeout accepts: 9223372036.0 on a 64-bit host
+        message = re.escape(f"timeout must be <= {threading.TIMEOUT_MAX}, got ")
+        with pytest.raises(ValueError, match=f"^{message}1e\\+308$"):
+            ClientConfig(base_url="http://x", model_name="m", timeout=1e308)
+        with pytest.raises(ValueError, match=f"^{message}"):
+            ClientConfig(base_url="http://x", model_name="m", timeout=threading.TIMEOUT_MAX * 2)
+        config = ClientConfig(base_url="http://x", model_name="m", timeout=threading.TIMEOUT_MAX)
+        assert config.timeout == threading.TIMEOUT_MAX

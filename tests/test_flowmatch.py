@@ -27,7 +27,7 @@ from scotkit.flowmatch import (
     target_velocity,
     train,
 )
-from scotkit.geometry import BBox
+from scotkit.geometry import CANVAS, BBox
 
 
 def randomized_model(d=2, m=5, width=8, seed=3) -> VelocityModel:
@@ -320,6 +320,10 @@ class TestSample:
         with pytest.raises(ValueError, match="n_samples must be >= 0, got -1"):
             sample(randomized_model(), np.zeros(5), -1)
 
+    def test_seed_validation(self):
+        with pytest.raises(ValueError, match="^seed must be >= 0, got -1$"):
+            sample(randomized_model(), np.zeros(5), 1, seed=-1)
+
 
 def _minor_faults(call) -> int:
     before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
@@ -375,6 +379,61 @@ class TestInBoxFraction:
         beyond = np.array([[0.4 - 0.021, 0.5], [0.6 + 0.021, 0.5]])
         assert in_box_fraction(within, instr) == 1.0
         assert in_box_fraction(beyond, instr) == 0.0
+
+    @staticmethod
+    def reference(samples, instruction):
+        """One box at a time, its corners divided in Python floats."""
+        boxes = instruction.boxes
+        pts = np.atleast_2d(np.asarray(samples, dtype=np.float64))
+        if not boxes or pts.shape[0] == 0:
+            return 0.0
+        tolerance = 0.02
+        inside = np.zeros(pts.shape[0], dtype=bool)
+        for b in boxes:
+            x1, y1, x2, y2 = (v / CANVAS for v in b.as_list())
+            hit = (
+                (pts[:, 0] >= x1 - tolerance)
+                & (pts[:, 0] <= x2 + tolerance)
+                & (pts[:, 1] >= y1 - tolerance)
+                & (pts[:, 1] <= y2 + tolerance)
+            )
+            inside |= hit
+        return float(inside.mean())
+
+    @staticmethod
+    def edge_points(instruction):
+        """Points on each box's dilated edges, computed as the reference
+        computes them, and one ulp outside each."""
+        pts = []
+        for b in instruction.boxes:
+            x1, y1, x2, y2 = (v / CANVAS for v in b.as_list())
+            lo_x, hi_x, lo_y, hi_y = x1 - 0.02, x2 + 0.02, y1 - 0.02, y2 + 0.02
+            mid_x, mid_y = (x1 + x2) / 2, (y1 + y2) / 2
+            for x in (lo_x, np.nextafter(lo_x, -1.0), hi_x, np.nextafter(hi_x, 2.0)):
+                pts.append([x, mid_y])
+            for y in (lo_y, np.nextafter(lo_y, -1.0), hi_y, np.nextafter(hi_y, 2.0)):
+                pts.append([mid_x, y])
+            pts += [[lo_x, lo_y], [hi_x, hi_y], [np.nextafter(lo_x, -1.0), lo_y],
+                    [hi_x, np.nextafter(hi_y, 2.0)]]
+        return np.array(pts, dtype=np.float64).reshape(-1, 2)
+
+    @pytest.mark.parametrize("boxes", [
+        [],
+        [BBox(400, 400, 600, 600)],
+        [BBox(10, 20, 130, 170), BBox(333, 517, 401, 999), BBox(700, 3, 997, 290)],
+        [BBox(100, 100, 500, 500), BBox(300, 300, 700, 650), BBox(310, 90, 330, 900)],
+    ], ids=["none", "one", "three", "overlapping"])
+    def test_matches_the_per_box_loop(self, boxes):
+        words = ["a", "cat", "a", "dog", "a", "hat", "by", "the", "door"]
+        instr = interleave(" ".join(words), list(zip(["cat", "dog", "hat"], boxes)))
+        assert list(instr.boxes) == boxes
+        random = np.random.default_rng(41).uniform(-0.1, 1.1, size=(500, 2))
+        edges = self.edge_points(instr)
+        assert edges.shape[0] == 12 * len(boxes)
+        for pts in (random, edges):
+            assert in_box_fraction(pts, instr) == self.reference(pts, instr)
+            got = [in_box_fraction(p, instr) for p in pts]
+            assert got == [self.reference(p, instr) for p in pts]
 
 
 class TestFiles:
