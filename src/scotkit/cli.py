@@ -277,9 +277,10 @@ def _instruction_from_file(path: str) -> codec.InterleavedInstruction:
 
 
 def cmd_toy_train(args) -> int:
-    import numpy as np
-
+    # flowmatch first: it holds BLAS to one thread only if numpy is not loaded yet
     from . import flowmatch
+
+    import numpy as np
 
     instruction = _instruction_from_file(args.instruction)
     config = flowmatch.TrainConfig(

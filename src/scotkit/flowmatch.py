@@ -10,6 +10,17 @@ coupling u points from data toward noise, hence the downward sweep.
 
 Everything is numpy float64 and seeded, so runs are bitwise
 reproducible on a given platform.
+
+Sampling integrates its rows in fixed blocks of `_SAMPLE_BLOCK` rows and
+runs shares of the blocks on one thread per CPU. Those threads stand in
+for BLAS's own thread pool, so importing this module before numpy holds
+OpenBLAS to one thread; where numpy was loaded first, BLAS keeps its
+pool and `sample` runs one thread. OpenBLAS's result for a row can
+depend on the row count of the call, so the block is fixed: the points
+depend on the sample count and never on the CPU count. Counts up to one
+block give the bytes of one call over all rows; with OpenBLAS 0.3.31 on
+x86-64, whole multiples of a block do too, and other counts may differ
+from those by rounding in their last, partial block.
 """
 
 from __future__ import annotations
@@ -17,7 +28,16 @@ from __future__ import annotations
 import hashlib
 import json
 import math
+import os
+import sys
+import threading
 from typing import Callable, Mapping, Sequence
+
+# BLAS reads its thread count when numpy loads it, so this only holds
+# where numpy is not loaded yet
+_ONE_BLAS_THREAD = "numpy" not in sys.modules
+if _ONE_BLAS_THREAD:
+    os.environ["OPENBLAS_NUM_THREADS"] = "1"
 
 import numpy as np
 
@@ -133,7 +153,8 @@ class VelocityModel:
 
 
 class StepBuffers:
-    """The arrays one `train` or `sample` call overwrites at every step:
+    """The arrays one `train` call, or one thread of a `sample` call,
+    overwrites at every step:
     the input z, which holds (x_t, t), both hidden layers, the output
     and, with `backward`, the backward scratch and one gradient vector
     laid out as the model's `params`, with views of it per parameter.
@@ -310,7 +331,10 @@ def train(
     step whose loss is not finite, or if the last update leaves a
     parameter that is not finite."""
     model = VelocityModel.init(m=config.m, width=config.width, seed=config.init_seed)
-    buf = StepBuffers(model, config.batch_size, backward=True)
+    try:
+        buf = StepBuffers(model, config.batch_size, backward=True)
+    except MemoryError:
+        raise ValueError(f"batch_size of {config.batch_size} does not fit in memory") from None
     data_rng = np.random.default_rng(config.data_seed)
     curve: list[float] = []
     # a diverging run overflows before its loss turns non-finite, and the
@@ -332,6 +356,9 @@ def train(
     return model, curve
 
 
+_SAMPLE_BLOCK = 1000
+
+
 def sample(
     model: VelocityModel,
     e: np.ndarray,
@@ -342,8 +369,9 @@ def sample(
     """Euler-integrate dx/dt = v(x, t, e) from t = 1 (standard-normal
     noise) down to t = 0; returns (n_samples, d) latents. e is one
     condition of shape (m,) or one per sample, (n_samples, m); its
-    first-layer term is computed once, not once per step. Raises
-    ValueError if any point ends up not finite."""
+    first-layer term is computed once, not once per step. Rows run in
+    blocks of `_SAMPLE_BLOCK`, on one thread per CPU where BLAS runs one
+    thread. Raises ValueError if any point ends up not finite."""
     if n_samples < 0:
         raise ValueError(f"n_samples must be >= 0, got {n_samples}")
     if seed < 0:
@@ -351,23 +379,57 @@ def sample(
     if n_steps < 1:
         raise ValueError("n_steps must be >= 1")
     wire.read(int, n_steps, "n_steps")  # a count no float can hold overflows 1 / n_steps
-    buf = StepBuffers(model, n_samples, backward=False)
-    x = np.random.default_rng(seed).standard_normal((n_samples, model.d))
-    dt = 1.0 / n_steps
-    # an overflowing field is reported by the check below, so numpy's
-    # floating-point warnings stay quiet
-    with np.errstate(all="ignore"):
+    try:
+        x = np.random.default_rng(seed).standard_normal((n_samples, model.d))
         term = _condition(model, _as_vec(e), n_samples)
-        for k in range(n_steps):
-            buf.z[:, : model.d] = x
-            buf.z[:, model.d] = 1.0 - k * dt
-            step = _forward(model, buf, term)
-            np.multiply(dt, step, out=step)
-            np.subtract(x, step, out=x)
+    except MemoryError:
+        raise ValueError(f"n_samples of {n_samples} does not fit in memory") from None
+    # share i holds blocks blocks*i//workers up to blocks*(i+1)//workers
+    blocks = -(-n_samples // _SAMPLE_BLOCK)
+    workers = max(1, min(len(os.sched_getaffinity(0)) if _ONE_BLAS_THREAD else 1, blocks))
+    bounds = [min(n_samples, blocks * i // workers * _SAMPLE_BLOCK) for i in range(workers + 1)]
+    errors: list[BaseException] = []
+
+    def run_share(lo: int, hi: int) -> None:
+        try:
+            _integrate(model, x, term, n_steps, lo, hi)
+        except BaseException as exc:
+            errors.append(exc)
+
+    threads = [threading.Thread(target=run_share, args=bounds[i : i + 2]) for i in range(1, workers)]
+    for thread in threads:
+        thread.start()
+    run_share(bounds[0], bounds[1])
+    for thread in threads:
+        thread.join()
+    if errors:
+        raise errors[0]
     bad = n_samples - int(np.isfinite(x).all(axis=1).sum())
     if bad:
         raise ValueError(f"sampling diverged: {bad} of {n_samples} points are not finite")
     return x
+
+
+def _integrate(model: VelocityModel, x: np.ndarray, term: np.ndarray, n_steps: int,
+               lo: int, hi: int) -> None:
+    """All Euler steps for rows lo to hi of x, in place, one block of
+    `_SAMPLE_BLOCK` rows at a time; term is `_condition`'s for all of x."""
+    dt = 1.0 / n_steps
+    buf = None
+    # numpy's error state is per thread; an overflowing field is reported
+    # by `sample`'s check, so its floating-point warnings stay quiet
+    with np.errstate(all="ignore"):
+        for start in range(lo, hi, _SAMPLE_BLOCK):
+            rows = x[start : min(hi, start + _SAMPLE_BLOCK)]
+            if buf is None or buf.z.shape[0] != len(rows):
+                buf = StepBuffers(model, len(rows), backward=False)
+            block_term = term if term.ndim == 1 else term[start : start + len(rows)]
+            for k in range(n_steps):
+                buf.z[:, : model.d] = rows
+                buf.z[:, model.d] = 1.0 - k * dt
+                step = _forward(model, buf, block_term)
+                np.multiply(dt, step, out=step)
+                np.subtract(rows, step, out=rows)
 
 
 def in_box_fraction(samples: np.ndarray, instruction: InterleavedInstruction) -> float:

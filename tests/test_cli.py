@@ -720,6 +720,13 @@ REJECTED_OPTION_VALUES = {
 }
 
 
+# the whole error line of the cases above that pin it
+REJECTED_OPTION_LINES = {
+    "toy batch size 10**12": f"error: batch_size of {10**12} does not fit in memory",
+    "toy sample n 10**12": f"error: n_samples of {10**12} does not fit in memory",
+}
+
+
 @pytest.mark.parametrize("case", sorted(REJECTED_OPTION_VALUES))
 def test_option_value_outside_its_domain_exits_1_and_writes_nothing(case, tmp_path, corpus, capsys):
     from scotkit import flowmatch
@@ -737,6 +744,7 @@ def test_option_value_outside_its_domain_exits_1_and_writes_nothing(case, tmp_pa
     assert (code, stdout) == (1, "")
     [line] = stderr.splitlines()
     assert line.startswith("error: ")
+    assert line == REJECTED_OPTION_LINES.get(case, line)
     assert not out.exists()
 
 
@@ -958,11 +966,67 @@ class TestToy:
             "--learning-rate", "1e307", "--steps", "1",
         )
         assert proc.returncode == 0
-        proc = scot_subprocess("toy", "sample", "--model", str(ckpt), "--instruction", str(instr_file),
-                               "--n", "3", "--output", str(points))
-        assert (proc.returncode, proc.stdout) == (1, "")
-        assert proc.stderr.splitlines() == ["error: sampling diverged: 3 of 3 points are not finite"]
-        assert not points.exists()
+        # 2500 points run in three blocks, on worker threads where there are CPUs for them
+        for n in (3, 2500):
+            proc = scot_subprocess("toy", "sample", "--model", str(ckpt), "--instruction", str(instr_file),
+                                   "--n", str(n), "--output", str(points))
+            assert (proc.returncode, proc.stdout) == (1, "")
+            assert proc.stderr.splitlines() == [f"error: sampling diverged: {n} of {n} points are not finite"]
+            assert not points.exists()
+
+    # a fresh interpreter's threads after `scotkit` has loaded numpy; at
+    # least two CPUs, or OpenBLAS starts no pool to hold back
+    _THREADS_AFTER = """
+import os, sys
+from scotkit import cli
+if sys.argv[1:]:
+    assert cli.main(sys.argv[1:]) == 0
+else:
+    from scotkit import flowmatch
+print(len(os.listdir("/proc/self/task")))
+"""
+
+    @pytest.mark.skipif(not os.path.isdir("/proc/self/task") or len(os.sched_getaffinity(0)) < 2,
+                        reason="needs /proc/self/task and at least two CPUs")
+    @pytest.mark.parametrize("command", ["import", "toy train"])
+    def test_the_toy_leaves_blas_one_thread(self, tmp_path, monkeypatch, command):
+        for name in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
+            monkeypatch.delenv(name, raising=False)
+        instr_file, ckpt = tmp_path / "instr.txt", tmp_path / "model.ckpt"
+        instr_file.write_text(self.TWO_BOXES)
+        argv = ([] if command == "import" else
+                ["toy", "train", "--instruction", str(instr_file), "--output", str(ckpt),
+                 "--steps", "1", "--batch-size", "8"])
+        proc = python_subprocess("-c", self._THREADS_AFTER, *argv)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.splitlines()[-1] == "1"
+
+    # samples 4000 points with Thread.start refused, after loading numpy
+    # itself or leaving that to flowmatch
+    _SAMPLE_WITHOUT_THREADS = """
+import sys, threading
+if sys.argv[1] == "numpy first":
+    import numpy
+from scotkit import flowmatch
+import numpy as np
+
+def refuse(thread):
+    raise RuntimeError("a worker thread was started")
+
+threading.Thread.start = refuse
+flowmatch.sample(flowmatch.VelocityModel.init(m=4, width=8), np.zeros(4), 4000, n_steps=2)
+print("sampled")
+"""
+
+    @pytest.mark.skipif(len(os.sched_getaffinity(0)) < 2, reason="needs at least two CPUs")
+    @pytest.mark.parametrize("order", ["numpy first", "flowmatch first"])
+    def test_a_process_that_loaded_numpy_first_samples_on_one_thread(self, order):
+        proc = python_subprocess("-c", self._SAMPLE_WITHOUT_THREADS, order)
+        if order == "numpy first":
+            assert (proc.returncode, proc.stdout) == (0, "sampled\n")
+        else:
+            assert proc.returncode == 1
+            assert proc.stderr.splitlines()[-1] == "RuntimeError: a worker thread was started"
 
     def test_checkpoint_determinism(self, tmp_path, capsys):
         instr_file = tmp_path / "instr.txt"

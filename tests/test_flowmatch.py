@@ -3,17 +3,25 @@ exact gradients vs finite differences, sampler conventions, and file
 round trips. The long default-config training runs live in the
 acceptance suite."""
 
+import hashlib
+import os
 import re
 import resource
+import sys
+import threading
+import tracemalloc
 
 import numpy as np
 import pytest
 
+from scotkit import codec, flowmatch
 from scotkit.codec import interleave
 from scotkit.flowmatch import (
+    DEFAULT_EMBED_DIM,
     StepBuffers,
     TrainConfig,
     VelocityModel,
+    _integrate,
     box_union_sampler,
     embed_instruction,
     in_box_fraction,
@@ -325,6 +333,126 @@ class TestSample:
             sample(randomized_model(), np.zeros(5), 1, seed=-1)
 
 
+def on_cpus(monkeypatch, cpus: int) -> None:
+    """Makes `sample` see `cpus` CPUs and a single-threaded BLAS, as in a
+    process that imported flowmatch before numpy."""
+    monkeypatch.setattr(flowmatch, "_ONE_BLAS_THREAD", True)
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(cpus)))
+
+
+class TestSampleWorkers:
+    """`sample` integrates fixed 1000-row blocks, with shares of them on
+    one thread per CPU; the points depend on n alone."""
+
+    # the toy golden run's instruction and model (tests/test_golden.py)
+    TWO_BOXES = ("a red box <|box|>100,120,300,400<|/box|> left of a blue mug "
+                 "<|box|>600,500,900,800<|/box|>")
+    # sha256 of the points' bytes, recorded before sampling ran in blocks
+    GOLDEN_POINTS = {
+        1000: "87495d5157785d586898a412db66bd6f89f2cc0590ac0fbb64e9247566b75f75",
+        4000: "5e8372216a3474b36dc460ba752ca02e77f5eb4dbe23012f86b33162f1bf165c",
+    }
+
+    @pytest.fixture(scope="class")
+    def golden(self):
+        instruction = codec.parse_instruction(self.TWO_BOXES)
+        config = TrainConfig(steps=25)
+        model, _ = train(config, box_union_sampler(instruction, m=config.m))
+        return model, embed_instruction(instruction, m=model.m)
+
+    def shares(self, monkeypatch, cpus):
+        """Runs `sample` on `cpus` CPUs, recording each share's row bounds
+        and whether it ran on the calling thread."""
+        on_cpus(monkeypatch, cpus)
+        seen = []
+
+        def recording(model, x, term, n_steps, lo, hi):
+            seen.append((lo, hi, threading.current_thread() is threading.main_thread()))
+            _integrate(model, x, term, n_steps, lo, hi)
+
+        monkeypatch.setattr(flowmatch, "_integrate", recording)
+        return seen
+
+    @pytest.fixture()
+    def short_switch_interval(self):
+        # threads trade the interpreter lock often, so shares that wrote
+        # each other's rows would show
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-4)
+        try:
+            yield
+        finally:
+            sys.setswitchinterval(interval)
+
+    @pytest.mark.parametrize("n", [0, 1, 999, 1000, 1001, 2500, 4000])
+    @pytest.mark.parametrize("per_row", [False, True])
+    def test_the_bytes_do_not_depend_on_the_cpu_count(self, monkeypatch, golden, short_switch_interval,
+                                                      n, per_row):
+        model, e = golden
+        if per_row:
+            e = np.random.default_rng(n).standard_normal((n, model.m)) * 0.3
+        points = []
+        for cpus in (1, 2, 3):
+            seen = self.shares(monkeypatch, cpus)
+            points.append(sample(model, e, n, n_steps=10, seed=5).tobytes())
+            blocks = -(-n // 1000)
+            assert len(seen) == max(1, min(cpus, blocks))
+            assert [main for _, _, main in seen].count(True) == 1
+            bounds = sorted((lo, hi) for lo, hi, _ in seen)
+            assert bounds[0][0] == 0 and bounds[-1][1] == n
+            assert all(a[1] == b[0] for a, b in zip(bounds, bounds[1:]))
+            assert all(lo % 1000 == 0 for lo, _ in bounds)
+        assert points[0] == points[1] == points[2]
+
+    @pytest.mark.parametrize("n", sorted(GOLDEN_POINTS))
+    @pytest.mark.parametrize("cpus", [1, 2, 3])
+    def test_whole_blocks_keep_the_one_call_bytes(self, monkeypatch, golden, n, cpus):
+        model, e = golden
+        on_cpus(monkeypatch, cpus)
+        points = sample(model, e, n)
+        assert hashlib.sha256(points.tobytes()).hexdigest() == self.GOLDEN_POINTS[n]
+
+    @pytest.mark.parametrize("cpus", [1, 2])
+    def test_memory_is_the_points_and_one_block_of_buffers_per_thread(self, monkeypatch, cpus):
+        # a step that allocated a (block, width) temporary would add 1 MB
+        model, e = VelocityModel.init(), np.zeros(DEFAULT_EMBED_DIM)
+        on_cpus(monkeypatch, cpus)
+        sample(model, e, 4000, n_steps=3)
+        tracemalloc.start()
+        try:
+            sample(model, e, 4000, n_steps=3)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        buffers = 8 * 1000 * (model.d + 1 + 2 * model.width + model.d)
+        assert peak <= 8 * 4000 * model.d + cpus * (buffers + 2**17)
+
+    def test_an_error_in_another_share_reaches_the_caller(self, monkeypatch):
+        on_cpus(monkeypatch, 2)
+        forward = flowmatch._forward
+
+        def failing_off_the_main_thread(model, buf, term):
+            if threading.current_thread() is not threading.main_thread():
+                raise RuntimeError("share failed")
+            return forward(model, buf, term)
+
+        monkeypatch.setattr(flowmatch, "_forward", failing_off_the_main_thread)
+        model = randomized_model(m=4, width=8)
+        with pytest.raises(RuntimeError, match="^share failed$"):
+            sample(model, np.zeros(4), 2500, n_steps=3)
+        # one share runs on the calling thread alone
+        assert sample(model, np.zeros(4), 1000, n_steps=3).shape == (1000, 2)
+
+    def test_an_overflow_in_another_share_is_counted_quietly(self, monkeypatch, recwarn):
+        on_cpus(monkeypatch, 3)
+        model = randomized_model(m=4, width=8)
+        # every hidden unit reads tanh(1), so every row's velocity overflows
+        model.w2[...], model.b2[...], model.w3[...] = 0.0, 1.0, 1e308
+        with pytest.raises(ValueError, match="^sampling diverged: 2500 of 2500 points are not finite$"):
+            sample(model, np.zeros(4), 2500, n_steps=3)
+        assert not [w for w in recwarn if issubclass(w.category, RuntimeWarning)]
+
+
 def _minor_faults(call) -> int:
     before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
     call()
@@ -336,12 +464,15 @@ class TestStepsReuseBuffers:
     trimmed and faulted in again every step, hundreds of minor page
     faults a step at these sizes; a step that reuses one call's buffers
     takes none. Faults are compared between two step counts after a
-    warm-up call, so the per-call set-up cancels."""
+    warm-up call at each, so the per-call set-up cancels: malloc moves
+    its mmap threshold when it frees a call's buffers, and can place the
+    next call's on fresh heap pages once."""
 
     MAX_FAULTS_PER_EXTRA_STEP = 20
 
     def faults_per_extra_step(self, run, few, many):
         run(few)
+        run(many)
         extra = _minor_faults(lambda: run(many)) - _minor_faults(lambda: run(few))
         return extra / (many - few)
 
