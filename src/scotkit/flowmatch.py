@@ -8,8 +8,12 @@ x1 standard normal and t uniform. Sampling integrates the learned field
 with Euler steps from t = 1 (noise) down to t = 0 (data); under this
 coupling u points from data toward noise, hence the downward sweep.
 
-Everything is numpy float64 and seeded, so runs are bitwise
-reproducible on a given platform.
+Training, the checkpoint and the Euler state are numpy float64.
+Sampling evaluates the velocity field from a float32 copy of the model,
+made once per `sample` call, and adds each float32 step to the float64
+state; a model with a parameter beyond float32's range is rejected.
+Everything is seeded, so runs are bitwise reproducible on a given
+platform.
 
 Sampling integrates its rows in fixed blocks of `_SAMPLE_BLOCK` rows and
 runs shares of the blocks on one thread per CPU. Those threads stand in
@@ -154,21 +158,25 @@ class VelocityModel:
 
 class StepBuffers:
     """The arrays one `train` call, or one thread of a `sample` call,
-    overwrites at every step:
+    overwrites at every step, in the dtype of the model's `params`:
     the input z, which holds (x_t, t), both hidden layers, the output
     and, with `backward`, the backward scratch and one gradient vector
     laid out as the model's `params`, with views of it per parameter.
-    A training step allocates only its condition term. Sampling runs
-    tanh in place and needs no backward pass, so it holds z and only
-    two hidden-size arrays."""
+    Besides its condition term, (width,) for one condition and
+    (batch, width) for one per row, a training step allocates only
+    arrays of (batch, d) or (batch,) values: the data and noise draws,
+    `interpolate`, `target_velocity` and the loss. Sampling runs tanh
+    in place and needs no backward pass, so it holds z and only two
+    hidden-size arrays."""
 
     def __init__(self, model: VelocityModel, batch: int, backward: bool):
-        self.z = np.empty((batch, model.d + 1))
-        self.h1 = np.empty((batch, model.width))
-        self.h2 = np.empty((batch, model.width))
-        self.out = np.empty((batch, model.d))
+        dtype = model.params.dtype
+        self.z = np.empty((batch, model.d + 1), dtype)
+        self.h1 = np.empty((batch, model.width), dtype)
+        self.h2 = np.empty((batch, model.width), dtype)
+        self.out = np.empty((batch, model.d), dtype)
         if backward:
-            self.delta = np.empty((batch, model.width))
+            self.delta = np.empty((batch, model.width), dtype)
             self.grad = np.empty_like(model.params)
             self.grad_views = _views(self.grad, model.d, model.m, model.width)
 
@@ -245,9 +253,10 @@ def loss_and_grad_at(
     np.multiply(h2, h1, out=h2)
     np.matmul(h2.T, buf.z, out=gw1[:, : d + 1])
     np.sum(h2, axis=0, out=gb1)
-    # one condition adds the same e to every row, so its columns' gradient is gb1 e^T
+    # one condition adds the same e to every row, so its columns' gradient
+    # is gb1 e^T; a one-term matmul writes it with no iterator buffer
     if e.ndim == 1:
-        np.outer(gb1, e, out=gw1[:, d + 1 :])
+        np.matmul(gb1[:, None], e[None, :], out=gw1[:, d + 1 :])
     else:
         np.matmul(h2.T, e, out=gw1[:, d + 1 :])
     return loss, buf.grad
@@ -357,6 +366,7 @@ def train(
 
 
 _SAMPLE_BLOCK = 1000
+_FLOAT32_MAX = float(np.finfo(np.float32).max)
 
 
 def sample(
@@ -369,9 +379,11 @@ def sample(
     """Euler-integrate dx/dt = v(x, t, e) from t = 1 (standard-normal
     noise) down to t = 0; returns (n_samples, d) latents. e is one
     condition of shape (m,) or one per sample, (n_samples, m); its
-    first-layer term is computed once, not once per step. Rows run in
+    first-layer term is computed once, not once per step. The field is
+    evaluated in float32 and the points are float64. Rows run in
     blocks of `_SAMPLE_BLOCK`, on one thread per CPU where BLAS runs one
-    thread. Raises ValueError if any point ends up not finite."""
+    thread. Raises ValueError if a parameter's magnitude exceeds
+    float32's range, or if any point ends up not finite."""
     if n_samples < 0:
         raise ValueError(f"n_samples must be >= 0, got {n_samples}")
     if seed < 0:
@@ -379,11 +391,19 @@ def sample(
     if n_steps < 1:
         raise ValueError("n_steps must be >= 1")
     wire.read(int, n_steps, "n_steps")  # a count no float can hold overflows 1 / n_steps
+    largest = float(np.abs(model.params).max())
+    if largest > _FLOAT32_MAX:
+        raise ValueError(f"sampling evaluates the model in float32, which holds magnitudes up to "
+                         f"{_FLOAT32_MAX:.7g}; the model has a parameter of magnitude {largest:.7g}")
     try:
         x = np.random.default_rng(seed).standard_normal((n_samples, model.d))
         term = _condition(model, _as_vec(e), n_samples)
+        # a term beyond float32's range saturates tanh as it would in float64
+        with np.errstate(over="ignore"):
+            term = term.astype(np.float32)
     except MemoryError:
         raise ValueError(f"n_samples of {n_samples} does not fit in memory") from None
+    field = VelocityModel(model.d, model.m, model.width, model.params.astype(np.float32))
     # share i holds blocks blocks*i//workers up to blocks*(i+1)//workers
     blocks = -(-n_samples // _SAMPLE_BLOCK)
     workers = max(1, min(len(os.sched_getaffinity(0)) if _ONE_BLAS_THREAD else 1, blocks))
@@ -392,7 +412,7 @@ def sample(
 
     def run_share(lo: int, hi: int) -> None:
         try:
-            _integrate(model, x, term, n_steps, lo, hi)
+            _integrate(field, x, term, n_steps, lo, hi)
         except BaseException as exc:
             errors.append(exc)
 
@@ -413,7 +433,8 @@ def sample(
 def _integrate(model: VelocityModel, x: np.ndarray, term: np.ndarray, n_steps: int,
                lo: int, hi: int) -> None:
     """All Euler steps for rows lo to hi of x, in place, one block of
-    `_SAMPLE_BLOCK` rows at a time; term is `_condition`'s for all of x."""
+    `_SAMPLE_BLOCK` rows at a time; term is `_condition`'s for all of
+    x, in the model's dtype."""
     dt = 1.0 / n_steps
     buf = None
     # numpy's error state is per thread; an overflowing field is reported

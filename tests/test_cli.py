@@ -957,13 +957,14 @@ class TestToy:
         assert not ckpt.exists() and not curve.exists()
 
     def test_sample_whose_field_overflows_exits_1_and_writes_nothing(self, tmp_path):
-        # the weights are finite, and the field they give overflows within the Euler steps
+        # the weights fit float32, at most 1.3e38, and the field they give
+        # overflows within the Euler steps
         instr_file = tmp_path / "instr.txt"
         instr_file.write_text(self.TWO_BOXES)
         ckpt, points = tmp_path / "model.ckpt", tmp_path / "points.txt"
         proc = scot_subprocess(
             "toy", "train", "--instruction", str(instr_file), "--output", str(ckpt),
-            "--learning-rate", "1e307", "--steps", "1",
+            "--learning-rate", "1e38", "--steps", "1",
         )
         assert proc.returncode == 0
         # 2500 points run in three blocks, on worker threads where there are CPUs for them
@@ -973,6 +974,50 @@ class TestToy:
             assert (proc.returncode, proc.stdout) == (1, "")
             assert proc.stderr.splitlines() == [f"error: sampling diverged: {n} of {n} points are not finite"]
             assert not points.exists()
+
+    def test_sample_of_a_model_float32_cannot_hold_exits_1_and_writes_nothing(self, tmp_path):
+        # one step at this rate leaves output weights near 1.3e307
+        instr_file = tmp_path / "instr.txt"
+        instr_file.write_text(self.TWO_BOXES)
+        ckpt, points = tmp_path / "model.ckpt", tmp_path / "points.txt"
+        proc = scot_subprocess(
+            "toy", "train", "--instruction", str(instr_file), "--output", str(ckpt),
+            "--learning-rate", "1e307", "--steps", "1",
+        )
+        assert proc.returncode == 0
+        proc = scot_subprocess("toy", "sample", "--model", str(ckpt), "--instruction", str(instr_file),
+                               "--n", "2500", "--output", str(points))
+        assert (proc.returncode, proc.stdout) == (1, "")
+        assert proc.stderr.splitlines() == [
+            "error: sampling evaluates the model in float32, which holds magnitudes up to 3.402823e+38; "
+            "the model has a parameter of magnitude 1.268118e+307"
+        ]
+        assert not points.exists()
+
+    @pytest.mark.parametrize("n", [999, 1000, 2500, 4000])
+    def test_a_fresh_scot_writes_the_points_of_in_process_sample(self, tmp_path, monkeypatch, n):
+        # the fresh interpreter holds BLAS to one thread and samples on one
+        # thread per CPU; this one keeps the BLAS threads numpy started
+        # with and samples on one thread
+        import numpy as np
+
+        from scotkit import codec, flowmatch
+
+        for name in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
+            monkeypatch.delenv(name, raising=False)
+        monkeypatch.setattr(flowmatch, "_ONE_BLAS_THREAD", False)
+        instruction = codec.parse_instruction(self.TWO_BOXES.strip())
+        config = flowmatch.TrainConfig(steps=25)
+        model, _ = flowmatch.train(config, flowmatch.box_union_sampler(instruction, m=config.m))
+        instr_file, ckpt, points = tmp_path / "instr.txt", tmp_path / "model.ckpt", tmp_path / "points.txt"
+        instr_file.write_text(self.TWO_BOXES)
+        flowmatch.save_checkpoint(ckpt, model)
+        proc = scot_subprocess("toy", "sample", "--model", str(ckpt), "--instruction", str(instr_file),
+                               "--n", str(n), "--seed", "3", "--output", str(points))
+        assert proc.returncode == 0, proc.stderr
+        written = [[float(v) for v in line.split()] for line in points.read_text().splitlines()]
+        want = flowmatch.sample(model, flowmatch.embed_instruction(instruction, m=model.m), n, seed=3)
+        assert np.array_equal(np.array(written), want)
 
     # a fresh interpreter's threads after `scotkit` has loaded numpy; at
     # least two CPUs, or OpenBLAS starts no pool to hold back

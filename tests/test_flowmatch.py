@@ -51,6 +51,33 @@ def single_box_instruction(box=BBox(460, 460, 540, 540)):
     return interleave("a red apple on a table", [("apple", box)])
 
 
+def float64_reference(model, e, n_samples, n_steps=50, seed=0):
+    """Euler loop in float64 throughout, with the whole (x_t, t, e) input
+    in one first-layer matmul."""
+    x = np.random.default_rng(seed).standard_normal((n_samples, model.d))
+    e = np.broadcast_to(e, (n_samples, model.m))
+    dt = 1.0 / n_steps
+    for k in range(n_steps):
+        z = np.concatenate([x, np.full((n_samples, 1), 1.0 - k * dt), e], axis=1)
+        h1 = np.tanh(z @ model.w1.T + model.b1)
+        h2 = np.tanh(h1 @ model.w2.T + model.b2)
+        x = x - dt * (h2 @ model.w3.T + model.b3)
+    return x
+
+
+# the toy golden run's instruction and model (tests/test_golden.py)
+TWO_BOXES = ("a red box <|box|>100,120,300,400<|/box|> left of a blue mug "
+             "<|box|>600,500,900,800<|/box|>")
+
+
+@pytest.fixture(scope="module")
+def golden():
+    instruction = codec.parse_instruction(TWO_BOXES)
+    config = TrainConfig(steps=25)
+    model, _ = train(config, box_union_sampler(instruction, m=config.m))
+    return model, embed_instruction(instruction, m=model.m)
+
+
 class TestInterpolate:
     def test_endpoints_exact(self):
         x0 = np.array([0.3, -1.2])
@@ -279,6 +306,26 @@ class TestTrain:
         with pytest.raises(ValueError, match="learning_rate"):
             TrainConfig(learning_rate=learning_rate)
 
+    @pytest.mark.parametrize("batch_size", [256, 1024])
+    def test_memory_is_the_model_its_gradient_and_one_batch_of_buffers(self, batch_size):
+        # a step's own arrays, at most eight live at once, hold (batch, d)
+        # or (batch,) values, and numpy's ufunc iterator buffers 8192 values;
+        # a (batch, width) temporary would add 8 * batch * width bytes,
+        # 256 KiB at batch 256
+        config = TrainConfig(steps=20, batch_size=batch_size)
+        sampler = box_union_sampler(single_box_instruction())
+        train(config, sampler)
+        tracemalloc.start()
+        try:
+            model, _ = train(config, sampler)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        d, width = model.d, model.width
+        buffers = 8 * batch_size * (d + 1 + 3 * width + d)
+        step = 8 * 8 * batch_size * d + 8 * 8192
+        assert peak <= 8 * 2 * model.params.size + buffers + step + 2**14
+
 
 class TestSample:
     def test_zero_field_returns_initial_noise(self):
@@ -289,36 +336,32 @@ class TestSample:
         assert np.array_equal(got, expected)
 
     def test_constant_field_displaces_exactly(self):
-        # velocity == b3 everywhere -> Euler over [1, 0] subtracts b3 once
+        # velocity == b3 everywhere -> each of the 50 Euler steps subtracts
+        # the float32 step dt * b3 from the float64 noise
         model = VelocityModel.init(d=2, m=4, width=8, seed=0)
         model.w1[...] = 0.0
         model.b3[...] = [0.7, -0.3]
         e = np.zeros(4)
         got = sample(model, e, n_samples=20, n_steps=50, seed=11)
-        initial = np.random.default_rng(11).standard_normal((20, 2))
-        assert np.allclose(got, initial - model.b3, atol=1e-12)
-
-    @staticmethod
-    def reference_sample(model, e, n_samples, n_steps, seed):
-        """Euler loop with the whole (x_t, t, e) input in one first-layer matmul."""
-        x = np.random.default_rng(seed).standard_normal((n_samples, model.d))
-        e = np.broadcast_to(e, (n_samples, model.m))
-        dt = 1.0 / n_steps
-        for k in range(n_steps):
-            z = np.concatenate([x, np.full((n_samples, 1), 1.0 - k * dt), e], axis=1)
-            h1 = np.tanh(z @ model.w1.T + model.b1)
-            h2 = np.tanh(h1 @ model.w2.T + model.b2)
-            x = x - dt * (h2 @ model.w3.T + model.b3)
-        return x
+        want = np.random.default_rng(11).standard_normal((20, 2))
+        step = np.float32(1 / 50) * model.b3.astype(np.float32)
+        for _ in range(50):
+            want = want - step
+        assert np.array_equal(got, want)
 
     @pytest.mark.parametrize("per_row", [False, True])
     def test_matches_the_whole_input_reference(self, per_row):
         model = randomized_model(m=16, width=32)
         rng = np.random.default_rng(29)
         e = rng.standard_normal((40, 16) if per_row else 16)
-        got = sample(model, e, 40, n_steps=20, seed=4)
-        want = self.reference_sample(model, e, 40, 20, seed=4)
-        assert np.allclose(got, want, rtol=0, atol=1e-12 * max(1.0, np.abs(want).max()))
+        n_steps = 20
+        got = sample(model, e, 40, n_steps=n_steps, seed=4)
+        want = float64_reference(model, e, 40, n_steps, seed=4)
+        # each step reads the state and writes its velocity rounded to
+        # float32, a relative error of at most eps of the points' scale,
+        # and the steps' errors add up
+        scale = max(1.0, np.abs(want).max())
+        assert np.allclose(got, want, rtol=0, atol=n_steps * np.finfo(np.float32).eps * scale)
 
     def test_n_steps_validation(self):
         with pytest.raises(ValueError):
@@ -344,21 +387,12 @@ class TestSampleWorkers:
     """`sample` integrates fixed 1000-row blocks, with shares of them on
     one thread per CPU; the points depend on n alone."""
 
-    # the toy golden run's instruction and model (tests/test_golden.py)
-    TWO_BOXES = ("a red box <|box|>100,120,300,400<|/box|> left of a blue mug "
-                 "<|box|>600,500,900,800<|/box|>")
-    # sha256 of the points' bytes, recorded before sampling ran in blocks
+    # sha256 of the points' bytes, recorded when sampling began evaluating
+    # the field in float32; each equals one call over all rows
     GOLDEN_POINTS = {
-        1000: "87495d5157785d586898a412db66bd6f89f2cc0590ac0fbb64e9247566b75f75",
-        4000: "5e8372216a3474b36dc460ba752ca02e77f5eb4dbe23012f86b33162f1bf165c",
+        1000: "0f7a00ad30a38eef178046a2ffc898aef94980e0cc054137b06aba93864cbf78",
+        4000: "790bc271e647f4c41c86da8c4a783e77119377b123068716c3670db24d1f123b",
     }
-
-    @pytest.fixture(scope="class")
-    def golden(self):
-        instruction = codec.parse_instruction(self.TWO_BOXES)
-        config = TrainConfig(steps=25)
-        model, _ = train(config, box_union_sampler(instruction, m=config.m))
-        return model, embed_instruction(instruction, m=model.m)
 
     def shares(self, monkeypatch, cpus):
         """Runs `sample` on `cpus` CPUs, recording each share's row bounds
@@ -412,9 +446,17 @@ class TestSampleWorkers:
         points = sample(model, e, n)
         assert hashlib.sha256(points.tobytes()).hexdigest() == self.GOLDEN_POINTS[n]
 
+    @pytest.mark.parametrize("n", sorted(GOLDEN_POINTS))
+    def test_the_golden_bytes_are_one_call_over_all_rows(self, monkeypatch, golden, n):
+        model, e = golden
+        monkeypatch.setattr(flowmatch, "_SAMPLE_BLOCK", n)
+        points = sample(model, e, n)
+        assert hashlib.sha256(points.tobytes()).hexdigest() == self.GOLDEN_POINTS[n]
+
     @pytest.mark.parametrize("cpus", [1, 2])
     def test_memory_is_the_points_and_one_block_of_buffers_per_thread(self, monkeypatch, cpus):
-        # a step that allocated a (block, width) temporary would add 1 MB
+        # a step that allocated a (block, width) temporary would add 0.5 MB
+        # in float32, 1 MB in float64
         model, e = VelocityModel.init(), np.zeros(DEFAULT_EMBED_DIM)
         on_cpus(monkeypatch, cpus)
         sample(model, e, 4000, n_steps=3)
@@ -424,8 +466,9 @@ class TestSampleWorkers:
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
-        buffers = 8 * 1000 * (model.d + 1 + 2 * model.width + model.d)
-        assert peak <= 8 * 4000 * model.d + cpus * (buffers + 2**17)
+        field = 4 * model.params.size
+        buffers = 4 * 1000 * (model.d + 1 + 2 * model.width + model.d)
+        assert peak <= 8 * 4000 * model.d + field + cpus * (buffers + 2**17)
 
     def test_an_error_in_another_share_reaches_the_caller(self, monkeypatch):
         on_cpus(monkeypatch, 2)
@@ -446,11 +489,78 @@ class TestSampleWorkers:
     def test_an_overflow_in_another_share_is_counted_quietly(self, monkeypatch, recwarn):
         on_cpus(monkeypatch, 3)
         model = randomized_model(m=4, width=8)
-        # every hidden unit reads tanh(1), so every row's velocity overflows
-        model.w2[...], model.b2[...], model.w3[...] = 0.0, 1.0, 1e308
+        # every hidden unit reads tanh(1), so every row's velocity, 8 * 0.76e38,
+        # overflows float32 though each weight fits it
+        model.w2[...], model.b2[...], model.w3[...] = 0.0, 1.0, 1e38
         with pytest.raises(ValueError, match="^sampling diverged: 2500 of 2500 points are not finite$"):
             sample(model, np.zeros(4), 2500, n_steps=3)
         assert not [w for w in recwarn if issubclass(w.category, RuntimeWarning)]
+
+    def test_a_model_float32_cannot_hold_is_rejected_before_the_points(self, monkeypatch, recwarn):
+        on_cpus(monkeypatch, 3)
+        model = randomized_model(m=4, width=8)
+        model.w2[...], model.b2[...], model.w3[...] = 0.0, 1.0, 1e308
+        message = ("^sampling evaluates the model in float32, which holds magnitudes up to 3.402823e\\+38; "
+                   "the model has a parameter of magnitude 1e\\+308$")
+        # 10**12 points would not fit in memory, so the check comes first
+        for n in (2500, 10**12):
+            with pytest.raises(ValueError, match=message):
+                sample(model, np.zeros(4), n, n_steps=3)
+        assert not [w for w in recwarn if issubclass(w.category, RuntimeWarning)]
+
+    def test_a_condition_term_beyond_float32_saturates_quietly(self, recwarn):
+        # w1's condition columns fit float32; their term, 4 * 3e38, does not,
+        # and tanh reads 1 from it in either precision
+        model = randomized_model(m=4, width=8)
+        model.w1[:, model.d + 1 :] = 3e38
+        e = np.ones(4)
+        got = sample(model, e, 30, n_steps=5, seed=2)
+        want = float64_reference(model, e, 30, n_steps=5, seed=2)
+        assert np.allclose(got, want, rtol=0, atol=5 * np.finfo(np.float32).eps * max(1.0, np.abs(want).max()))
+        assert not [w for w in recwarn if issubclass(w.category, RuntimeWarning)]
+
+
+class TestFloat32Field:
+    """`sample` evaluates the field in float32 and keeps the points in
+    float64; its points stay within 1e-6 of a float64 evaluation, and
+    the in-box fractions are those of float64."""
+
+    # the bench's toy instruction at each of seeds 1-3 (bench/workloads.py),
+    # with its in-box fractions at sample seeds 0 and 1
+    BENCH_INSTRUCTIONS = {
+        1: ("A scene with a yellow sofa <|box|>768,650,965,887<|/box|> , a yellow stool "
+            "<|box|>242,104,453,467<|/box|> , a red candle <|box|>569,182,797,398<|/box|> , a green rug "
+            "<|box|>558,291,829,513<|/box|> , a red shoe <|box|>253,29,643,362<|/box|> and a small mirror "
+            "<|box|>209,408,513,493<|/box|> .", (0.804, 0.81775)),
+        2: ("A scene with a green mug <|box|>537,341,777,478<|/box|> , a shiny stool "
+            "<|box|>162,122,525,222<|/box|> , a wooden radio <|box|>252,240,536,599<|/box|> , a shiny lamp "
+            "<|box|>209,843,409,995<|/box|> and a shiny kite <|box|>328,76,720,400<|/box|> .", (0.84275, 0.853)),
+        3: ("A scene with a red radio <|box|>776,605,868,746<|/box|> , a red kite "
+            "<|box|>275,484,489,559<|/box|> and a shiny rug <|box|>590,455,868,717<|/box|> .", (0.795, 0.80425)),
+    }
+
+    def test_the_golden_points_stay_within_1e_6_of_float64(self, golden):
+        model, e = golden
+        instruction = codec.parse_instruction(TWO_BOXES)
+        got = sample(model, e, 4000)
+        want = float64_reference(model, e, 4000)
+        assert got.dtype == np.float64
+        assert np.abs(got - want).max() <= 1e-6
+        assert in_box_fraction(got, instruction) == in_box_fraction(want, instruction)
+
+    @pytest.mark.parametrize("bench_seed", sorted(BENCH_INSTRUCTIONS))
+    def test_the_bench_in_box_fractions_are_those_of_float64(self, bench_seed):
+        # the bench's toy train and samples: 1000 steps at batch 256, 4000 points, 50 steps
+        text, fractions = self.BENCH_INSTRUCTIONS[bench_seed]
+        instruction = codec.parse_instruction(text)
+        config = TrainConfig(steps=1000)
+        model, _ = train(config, box_union_sampler(instruction, m=config.m))
+        e = embed_instruction(instruction, m=model.m)
+        for seed, fraction in enumerate(fractions):
+            got = sample(model, e, 4000, seed=seed)
+            want = float64_reference(model, e, 4000, seed=seed)
+            assert np.abs(got - want).max() <= 1e-6
+            assert in_box_fraction(got, instruction) == in_box_fraction(want, instruction) == fraction
 
 
 def _minor_faults(call) -> int:

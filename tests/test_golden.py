@@ -13,10 +13,11 @@ repair with a short budget and a small starting step. Any changed byte
 changes a digest. The planner values were recorded before repair became
 incremental, the wire and codec values before each constraint kind
 became one class, the SVG and corpus values before an instruction
-stopped storing its token stream, the toy checkpoint, loss-curve and
-points values after the flow-matching first layer began taking its
-condition as one precomputed term (which moved them by float rounding
-alone), the record-command values before those commands ran on forked
+stopped storing its token stream, the toy checkpoint and loss-curve
+values after the flow-matching first layer began taking its condition
+as one precomputed term (which moved them by float rounding alone),
+the toy points value after sampling began evaluating the field in
+float32 (which moved the points by at most 1e-6), the record-command values before those commands ran on forked
 workers, and the hard-size values before repair skipped repeated
 candidates and scored them by magnitude alone; a deliberate behaviour
 change must update them and say so. The figures the toy run prints are
@@ -408,7 +409,7 @@ def test_substitute_raises_pinned_first_error(text, objects, expected):
 FILE_GOLDEN = {
     "checkpoint": "be1325973d9576fbb745cd2d23b4256817652e5ca2133bc7d46021ddd3a92f83",
     "curve": "fc8c2c6685762eb62dd08b862abd486307c6dfd4ea6a030e238d32974b056515",
-    "points": "91966082241b595eff51e8c6a4264e6ff0ab2710843425fc5cea22b75bc8b888",
+    "points": "f737100ed1391797668a09690e3adb66ad8145e4200f3fb2cb2d4447f299986f",
     "svg": "b088dd6d1a9a5aa5be857fe3239dc600615866a46930e7f2df30414ef5373180",
     "synth": "20a52682c2d2347a57a314b1691fd3eaac76a192b9eccab23e07a3cff66f9004",
 }
