@@ -17,22 +17,17 @@ preserve boxes and span end positions exactly, not phrase lengths.
 from __future__ import annotations
 
 import re
-from typing import Callable, Iterable, Mapping, Sequence
+from typing import Iterable, Sequence
 
 from .geometry import CANVAS, BBox
 from .wire import Record, assign
 
 BOX_OPEN = "<|box|>"
 BOX_CLOSE = "<|/box|>"
-# The planner prompt's placeholder for object N (group 1 is N).
-_PLACEHOLDER_RE = re.compile(r"<\|bbox_(\d+)\|>")
 
 _TRAILING_PUNCT = '.,;:!?"'
 _BLOCK_RE = re.compile(r"<\|box\|>(.*?)<\|/box\|>", re.DOTALL)
-_PLACEHOLDER_PREFIX_RE = re.compile(r"<\|bbox_[^|>]*\|?>?")
 
-
-_MALFORMED = "malformed placeholder: {!r}"
 _NOT_FOUND = "phrase not found in caption: {!r}"
 
 
@@ -56,9 +51,8 @@ class InterleavedInstruction(Record):
     """Caption words plus entities in appearance order. The serialized
     text places each entity's coordinate block after word span[1].
 
-    Span ends are non-decreasing and at most len(words); ties only arise
-    from placeholder substitution, where several boxes may follow the
-    same mention.
+    Span ends are non-decreasing and at most len(words); they tie where
+    several blocks follow the same word.
     """
 
     words: tuple[str, ...]
@@ -172,57 +166,6 @@ def interleave(
     return InterleavedInstruction(tuple(words), tuple(grounded))
 
 
-def substitute_placeholders(
-    prompt_text: str,
-    objects: Mapping[int, BBox],
-) -> InterleavedInstruction:
-    """Replace each ``<|bbox_N|>`` placeholder with the coordinate block
-    of objects[N]. The token immediately preceding a placeholder becomes
-    the entity's span end; consecutive placeholders share it."""
-    for m in _PLACEHOLDER_PREFIX_RE.finditer(prompt_text):
-        if not _PLACEHOLDER_RE.fullmatch(m.group(0)):
-            raise ValueError(_MALFORMED.format(m.group(0)))
-
-    matches = list(_PLACEHOLDER_RE.finditer(prompt_text))
-    seen: list[int] = []
-    for m in matches:
-        n = int(m.group(1))
-        if n not in objects:
-            raise ValueError(f"placeholder <|bbox_{n}|> has no matching object")
-        if n in seen:
-            raise ValueError(_MALFORMED.format(m.group(0)))
-        seen.append(n)
-    for n in objects:
-        if n not in seen:
-            raise ValueError(f"object {n} has no matching placeholder")
-
-    return _bind_blocks(prompt_text, matches, lambda m: objects[int(m.group(1))],
-                        lambda m: _MALFORMED.format(m.group(0)))
-
-
-def _bind_blocks(
-    text: str,
-    matches: Iterable[re.Match],
-    box_for: Callable[[re.Match], BBox],
-    orphan: Callable[[re.Match], str],
-) -> InterleavedInstruction:
-    """Bind the box of each match in text to the caption token just before
-    it, raising ValueError(orphan(match)) when there is none. The text between
-    matches must hold no block marker."""
-    caption_tokens: list[str] = []
-    entities: list[GroundedEntity] = []
-    cursor = 0
-    for m in matches:
-        caption_tokens.extend(caption_words(text[cursor : m.start()]))
-        cursor = m.end()
-        if not caption_tokens:
-            raise ValueError(orphan(m))
-        pos = len(caption_tokens)
-        entities.append(GroundedEntity(caption_tokens[-1], box_for(m), (pos, pos)))
-    caption_tokens.extend(caption_words(text[cursor:]))
-    return InterleavedInstruction(tuple(caption_tokens), tuple(entities))
-
-
 def _parse_block_payload(payload: str) -> BBox:
     if BOX_OPEN in payload or BOX_CLOSE in payload:
         raise ValueError(f"nested block marker in payload: {payload!r}")
@@ -241,10 +184,21 @@ def _parse_block_payload(payload: str) -> BBox:
 
 
 def parse_instruction(text: str) -> InterleavedInstruction:
-    """Decode serialized instruction text back into an instruction."""
-    return _bind_blocks(text, _BLOCK_RE.finditer(text),
-                        lambda m: _parse_block_payload(m.group(1)),
-                        lambda m: "coordinate block with no preceding token")
+    """Decode serialized instruction text back into an instruction: each
+    coordinate block's box binds to the caption word just before it. The
+    text between blocks must hold no block marker."""
+    words: list[str] = []
+    entities: list[GroundedEntity] = []
+    cursor = 0
+    for m in _BLOCK_RE.finditer(text):
+        words.extend(caption_words(text[cursor : m.start()]))
+        cursor = m.end()
+        if not words:
+            raise ValueError("coordinate block with no preceding token")
+        pos = len(words)
+        entities.append(GroundedEntity(words[-1], _parse_block_payload(m.group(1)), (pos, pos)))
+    words.extend(caption_words(text[cursor:]))
+    return InterleavedInstruction(tuple(words), tuple(entities))
 
 
 def parse(text: str) -> tuple[str, list[GroundedEntity]]:
@@ -259,5 +213,10 @@ def serialize(instruction: InterleavedInstruction) -> str:
     after its span end."""
     chunks = list(instruction.words)
     for e in reversed(instruction.entities):
-        chunks.insert(e.span[1], BOX_OPEN + ",".join(map(str, e.box.as_list())) + BOX_CLOSE)
+        chunks.insert(e.span[1], block(e.box))
     return " ".join(chunks)
+
+
+def block(box: BBox) -> str:
+    """The coordinate block of box: ``<|box|>x1,y1,x2,y2<|/box|>``."""
+    return BOX_OPEN + ",".join(map(str, box.as_list())) + BOX_CLOSE

@@ -24,9 +24,15 @@ if TYPE_CHECKING:
 
 SIZE_CLASSES = ("background", "large", "medium", "small")
 _SIZE_SIDE = {"large": 400.0, "medium": 250.0, "small": 120.0}
+# The codec's block markers, which no prompt may hold, and the prompt's
+# placeholder for object N (group 1 is N).
+_BLOCK_MARKERS = ("<|box|>", "<|/box|>")
+_PLACEHOLDER_RE = re.compile(r"<\|bbox_(\d+)\|>")
+_PLACEHOLDER_PREFIX_RE = re.compile(r"<\|bbox_[^|>]*\|?>?")
+_MALFORMED = "malformed placeholder: {!r}"
 # Text that would break the prompt and objects `plan_to_output` builds; a
 # phrase ending in codec.tokenize's peeled punctuation would ground on it.
-_MARKERS = ("<|box|>", "<|/box|>", "<|bbox_")
+_MARKERS = (*_BLOCK_MARKERS, "<|bbox_")
 _TRAILING_PUNCT = '.,;:!?"'
 
 
@@ -94,26 +100,68 @@ class LayoutPlan(Record):
 
 class PlannerOutput(Record):
     """The wire schema: reasoning text, a placeholder prompt, and the
-    ordered objects map."""
+    ordered objects map. Object N is keyed "N. name", and the prompt holds
+    its placeholder ``<|bbox_N|>`` once, after a word; consecutive
+    placeholders share that word. Any other key or placeholder, or a block
+    marker in the prompt, raises PlannerOutputError."""
 
     reasoning: str
     prompt: str
     objects: tuple[tuple[str, BBox], ...]  # ("N. name", box) in order
 
     def __init__(self, reasoning, prompt, objects):
+        for expected, (key, _) in enumerate(objects, start=1):
+            km = _OBJECT_KEY_RE.match(key)
+            if not km:
+                raise PlannerOutputError(f'object key must look like "N. name", got {key!r}')
+            index = _number(km.group(1))
+            if index != expected:
+                raise PlannerOutputError(
+                    f"object indices must run 1..N, expected {expected} got {index}")
+        _check_placeholders(prompt, len(objects))
         assign(self, "reasoning", reasoning)
         assign(self, "prompt", prompt)
         assign(self, "objects", objects)
-
-    def index_map(self) -> dict[int, BBox]:
-        return {i + 1: box for i, (_, box) in enumerate(self.objects)}
 
     def to_dict(self) -> dict:
         return wire.write(self)
 
 
 _FENCE_RE = re.compile(r"```(?:json)?\s*(.*?)```", re.DOTALL)
-_OBJECT_KEY_RE = re.compile(r"^(\d+)\.\s+(.+)$")
+_OBJECT_KEY_RE = re.compile(r"^(\d+)\.\s+.+$")
+
+
+def _number(digits: str) -> int:
+    try:
+        return int(digits)
+    except ValueError as exc:  # more digits than int() converts
+        raise PlannerOutputError(str(exc)) from None
+
+
+def _check_placeholders(prompt: str, count: int) -> None:
+    """Raise PlannerOutputError unless placeholders 1..count each appear
+    once in prompt, the first after a word, with no block marker between
+    them."""
+    for m in _PLACEHOLDER_PREFIX_RE.finditer(prompt):
+        if not _PLACEHOLDER_RE.fullmatch(m.group(0)):
+            raise PlannerOutputError(_MALFORMED.format(m.group(0)))
+    matches = list(_PLACEHOLDER_RE.finditer(prompt))
+    seen: set[int] = set()
+    for m in matches:
+        n = _number(m.group(1))
+        if not 1 <= n <= count:
+            raise PlannerOutputError(f"placeholder <|bbox_{n}|> has no matching object")
+        if n in seen:
+            raise PlannerOutputError(_MALFORMED.format(m.group(0)))
+        seen.add(n)
+    for n in range(1, count + 1):
+        if n not in seen:
+            raise PlannerOutputError(f"object {n} has no matching placeholder")
+    for k, segment in enumerate(_PLACEHOLDER_RE.split(prompt)[::2]):
+        if any(marker in segment for marker in _BLOCK_MARKERS):
+            raise PlannerOutputError(f"stray block marker near: {segment!r}")
+        if k == 0 and matches and not segment.split():
+            raise PlannerOutputError(_MALFORMED.format(matches[0].group(0)))
 
 
 def parse_planner_output(raw: str) -> PlannerOutput:
@@ -137,47 +185,33 @@ def _loads(text: str):
 
 
 def planner_output_from_dict(doc) -> PlannerOutput:
-    """Validate a decoded JSON document against the wire schema; its
-    prompt must turn into an instruction, as `to_instruction` builds it."""
-    from . import codec
-
+    """The PlannerOutput of a decoded JSON document: its fields must have
+    their JSON types and its object values be boxes, and PlannerOutput
+    checks the rest."""
     if not isinstance(doc, dict):
         raise PlannerOutputError(f"expected a JSON object, got {type(doc).__name__}")
 
     for name, kind in (("reasoning", str), ("prompt", str), ("objects", dict)):
         if not isinstance(doc.get(name), kind):
             raise PlannerOutputError(f"planner output is missing field {name!r}")
-    reasoning, prompt, objects = doc["reasoning"], doc["prompt"], doc["objects"]
 
-    entries: list[tuple[str, BBox]] = []
-    for expected, (key, value) in enumerate(objects.items(), start=1):
-        km = _OBJECT_KEY_RE.match(key)
-        if not km:
-            raise PlannerOutputError(f'object key must look like "N. name", got {key!r}')
-        index = int(km.group(1))
-        if index != expected:
-            raise PlannerOutputError(
-                f"object indices must run 1..N, expected {expected} got {index}")
+    objects: list[tuple[str, BBox]] = []
+    for key, value in doc["objects"].items():
         try:
-            box = BBox.from_wire(value, "box")
+            objects.append((key, BBox.from_wire(value, "box")))
         except ValueError as exc:
             raise PlannerOutputError(f"invalid box for {key!r}: {exc}") from exc
-        entries.append((key, box))
-
-    out = PlannerOutput(reasoning=reasoning, prompt=prompt, objects=tuple(entries))
-    try:
-        codec.substitute_placeholders(prompt, out.index_map())
-    except ValueError as exc:
-        raise PlannerOutputError(str(exc)) from exc
-    return out
+    return PlannerOutput(doc["reasoning"], doc["prompt"], tuple(objects))
 
 
 def to_instruction(out: PlannerOutput) -> codec.InterleavedInstruction:
-    """Materialize the executable instruction; any text after the last
-    placeholder remains as trailing context tokens."""
+    """Decode the prompt with each placeholder replaced by its object's
+    coordinate block; any text after the last placeholder remains as
+    trailing context tokens."""
     from . import codec
 
-    return codec.substitute_placeholders(out.prompt, out.index_map())
+    return codec.parse_instruction(_PLACEHOLDER_RE.sub(
+        lambda m: codec.block(out.objects[int(m.group(1)) - 1][1]), out.prompt))
 
 
 # --- the deterministic layout procedure -------------------------------

@@ -23,9 +23,15 @@ from scotkit.constraints import (
     Below,
 )
 from scotkit.geometry import BBox
-from scotkit.planner import EntitySpec, SceneSpec
+from scotkit.planner import EntitySpec, PlannerOutput, SceneSpec
 
 _OUTPUT_BLOCK_RE = re.compile(r"Output:\s*```json\s*(.*?)```", re.DOTALL)
+
+
+def planner_output(prompt: str, objects) -> PlannerOutput:
+    """The planner output with this prompt whose object n is objects[n],
+    keyed "n. object", for objects keyed 1..N in order."""
+    return PlannerOutput("", prompt, tuple((f"{n}. object", box) for n, box in objects.items()))
 
 
 def load_system_prompt() -> str:

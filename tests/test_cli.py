@@ -82,8 +82,8 @@ _PLAN = ["scotkit.cli", "scotkit.constraints", "scotkit.geometry", "scotkit.plan
 _TOY = _CODEC + ["inspect", "numpy", "scotkit.flowmatch"]
 # what each command loads: no command loads requests or dataclasses,
 # only the toy commands load inspect (numpy imports it), only `plan
-# --mllm` loads the client and urllib, and only it and `render` of
-# planner output load the codec (this `render` draws a layout)
+# --mllm` loads the client and urllib, and no planner command loads the
+# codec
 COMMAND_MODULES = {
     "import scotkit": [],
     "--help": ["scotkit.cli"],
@@ -96,7 +96,8 @@ COMMAND_MODULES = {
     "check": _PLAN,
     "repair": _PLAN,
     "render": _PLAN + ["scotkit.render"],
-    "plan --mllm": _PLAN + ["scotkit.client", "scotkit.codec", "scotkit.resources", "urllib.request"],
+    "render planner output": _PLAN + ["scotkit.render"],
+    "plan --mllm": _PLAN + ["scotkit.client", "scotkit.resources", "urllib.request"],
     "toy train": _TOY,
     "toy sample": _TOY,
 }
@@ -111,6 +112,9 @@ def test_each_command_loads_only_the_modules_it_runs(tmp_path, mock_endpoint, go
     scene.write_text(json.dumps({**SCENE, "boxes": {"a": [0, 0, 90, 90], "b": [50, 0, 300, 90]}}))
     layout = tmp_path / "layout.json"
     layout.write_text(json.dumps({"boxes": {"a": [0, 0, 90, 90]}}))
+    output = tmp_path / "output.json"
+    output.write_text(json.dumps({"reasoning": "", "prompt": "a cat<|bbox_1|>",
+                                  "objects": {"1. cat": [0, 0, 90, 90]}}))
     instr, ckpt = tmp_path / "instr.txt", tmp_path / "model.ckpt"
     instr.write_text("a red box <|box|>400,400,600,600<|/box|>\n")
     steps = {
@@ -125,6 +129,7 @@ def test_each_command_loads_only_the_modules_it_runs(tmp_path, mock_endpoint, go
         "check": ["check", str(scene)],
         "repair": ["repair", str(scene), "--max-iters", "5"],
         "render": ["render", str(layout), str(tmp_path / "out.svg")],
+        "render planner output": ["render", str(output), str(tmp_path / "out.svg")],
         "plan --mllm": ["plan", str(scene), "--mllm", "--base-url", base_url, "--model", "mock"],
         "toy train": ["toy", "train", "--instruction", str(instr), "--output", str(ckpt),
                       "--steps", "2", "--batch-size", "4"],

@@ -14,15 +14,17 @@ from scotkit.codec import (
     parse,
     parse_instruction,
     serialize,
-    substitute_placeholders,
     tokenize,
 )
 from scotkit.geometry import BBox
+from scotkit.planner import PlannerOutputError, to_instruction
+
+from conftest import planner_output
 
 
-def fails(message):
-    """Expect a ValueError whose message is exactly `message`."""
-    return pytest.raises(ValueError, match=f"^{re.escape(message)}$")
+def fails(message, error=ValueError):
+    """Expect an `error` whose message is exactly `message`."""
+    return pytest.raises(error, match=f"^{re.escape(message)}$")
 
 
 def unless_colliding(exc):
@@ -149,10 +151,17 @@ class TestInterleave:
             assert list(instr.words) == tokenize(caption)
 
 
+def substitute(prompt, objects):
+    """The instruction of the planner output with this prompt and objects."""
+    return to_instruction(planner_output(prompt, objects))
+
+
+# the instruction of a planner output: its placeholders are substituted
+# with coordinate blocks and decoded as instruction text
 class TestSubstitutePlaceholders:
     def test_marketplace_example(self):
         prompt = "A vibrant marketplace<|bbox_1|> with stalls<|bbox_2|> selling goods."
-        instr = substitute_placeholders(
+        instr = substitute(
             prompt, {1: BBox(0, 0, 1000, 1000), 2: BBox(16, 136, 792, 984)}
         )
         assert [e.phrase for e in instr.entities] == ["marketplace", "stalls"]
@@ -160,28 +169,28 @@ class TestSubstitutePlaceholders:
         assert list(instr.words) == tokenize("A vibrant marketplace with stalls selling goods.")
 
     def test_single_object(self):
-        instr = substitute_placeholders(
+        instr = substitute(
             "A transparent glass<|bbox_1|> on the table.", {1: BBox(248, 200, 752, 888)}
         )
         assert len(instr.entities) == 1
         assert instr.entities[0].box == BBox(248, 200, 752, 888)
 
     def test_missing_object(self):
-        with fails("placeholder <|bbox_2|> has no matching object"):
-            substitute_placeholders("a dog<|bbox_2|>", {1: BBox(0, 0, 10, 10)})
+        with fails("placeholder <|bbox_2|> has no matching object", PlannerOutputError):
+            substitute("a dog<|bbox_2|>", {1: BBox(0, 0, 10, 10)})
 
     def test_unused_object(self):
-        with fails("object 2 has no matching placeholder"):
-            substitute_placeholders(
+        with fails("object 2 has no matching placeholder", PlannerOutputError):
+            substitute(
                 "a dog<|bbox_1|>", {1: BBox(0, 0, 10, 10), 2: BBox(0, 0, 5, 5)}
             )
 
     def test_malformed_placeholder(self):
-        with fails("malformed placeholder: '<|bbox_|>'"):
-            substitute_placeholders("a dog<|bbox_|>", {1: BBox(0, 0, 10, 10)})
+        with fails("malformed placeholder: '<|bbox_|>'", PlannerOutputError):
+            substitute("a dog<|bbox_|>", {1: BBox(0, 0, 10, 10)})
 
     def test_consecutive_placeholders_share_span_end(self):
-        instr = substitute_placeholders(
+        instr = substitute(
             "Three girls<|bbox_1|><|bbox_2|> smiling.",
             {1: BBox(0, 0, 100, 100), 2: BBox(200, 0, 300, 100)},
         )
@@ -190,12 +199,12 @@ class TestSubstitutePlaceholders:
 
     @pytest.mark.parametrize("marker", ["<|box|>", "x<|/box|>"])
     def test_block_marker_in_prompt_rejected(self, marker):
-        with fails(f"stray block marker near: 'a {marker} cat'"):
-            substitute_placeholders(f"a {marker} cat<|bbox_1|>", {1: BBox(10, 20, 30, 40)})
+        with fails(f"stray block marker near: 'a {marker} cat'", PlannerOutputError):
+            substitute(f"a {marker} cat<|bbox_1|>", {1: BBox(10, 20, 30, 40)})
 
     def test_placeholder_at_start_rejected(self):
-        with fails("malformed placeholder: '<|bbox_1|>'"):
-            substitute_placeholders("<|bbox_1|> a dog", {1: BBox(0, 0, 10, 10)})
+        with fails("malformed placeholder: '<|bbox_1|>'", PlannerOutputError):
+            substitute("<|bbox_1|> a dog", {1: BBox(0, 0, 10, 10)})
 
 
 class TestInstruction:

@@ -1,8 +1,9 @@
 """Behaviour lock: SHA-256 digests of everything `plan` and `repair`
 emit over fixed scene families, of the constraint wire records and
-`scot check` output, of the codec's outputs and first errors, and of a
-`toy train` checkpoint and loss curve, a `toy sample` points file, one
-plan's SVG and a synthetic corpus file, and of the stdout of the four
+`scot check` output, of the codec's outputs and first errors and a
+planner output's first errors, and of a `toy train` checkpoint and loss
+curve, a `toy sample` points file, one plan's SVG and a synthetic
+corpus file, and of the stdout of the four
 record commands (`encode`, `decode`, `eval`, `dataset stats`) on a fixed
 corpus at one, two and three worker CPUs.
 
@@ -59,6 +60,7 @@ from scotkit.dataset import (
 from scotkit.geometry import BBox
 from scotkit.planner import (
     EntitySpec,
+    PlannerOutputError,
     SceneSpec,
     parse_planner_output,
     plan,
@@ -69,7 +71,7 @@ from scotkit.planner import (
 )
 from scotkit.render import render_svg
 
-from conftest import NOUNS, synth_satisfiable_spec
+from conftest import NOUNS, planner_output, synth_satisfiable_spec
 
 PLANNER_SEEDS = (0, 1)
 
@@ -403,7 +405,12 @@ def test_parse_raises_pinned_first_error(text, expected):
                          ids=[f"{text}-objects{i}-{kind}"
                               for i, (text, _, kind, _) in enumerate(SUBSTITUTE_ERRORS)])
 def test_substitute_raises_pinned_first_error(text, objects, expected):
-    assert _first_error(codec.substitute_placeholders, text, objects) == expected
+    try:
+        to_instruction(planner_output(text, objects))
+    except PlannerOutputError as exc:
+        assert str(exc) == expected
+    else:
+        assert expected is None
 
 
 FILE_GOLDEN = {

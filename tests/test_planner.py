@@ -112,7 +112,7 @@ class TestParsePlannerOutput:
             parse_planner_output(json.dumps(doc))
 
     # each prompt numbers its placeholders 1..N and still names no
-    # instruction, so the parser rejects it with the codec's message
+    # instruction, so the parser rejects it
     @pytest.mark.parametrize("prompt, message", [
         ("a cat<|bbox_1|> and a dog<|bbox_x|>", "malformed placeholder: '<|bbox_x|>'"),
         ("<|bbox_1|> a cat", "malformed placeholder: '<|bbox_1|>'"),
@@ -139,6 +139,30 @@ class TestParsePlannerOutput:
             "objects": {"first a": [0, 0, 1, 1]},
         }
         with fails("object key must look like \"N. name\", got 'first a'"):
+            parse_planner_output(json.dumps(doc))
+
+
+class TestPlannerOutput:
+    @pytest.mark.parametrize("key, prompt, message", [
+        ("first a", "a<|bbox_1|>", 'object key must look like "N. name", got \'first a\''),
+        ("2. a", "a<|bbox_1|>", "object indices must run 1..N, expected 1 got 2"),
+        ("1. a", "a cat", "object 1 has no matching placeholder"),
+    ])
+    def test_construction_checks_the_keys_and_placeholders(self, key, prompt, message):
+        with fails(message):
+            PlannerOutput("", prompt, ((key, BBox(0, 0, 1, 1)),))
+
+    @pytest.mark.parametrize("key, prompt", [("9" * 5000 + ". a", "a<|bbox_1|>"),
+                                             ("1. a", "a<|bbox_" + "9" * 5000 + "|>")])
+    def test_an_index_too_long_to_convert_is_a_planner_output_error(self, key, prompt):
+        with pytest.raises(PlannerOutputError, match="^Exceeds the limit"):
+            PlannerOutput("", prompt, ((key, BBox(0, 0, 1, 1)),))
+
+    def test_a_bad_box_is_reported_before_a_bad_key(self):
+        # the reader builds every box before the record checks its keys
+        doc = {"reasoning": "", "prompt": "a<|bbox_1|>",
+               "objects": {"first a": [0, 0, 1, 1], "2. b": [5, 5, 5, 5]}}
+        with fails("invalid box for '2. b': need 0 <= xmin < xmax <= 1000, got [5, 5, 5, 5]"):
             parse_planner_output(json.dumps(doc))
 
 
@@ -302,8 +326,10 @@ class TestPlanToOutput:
         assert planner._TRAILING_PUNCT == codec._TRAILING_PUNCT
 
     def test_the_markers_are_what_the_codec_reads(self):
-        assert planner._MARKERS == (codec.BOX_OPEN, codec.BOX_CLOSE, "<|bbox_")
-        assert codec._PLACEHOLDER_PREFIX_RE.pattern.startswith(re.escape("<|bbox_"))
+        # the planner cannot import the codec, so it keeps its own copy
+        assert codec.BOX_OPEN in planner._MARKERS and codec.BOX_CLOSE in planner._MARKERS
+        assert planner._BLOCK_MARKERS == (codec.BOX_OPEN, codec.BOX_CLOSE)
+        assert planner._PLACEHOLDER_PREFIX_RE.pattern.startswith(re.escape(planner._MARKERS[2]))
 
     def test_placeholder_count(self):
         spec = SceneSpec(entities=tuple(medium(f"e{i}", f"obj{i}") for i in range(6)))

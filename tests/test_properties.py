@@ -2,8 +2,9 @@
 the objective's zero set, and the entity-id contract incremental repair
 relies on (a kind's violations and moves touch only its entity_ids(),
 unless it watches_all). Also the codec round trip: whatever
-`interleave` or `substitute_placeholders` builds parses back from its
-serialized text; repair never raises the objective, and decides every
+`interleave` builds, or a planner output's instruction, parses back from
+its serialized text, and a planner output reads back from what it
+writes; repair never raises the objective, and decides every
 candidate as a full rescore would; IoU is a
 symmetric similarity in [0, 1] that is 1 for a box with itself;
 `place` turns any finite centre and size into a canvas box of that size
@@ -25,7 +26,8 @@ from scotkit import codec, wire
 from scotkit.client import ClientConfig
 from scotkit.dataset import GroundedRecord, RecordEntity, record_from_dict, record_to_dict
 from scotkit.planner import (
-    SIZE_CLASSES, EntitySpec, SceneSpec, repair, spec_from_dict,
+    SIZE_CLASSES, EntitySpec, PlannerOutputError, SceneSpec, parse_planner_output, repair,
+    spec_from_dict, to_instruction,
 )
 from scotkit.constraints import (
     KINDS,
@@ -45,6 +47,8 @@ from scotkit.constraints import (
     total_magnitude,
 )
 from scotkit.geometry import CANVAS, BBox, iou, place
+
+from conftest import planner_output
 
 PROPERTY = settings(derandomize=True, deadline=None)
 
@@ -240,10 +244,11 @@ def test_substituted_output_round_trips(segments, pool):
             objects[len(objects) + 1] = pool[len(objects)]
             prompt += f"<|bbox_{len(objects)}|>"
     try:
-        instr = codec.substitute_placeholders(prompt, objects)
-    except ValueError:
+        out = planner_output(prompt, objects)
+    except PlannerOutputError:
         return
-    assert_round_trips(instr)
+    assert parse_planner_output(json.dumps(out.to_dict())) == out
+    assert_round_trips(to_instruction(out))
 
 
 # --- tokenize and locate_spans against their loop versions ---------------
